@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fixtures as fixture_mod
+from .cubature import IntegrationError
 from .lorentz import LorentzVector
 from .simplex import GeodesicSimplex, SimplexFamily, signed_volume, dihedral_angle
 from .schlafli import schlafli_residual, schlafli_residual_truncated_3d
@@ -49,30 +50,38 @@ def _load_tri(path: str) -> LabeledTriangulation:
     return LabeledTriangulation.from_json(json.loads(_resolve(path).read_text()))
 
 
-def _load_simplex(path: str) -> GeodesicSimplex:
-    data = json.loads(_resolve(path).read_text())
+_VERTEX_KINDS = {"material": LorentzVector.material, "ideal": LorentzVector.ideal}
+
+
+def _parse_simplex(data, where: str) -> GeodesicSimplex:
+    """The simplex of a JSON object {"vertices": [{"kind", "coords"}, ...]}
+    with kind "material" or "ideal"."""
+    if not isinstance(data, dict) or not isinstance(data.get("vertices"), list):
+        raise ValueError(f"{where}: missing 'vertices' list")
     verts = []
-    for v in data["vertices"]:
+    for i, v in enumerate(data["vertices"]):
+        if not isinstance(v, dict) or "kind" not in v or "coords" not in v:
+            raise ValueError(f"{where}: vertex {i} needs 'kind' and 'coords'")
+        if v["kind"] not in _VERTEX_KINDS:
+            raise ValueError(f"{where}: vertex {i} has kind {v['kind']!r}, "
+                             f"not 'material' or 'ideal'")
         coords = np.asarray(v["coords"], dtype=float)
-        if v["kind"] == "material":
-            verts.append(LorentzVector.material(coords))
-        else:
-            verts.append(LorentzVector.ideal(coords))
+        if coords.ndim != 1:
+            raise ValueError(f"{where}: vertex {i} coords are not a list of numbers")
+        verts.append(_VERTEX_KINDS[v["kind"]](coords))
     return GeodesicSimplex(verts)
+
+
+def _load_simplex(path: str) -> GeodesicSimplex:
+    return _parse_simplex(json.loads(_resolve(path).read_text()), path)
 
 
 def _load_family(path: str) -> SimplexFamily:
     data = json.loads(_resolve(path).read_text())
-    keyframes = []
-    for frame in data["keyframes"]:
-        verts = []
-        for v in frame["vertices"]:
-            coords = np.asarray(v["coords"], dtype=float)
-            if v["kind"] == "material":
-                verts.append(LorentzVector.material(coords))
-            else:
-                verts.append(LorentzVector.ideal(coords))
-        keyframes.append(GeodesicSimplex(verts))
+    if not isinstance(data, dict) or "times" not in data or "keyframes" not in data:
+        raise ValueError(f"{path}: a family needs 'times' and 'keyframes'")
+    keyframes = [_parse_simplex(frame, f"{path} keyframe {k}")
+                 for k, frame in enumerate(data["keyframes"])]
     return SimplexFamily.from_keyframes(data["times"], keyframes)
 
 
@@ -340,7 +349,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
-    except (RepvolError, ValueError) as exc:
+    except (RepvolError, ValueError, IntegrationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -182,10 +182,11 @@ def _split_cell(mix, has_ideal, klein):
     return out
 
 
-def build_rule(klein: np.ndarray, ideal: Sequence[bool], tol: float) -> VolumeRule:
+def _build_rule(klein: np.ndarray, ideal: Sequence[bool], tol: float) -> tuple[VolumeRule, float]:
     """Adaptively pick per-cell Gauss degrees (subdividing cells whose
     spectral convergence stalls) until the total error estimate is at
-    most tol, then freeze the rule."""
+    most tol, then freeze the rule; also returns the sum of the converged
+    cell values, which equals the rule evaluated on `klein`."""
     klein = np.asarray(klein, dtype=float)
     n = klein.shape[1]
     base = _decompose_cells(ideal)
@@ -223,11 +224,17 @@ def build_rule(klein: np.ndarray, ideal: Sequence[bool], tol: float) -> VolumeRu
             f"requested tolerance {tol} is below what double precision "
             f"reaches here (estimate {total_value}, bound {total_bound})",
             total_value, total_bound)
-    return VolumeRule(tuple(final), total_bound)
+    return VolumeRule(tuple(final), total_bound), total_value
+
+
+def build_rule(klein: np.ndarray, ideal: Sequence[bool], tol: float) -> VolumeRule:
+    """The frozen rule for the Klein simplex at tol, for re-evaluation on
+    nearby vertex configurations."""
+    return _build_rule(klein, ideal, tol)[0]
 
 
 def integrate_simplex(klein: np.ndarray, ideal: Sequence[bool], tol: float) -> tuple[float, float]:
     """Hyperbolic volume magnitude of the Klein simplex with the given
     ideal-vertex mask; returns (value, error_estimate)."""
-    rule = build_rule(klein, ideal, tol)
-    return rule.evaluate(np.asarray(klein, dtype=float)), rule.error_estimate
+    rule, value = _build_rule(klein, ideal, tol)
+    return value, rule.error_estimate

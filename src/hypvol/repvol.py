@@ -109,12 +109,12 @@ def evaluate_word(rep: Representation, word) -> Isometry:
     """Image of a word; long products are re-projected onto the
     form-preserving manifold when drift accumulates."""
     tokens = rep.presentation.parse(word) if isinstance(word, str) else word
-    n = rep.n
-    out = Isometry.identity(n)
+    out = None
     for g, e in tokens:
         img = rep.images[g]
-        out = out @ (img if e > 0 else img.inverse())
-    return out
+        img = img if e > 0 else img.inverse()
+        out = img if out is None else out @ img
+    return Isometry.identity(rep.n) if out is None else out
 
 
 def check_representation(presentation, images, tol: float = RELATOR_TOL) -> Representation:
@@ -577,15 +577,6 @@ def _mobius_three_point(src, dst) -> np.ndarray:
     return out / np.sqrt(det)
 
 
-def _mobius_apply(m, z):
-    if z is None:
-        return None if abs(m[1, 0]) < 1e-14 else m[0, 0] / m[1, 0]
-    den = m[1, 0] * z + m[1, 1]
-    if abs(den) < 1e-14:
-        return None
-    return (m[0, 0] * z + m[0, 1]) / den
-
-
 def _fig8_generators(z1: complex, z2: complex):
     """SL(2,C) images of the two generators reconstructed from the
     developed cells (infinity, 0, 1, z1) and (infinity, 0, 1, 1/z2)
@@ -646,144 +637,32 @@ def _fig8_edge_residual(z1, z2):
             - np.log(z2) + 2.0 * np.log(z2 - 1.0)) - 2j * np.pi
 
 
-def solve_gluing_equations(tri: LabeledTriangulation, filling,
-                           init_shapes: Sequence[complex],
-                           tol: float = 1e-11, max_iter: int = 60,
-                           prev_logs=None) -> GluingSolution:
-    """Newton-solve the fixture's gluing equations.
+def _solve_shapes(tri: LabeledTriangulation, x0: Sequence[complex], target,
+                  tol: float, max_iter: int, logs) -> GluingSolution:
+    """Damped Newton on the edge equation plus one cusp equation.
 
-    filling is "complete" or a pair (p, q).  Filled structures satisfy
-    p*u + q*v = 2 pi i on the logarithmic meridian/longitude holonomies;
-    the complete structure (where u has a branch point) is cut instead by
-    the meridian eigenvalue equalling 1.  Shapes must start in the upper
-    half plane and are rejected if Newton leaves it.
-
-    Returns shape parameters (upper-half-plane for both cells), the
-    reconstructed representation, and the final residual.
-    """
-    if tri.gluing is None or tri.gluing.get("recipe") != "two_tet_once_cusped":
-        raise GluingError("triangulation carries no supported gluing data")
-    z1, z2 = [complex(z) for z in init_shapes]
-    if z1.imag <= 0 or z2.imag <= 0:
-        raise GluingError("initial shapes must lie in the upper half plane")
-    x = np.array([z1, z2], dtype=complex)
-
-    if isinstance(filling, str):
-        if filling.lower() != "complete":
-            raise GluingError(f"unknown filling spec {filling!r}")
-        coeffs = None
-    else:
-        p, q = filling
-        coeffs = (float(p), float(q))
-
-    logs = prev_logs
+    target None cuts the complete structure by the meridian eigenvalue
+    equalling 1 (the meridian image is upper triangular in the
+    developing normalization, so its (0,0) entry is its eigenvalue);
+    a triple (p, q, w) asks for p*u + q*v = w on the log holonomies,
+    branch-tracked against `logs`.  A step is taken only if it keeps
+    both shapes in the upper half plane and strictly decreases the
+    residual, halving it down to 1e-4."""
+    x = np.array(x0, dtype=complex)
 
     def residual_vec(xv):
         e1 = _fig8_edge_residual(xv[0], xv[1])
-        if coeffs is None:
-            # The meridian image is upper triangular in the developing
-            # normalization, so its (0,0) entry is its eigenvalue;
-            # eigenvalue 1 cuts the complete structure transversally.
+        if target is None:
             a, _ = _fig8_generators(xv[0], xv[1])
-            c = a[0, 0] - 1.0
-            return np.array([e1, c], dtype=complex), None
+            return np.array([e1, a[0, 0] - 1.0], dtype=complex), (0.0 + 0j, 0.0 + 0j)
+        p, q, w = target
         hu, hv = _fig8_log_holonomies(xv[0], xv[1], prev=logs)
-        c = coeffs[0] * hu + coeffs[1] * hv - 2j * np.pi
-        return np.array([e1, c], dtype=complex), (hu, hv)
+        return np.array([e1, p * hu + q * hv - w], dtype=complex), (hu, hv)
 
     h = 1e-7
-
-    def newton(x, stop_tol):
-        nonlocal logs
-        res, cur = residual_vec(x)
-        for _ in range(max_iter):
-            if np.max(np.abs(res)) <= stop_tol:
-                return x, res, cur
-            Jm = np.zeros((2, 2), dtype=complex)
-            for k in range(2):
-                dx = np.zeros(2, dtype=complex)
-                dx[k] = h
-                rp, _ = residual_vec(x + dx)
-                rm, _ = residual_vec(x - dx)
-                Jm[:, k] = (rp - rm) / (2 * h)
-            try:
-                step = np.linalg.solve(Jm, -res)
-            except np.linalg.LinAlgError as exc:
-                raise GluingError("singular Newton system") from exc
-            damp = 1.0
-            for _ in range(30):
-                xn = x + damp * step
-                if xn[0].imag > 0 and xn[1].imag > 0:
-                    rn, cur_n = residual_vec(xn)
-                    if np.max(np.abs(rn)) < np.max(np.abs(res)) or damp < 1e-3:
-                        x, res, cur = xn, rn, cur_n
-                        if cur is not None:
-                            logs = cur
-                        break
-                damp *= 0.5
-            else:
-                raise GluingError(
-                    f"Newton stalled with shapes leaving the upper half plane at {x}")
-        return x, res, cur
-
-    x, res, cur_logs = newton(x, tol)
-    if np.max(np.abs(res)) > tol:
-        raise GluingError(
-            f"Newton did not reach tol {tol}: residual {np.max(np.abs(res)):.3e}")
-    a, b = _fig8_generators(x[0], x[1])
-    rep = check_representation(tri.presentation, {"a": a, "b": b})
-    if cur_logs is None:
-        cur_logs = (0.0 + 0j, 0.0 + 0j)
-    return GluingSolution((x[0], x[1]), rep,
-                          float(np.max(np.abs(res))), cur_logs)
-
-
-def _dehn3d_path(tri: LabeledTriangulation, filling, steps: int) -> DeformationPath:
-    """Continuation from the complete structure toward the (p, q) Dehn
-    filling: at parameter t the cusp equation is p*u + q*v = t * 2 pi i."""
-    p, q = filling
-    omega = complex(np.cos(np.pi / 3), np.sin(np.pi / 3))
-    base_sol = solve_gluing_equations(tri, "complete", (omega, omega))
-    cache = {0.0: (base_sol, base_sol.log_holonomies)}
-
-    def solve_at(t: float) -> GluingSolution:
-        known = sorted(k for k in cache if k <= t + 1e-12)
-        t0 = known[-1]
-        sol, logs = cache[t0]
-        if abs(t0 - t) < 1e-12:
-            return sol
-        # walk from t0 to t in small increments, tracking branches
-        s = t0
-        while s < t - 1e-12:
-            s = min(t, s + 1.0 / steps)
-            sol = _solve_filled_fraction(tri, (p, q), s, sol, logs)
-            logs = sol.log_holonomies
-            cache[s] = (sol, logs)
-        return sol
-
-    def ev(t: float) -> Representation:
-        return solve_at(float(t)).representation
-
-    path = DeformationPath("dehn3d", base_sol.representation, ev,
-                           {"filling": (p, q), "solver": solve_at})
-    return path
-
-
-def _solve_filled_fraction(tri, filling, frac, prev_sol, prev_logs) -> GluingSolution:
-    p, q = filling
-    x = np.array(prev_sol.shapes, dtype=complex)
-    logs = prev_logs
-
-    def residual_vec(xv):
-        e1 = _fig8_edge_residual(xv[0], xv[1])
-        hu, hv = _fig8_log_holonomies(xv[0], xv[1], prev=logs)
-        c = p * hu + q * hv - frac * 2j * np.pi
-        return np.array([e1, c], dtype=complex), (hu, hv)
-
-    h = 1e-7
-    res, cur_logs = residual_vec(x)
-    for it in range(60):
-        if np.max(np.abs(res)) <= 1e-11:
+    res, logs = residual_vec(x)
+    for _ in range(max_iter):
+        if np.max(np.abs(res)) <= tol:
             break
         Jm = np.zeros((2, 2), dtype=complex)
         for k in range(2):
@@ -792,22 +671,92 @@ def _solve_filled_fraction(tri, filling, frac, prev_sol, prev_logs) -> GluingSol
             rp, _ = residual_vec(x + dx)
             rm, _ = residual_vec(x - dx)
             Jm[:, k] = (rp - rm) / (2 * h)
-        step = np.linalg.solve(Jm, -res)
+        try:
+            step = np.linalg.solve(Jm, -res)
+        except np.linalg.LinAlgError as exc:
+            raise GluingError("singular Newton system") from exc
         damp = 1.0
         while damp > 1e-4:
             xn = x + damp * step
             if xn[0].imag > 0 and xn[1].imag > 0:
                 rn, logs_n = residual_vec(xn)
                 if np.max(np.abs(rn)) < np.max(np.abs(res)):
-                    x, res = xn, rn
-                    logs = logs_n
-                    cur_logs = logs_n
+                    x, res, logs = xn, rn, logs_n
                     break
             damp *= 0.5
         else:
-            raise GluingError(f"continuation stalled at fraction {frac}, shapes {x}")
-    if np.max(np.abs(res)) > 1e-11:
-        raise GluingError(f"continuation did not converge at fraction {frac}")
+            raise GluingError(
+                f"Newton stalled at shapes {x}: residual {np.max(np.abs(res)):.3e}")
+    if np.max(np.abs(res)) > tol:
+        raise GluingError(
+            f"Newton did not reach tol {tol}: residual {np.max(np.abs(res)):.3e}")
     a, b = _fig8_generators(x[0], x[1])
     rep = check_representation(tri.presentation, {"a": a, "b": b})
-    return GluingSolution((x[0], x[1]), rep, float(np.max(np.abs(res))), cur_logs)
+    return GluingSolution((x[0], x[1]), rep, float(np.max(np.abs(res))), logs)
+
+
+def solve_gluing_equations(tri: LabeledTriangulation, filling,
+                           init_shapes: Sequence[complex],
+                           tol: float = 1e-11, max_iter: int = 60) -> GluingSolution:
+    """Newton-solve the fixture's gluing equations.
+
+    filling is "complete" or a pair (p, q).  Filled structures satisfy
+    p*u + q*v = 2 pi i on the logarithmic meridian/longitude holonomies;
+    the complete structure (where u has a branch point) is cut instead by
+    the meridian eigenvalue equalling 1.  Shapes must start in the upper
+    half plane and are rejected if Newton leaves it.
+
+    A filled solve starts its holonomy logarithms on the branch through
+    the complete structure, so it converges only from shapes already
+    near the filled branch; from generic starting shapes it stops with a
+    GluingError.  Dehn-filled structures are reached by continuation
+    from the complete structure: generate_path("dehn3d", ...), or
+    `hypvol path scan` on a dehn3d path spec.
+
+    Returns shape parameters (upper-half-plane for both cells), the
+    reconstructed representation, the final residual and the log
+    holonomies (zero for the complete structure).
+    """
+    if tri.gluing is None or tri.gluing.get("recipe") != "two_tet_once_cusped":
+        raise GluingError("triangulation carries no supported gluing data")
+    z1, z2 = [complex(z) for z in init_shapes]
+    if z1.imag <= 0 or z2.imag <= 0:
+        raise GluingError("initial shapes must lie in the upper half plane")
+    if isinstance(filling, str):
+        if filling.lower() != "complete":
+            raise GluingError(f"unknown filling spec {filling!r}")
+        target = None
+    else:
+        p, q = filling
+        target = (float(p), float(q), 2j * np.pi)
+    return _solve_shapes(tri, (z1, z2), target, tol, max_iter, None)
+
+
+def _dehn3d_path(tri: LabeledTriangulation, filling, steps: int) -> DeformationPath:
+    """Continuation from the complete structure toward the (p, q) Dehn
+    filling: at parameter t the cusp equation is p*u + q*v = t * 2 pi i."""
+    p, q = filling
+    omega = complex(np.cos(np.pi / 3), np.sin(np.pi / 3))
+    base_sol = solve_gluing_equations(tri, "complete", (omega, omega))
+    cache = {0.0: base_sol}
+
+    def solve_at(t: float) -> GluingSolution:
+        known = sorted(k for k in cache if k <= t + 1e-12)
+        t0 = known[-1]
+        sol = cache[t0]
+        if abs(t0 - t) < 1e-12:
+            return sol
+        # walk from t0 to t in small increments, tracking branches
+        s = t0
+        while s < t - 1e-12:
+            s = min(t, s + 1.0 / steps)
+            sol = _solve_shapes(tri, sol.shapes, (p, q, s * 2j * np.pi), 1e-11, 60,
+                                sol.log_holonomies)
+            cache[s] = sol
+        return sol
+
+    def ev(t: float) -> Representation:
+        return solve_at(float(t)).representation
+
+    return DeformationPath("dehn3d", base_sol.representation, ev,
+                           {"filling": (p, q), "solver": solve_at})

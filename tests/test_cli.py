@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hypvol
 from hypvol.cli import main
 from hypvol.fixtures import write_fixtures
 
@@ -184,8 +187,37 @@ def test_simplex_schlafli_command(run, fixdir):
 
 
 def test_console_script_entrypoint(fixdir):
+    # the child imports the same hypvol as this test, installed or not
+    src = str(Path(hypvol.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-m", "hypvol.cli", "--no-timestamp", "tri",
          "validate", "--tri", str(fixdir / "fig8.json")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
+
+
+MATERIAL_TET = [[1.0, 0.0, 0.0, 0.0], [1.5, 1.118033988749895, 0.0, 0.0],
+                [1.5, 0.0, 1.118033988749895, 0.0], [1.5, 0.0, 0.0, 1.118033988749895]]
+
+
+@pytest.mark.parametrize("simplex, extra", [
+    ({"vertices": [{"kind": "Material", "coords": [1, 1, 0, 0]}]
+      + [{"kind": "material", "coords": c} for c in MATERIAL_TET[1:]]}, ()),
+    ({"verts": []}, ()),
+    ({"vertices": [{"kind": "material", "coords": c} for c in MATERIAL_TET]},
+     ("--tol", "1e-20")),
+    ({"vertices": 5}, ()),
+    ({"vertices": [{"kind": "material", "coords": None}]}, ()),
+], ids=["unknown-kind", "missing-vertices", "unreachable-tol", "vertices-not-list",
+        "coords-not-list"])
+def test_simplex_vol_bad_input_exit_2(fixdir, monkeypatch, capsys, simplex, extra):
+    monkeypatch.setenv("HYPVOL_FIXTURES", str(fixdir))
+    (fixdir / "bad_simplex.json").write_text(json.dumps(simplex))
+    code = main(["--no-timestamp", "simplex", "vol", "--simplex", "bad_simplex.json",
+                 *extra])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err

@@ -384,3 +384,24 @@ def test_dehn_scan_nonconstant_monotone(fig8):
     assert all(vols[i] > vols[i + 1] for i in range(len(vols) - 1))
     assert all(v < FIG8_VOL + 1e-9 for v in vols)
     assert report.milnor_wood_margin_min >= -1e-6
+
+
+@pytest.mark.parametrize("t", [0.3, 0.7, 1.0])
+def test_dehn_continuation_solves_filled_equations(fig8, t):
+    tri, _ = fig8
+    vols = []
+    for p, q in [(5, 1), (-5, 1)]:
+        path = generate_path("dehn3d", {"triangulation": tri, "filling": (p, q)})
+        sol = path.meta["solver"](t)
+        z1, z2 = sol.shapes
+        edge = (2 * np.log(z1) - np.log(1 - z1) - np.log(z2) + 2 * np.log(z2 - 1)
+                - 2j * np.pi)
+        u, v = sol.log_holonomies
+        assert abs(edge) <= 1e-10
+        assert abs(p * u + q * v - t * 2j * np.pi) <= 1e-10
+        assert sol.residual <= 1e-11
+        rep = path.evaluate(t)
+        asg = build_developing_assignment(rep, tri, seed=0,
+                                          boundary_preference="prefer_ideal")
+        vols.append(representation_volume(rep, tri, asg))
+    assert abs(vols[0] - vols[1]) <= 1e-9
