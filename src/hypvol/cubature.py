@@ -146,12 +146,14 @@ def _eval_cell(mix, has_ideal, klein: np.ndarray, g: int) -> float:
 @dataclass(frozen=True)
 class VolumeRule:
     """A frozen integration rule for one simplex shape: barycentric cells
-    with per-cell Gauss degrees.  Re-evaluating the same rule on nearby
-    vertex configurations yields a value that varies analytically with
-    the vertices."""
+    with per-cell Gauss degrees, the summed error estimate, and the value
+    the rule converged to on the simplex it was built on.  Re-evaluating
+    the same rule on nearby vertex configurations yields a value that
+    varies analytically with the vertices."""
 
     cells: tuple  # of (mix, has_ideal, g)
     error_estimate: float
+    value: float
 
     def evaluate(self, klein: np.ndarray) -> float:
         klein = np.asarray(klein, dtype=float)
@@ -182,11 +184,12 @@ def _split_cell(mix, has_ideal, klein):
     return out
 
 
-def _build_rule(klein: np.ndarray, ideal: Sequence[bool], tol: float) -> tuple[VolumeRule, float]:
+def build_rule(klein: np.ndarray, ideal: Sequence[bool], tol: float) -> VolumeRule:
     """Adaptively pick per-cell Gauss degrees (subdividing cells whose
     spectral convergence stalls) until the total error estimate is at
-    most tol, then freeze the rule; also returns the sum of the converged
-    cell values, which equals the rule evaluated on `klein`."""
+    most tol, then freeze the rule for re-evaluation on nearby vertex
+    configurations.  Its value is the sum of the converged cell values,
+    which equals the rule evaluated on `klein`."""
     klein = np.asarray(klein, dtype=float)
     n = klein.shape[1]
     base = _decompose_cells(ideal)
@@ -224,17 +227,11 @@ def _build_rule(klein: np.ndarray, ideal: Sequence[bool], tol: float) -> tuple[V
             f"requested tolerance {tol} is below what double precision "
             f"reaches here (estimate {total_value}, bound {total_bound})",
             total_value, total_bound)
-    return VolumeRule(tuple(final), total_bound), total_value
-
-
-def build_rule(klein: np.ndarray, ideal: Sequence[bool], tol: float) -> VolumeRule:
-    """The frozen rule for the Klein simplex at tol, for re-evaluation on
-    nearby vertex configurations."""
-    return _build_rule(klein, ideal, tol)[0]
+    return VolumeRule(tuple(final), total_bound, total_value)
 
 
 def integrate_simplex(klein: np.ndarray, ideal: Sequence[bool], tol: float) -> tuple[float, float]:
     """Hyperbolic volume magnitude of the Klein simplex with the given
     ideal-vertex mask; returns (value, error_estimate)."""
-    rule, value = _build_rule(klein, ideal, tol)
-    return value, rule.error_estimate
+    rule = build_rule(klein, ideal, tol)
+    return rule.value, rule.error_estimate

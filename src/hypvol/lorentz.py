@@ -9,6 +9,7 @@ x_0 > 0.  Orientation-preserving isometries are SO(n,1)^+ matrices.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -65,10 +66,13 @@ class Kind(enum.Enum):
     RAW = "raw"
 
 
+@functools.lru_cache(maxsize=None)
 def minkowski_matrix(n: int) -> np.ndarray:
-    """diag(-1, 1, ..., 1) for R^{n,1}."""
+    """diag(-1, 1, ..., 1) for R^{n,1}, built once per dimension and
+    shared read-only."""
     J = np.eye(n + 1)
     J[0, 0] = -1.0
+    J.setflags(write=False)
     return J
 
 
@@ -252,7 +256,12 @@ def minkowski_gram_schmidt(A: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Isometry:
-    """An element of SO(n,1)^+: A^T J A = J, det A = +1, A_00 > 0."""
+    """An element of SO(n,1)^+: A^T J A = J, det A = +1, A_00 > 0.
+
+    Constructing one validates the matrix; that is the boundary for
+    outside input (``Isometry(...)``, ``from_matrix``, ``lift_moebius``).
+    Identities, inverses and compositions of validated isometries are
+    isometries by construction and skip the check."""
 
     matrix: np.ndarray
 
@@ -277,11 +286,21 @@ class Isometry:
         A.setflags(write=False)
         object.__setattr__(self, "matrix", A)
 
+    @classmethod
+    def _trusted(cls, A: np.ndarray) -> "Isometry":
+        """Wrap a fresh array that is an isometry by construction,
+        without validating it; the array is frozen, not copied."""
+        A.setflags(write=False)
+        iso = object.__new__(cls)
+        object.__setattr__(iso, "matrix", A)
+        return iso
+
     @property
     def n(self) -> int:
         return self.matrix.shape[0] - 1
 
     @staticmethod
+    @functools.lru_cache(maxsize=None)
     def identity(n: int) -> "Isometry":
         return Isometry(np.eye(n + 1))
 
@@ -298,8 +317,9 @@ class Isometry:
         return Isometry(A)
 
     def inverse(self) -> "Isometry":
+        """J A^T J, exact in floating point."""
         J = minkowski_matrix(self.n)
-        return Isometry(J @ self.matrix.T @ J)
+        return Isometry._trusted(J @ self.matrix.T @ J)
 
     def compose(self, other: "Isometry") -> "Isometry":
         """self o other, reprojected onto the form-preserving manifold
@@ -309,7 +329,7 @@ class Isometry:
         scale = max(1.0, float(np.max(np.abs(P))) ** 2)
         if np.max(np.abs(P.T @ J @ P - J)) > 0.5 * FORM_TOL * scale:
             P = minkowski_gram_schmidt(P)
-        return Isometry(P)
+        return Isometry._trusted(P)
 
     def __matmul__(self, other):
         if isinstance(other, Isometry):
@@ -516,14 +536,14 @@ def common_fixed_set(gens: Sequence[Isometry], tol: float = 1e-8) -> FixedSet:
     interior, rays, sphere = _ball_points_from_subspace(B, tol)
 
     candidates = list(rays)
-    nontrivial = [M for M in mats if np.max(np.abs(M - np.eye(m))) > tol]
+    nontrivial = [g for g in gens if np.max(np.abs(g.matrix - np.eye(m))) > tol]
     if not nontrivial:
         sphere = True
         interior = LorentzVector.basis_point(m - 1).coords
     else:
-        for M in nontrivial:
+        for g in nontrivial:
             try:
-                cls = classify_isometry(Isometry(M), tol)
+                cls = classify_isometry(g, tol)
             except AmbiguousClassificationError:
                 continue
             for p in cls.ideal_fixed:

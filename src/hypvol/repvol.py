@@ -10,11 +10,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import expm, logm
 
 from .lorentz import (
     EmptyFixedSetError,
     Isometry,
+    IsometryClass,
     Kind,
     LorentzError,
     LorentzVector,
@@ -94,11 +94,13 @@ def _coerce_image(M) -> Isometry:
 @dataclass(frozen=True)
 class Representation:
     """Generator-indexed images in SO(n,1) with the worst relator
-    residual recorded; construct through check_representation."""
+    residual recorded; construct through check_representation.  Word
+    images are memoized per representation."""
 
     presentation: object
     images: Mapping[str, Isometry]
     relator_residual: float
+    _word_images: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -106,15 +108,23 @@ class Representation:
 
 
 def evaluate_word(rep: Representation, word) -> Isometry:
-    """Image of a word; long products are re-projected onto the
-    form-preserving manifold when drift accumulates."""
-    tokens = rep.presentation.parse(word) if isinstance(word, str) else word
-    out = None
+    """Image of a word (a string or a sequence of (generator, +-1)
+    tokens), computed once per representation; long products are
+    re-projected onto the form-preserving manifold when drift
+    accumulates."""
+    key = word if isinstance(word, str) else tuple((g, e) for g, e in word)
+    out = rep._word_images.get(key)
+    if out is not None:
+        return out
+    tokens = rep.presentation.parse(word) if isinstance(word, str) else key
     for g, e in tokens:
         img = rep.images[g]
         img = img if e > 0 else img.inverse()
         out = img if out is None else out @ img
-    return Isometry.identity(rep.n) if out is None else out
+    if out is None:
+        out = Isometry.identity(rep.n)
+    rep._word_images[key] = out
+    return out
 
 
 def check_representation(presentation, images, tol: float = RELATOR_TOL) -> Representation:
@@ -397,6 +407,8 @@ def _conjugation_path(base: Representation, direction: np.ndarray) -> Deformatio
     if so_algebra_residual(X) > 1e-10:
         raise RepvolError("direction is not in so(n,1): X^T J + J X != 0")
 
+    from scipy.linalg import expm
+
     def ev(t: float) -> Representation:
         g = Isometry.from_matrix(expm(t * X))
         gi = g.inverse()
@@ -416,6 +428,8 @@ def _twist2d_path(base: Representation, generator: str,
         raise RepvolError("twist paths live on H^2 representations")
     if generator not in base.images:
         raise RepvolError(f"unknown generator {generator!r}")
+    from scipy.linalg import expm, logm
+
     if isinstance(direction, str):
         Y = np.real(logm(evaluate_word(base, direction).matrix))
     else:
@@ -434,7 +448,6 @@ def _twist2d_path(base: Representation, generator: str,
                 cls = classify_isometry(iso)
             except LorentzError:
                 continue  # boundary element on a classification boundary: not elliptic
-            from .lorentz import IsometryClass
             if cls.kind is IsometryClass.ELLIPTIC:
                 raise TwistEllipticBoundaryError(
                     f"boundary word {w!r} became elliptic at t={t}")
@@ -592,85 +605,72 @@ def _fig8_generators(z1: complex, z2: complex):
     return a, b
 
 
-FIG8_MERIDIAN_WORD = "a"
-FIG8_LONGITUDE_WORD = "b a B A A B a b"
+# Logarithmic gluing equations of the shipped two-cell complex: integer
+# exponent rows over (log z1, log(1-z1), log z2, log(1-z2)) plus a
+# constant, all logarithms principal (they are analytic on the upper half
+# plane, where both shapes stay).
+#   edge       2 log z1 - log(1-z1) - log z2 + 2 log(1-z2) = 0: the first
+#              edge class, derived from the face pairings (the first cell
+#              contributes its edges (inf 0), (inf 1), (1 u), the reversed
+#              second cell its edges (inf 0), (inf 1), (v 0), which sum to
+#              2 pi i with 2 log(z2-1) = 2 log(1-z2) + 2 pi i); the second
+#              edge class is complementary
+#   meridian   u = log mu^2 with mu^2 = (1-z1) z2 / (z1 (1-z2)) identically
+#   longitude  v = log lambda^2 with lambda^2 = z1^4 / (1-z1)^2 on the edge
+#              variety
+# mu and lambda are the (0,0) entries, that is the eigenvalues, of the
+# images of the meridian "a" and the longitude "b a B A A B a b" under
+# _fig8_generators, which fix infinity; squaring removes the sign of the
+# SL(2,C) lift.  u and v vanish at the complete structure.
+_FIG8_LOG_ROWS = np.array([[2, -1, -1, 2],
+                           [-1, 1, 1, -1],
+                           [4, -2, 0, 0]])
+_FIG8_LOG_CONST = np.array([0.0, 0.0, -2j * np.pi])
+_DLOG_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
 
 
-def _fig8_log_holonomies(z1, z2, prev=None):
-    """Logarithmic meridian/longitude holonomies, branch-tracked against
-    `prev`.
-
-    In the reconstruction normalization both peripheral images fix
-    infinity, so their matrices are upper triangular and the diagonal
-    entry is the eigenvalue itself; u = log(a_11^2) and v = log(l_11^2)
-    are analytic along the deformation curve and vanish at the complete
-    structure (squaring removes the PSL sign of the lift)."""
-    a, b = _fig8_generators(z1, z2)
-    amat = {'a': a, 'b': b, 'A': np.linalg.inv(a), 'B': np.linalg.inv(b)}
-
-    def word_mat(word):
-        m = np.eye(2, dtype=complex)
-        for tok in word.split():
-            m = m @ amat[tok]
-        return m
-
-    mer = word_mat(FIG8_MERIDIAN_WORD)
-    lon = word_mat(FIG8_LONGITUDE_WORD)
-    u_log = np.log(mer[0, 0] ** 2)
-    v_log = np.log(lon[0, 0] ** 2)
-    if prev is not None:
-        pu, pv = prev
-        u_log += 2j * np.pi * np.round((pu - u_log).imag / (2 * np.pi))
-        v_log += 2j * np.pi * np.round((pv - v_log).imag / (2 * np.pi))
-    return u_log, v_log
+def _fig8_log_equations(z1: complex, z2: complex):
+    """(edge, u, v) at the shapes, and their Jacobian in (z1, z2): the
+    rows times diag(1/z1, -1/(1-z1), 1/z2, -1/(1-z2)), folded onto the
+    two shapes."""
+    w = np.array([z1, 1.0 - z1, z2, 1.0 - z2])
+    vals = _FIG8_LOG_ROWS @ np.log(w) + _FIG8_LOG_CONST
+    d = _FIG8_LOG_ROWS * (_DLOG_SIGNS / w)
+    return vals, d[:, 0::2] + d[:, 1::2]
 
 
-def _fig8_edge_residual(z1, z2):
-    """Logarithmic edge equation of the first edge class of the shipped
-    two-cell complex, derived from its face pairings: the first cell
-    contributes parameters at its edges (inf 0), (inf 1), (1 u) and the
-    reversed second cell at (inf 0), (inf 1), (v 0), for a total of
-    2 log z1 - log(1-z1) - log z2 + 2 log(z2 - 1) = 2 pi i
-    on the branch through the complete structure (both shapes in the
-    upper half plane).  The second edge class is complementary."""
-    return (2.0 * np.log(z1) - np.log(1.0 - z1)
-            - np.log(z2) + 2.0 * np.log(z2 - 1.0)) - 2j * np.pi
+def _solve_shapes(x0: Sequence[complex], target, tol: float, max_iter: int, logs):
+    """Damped Newton on the edge equation plus one cusp equation, with
+    the analytic Jacobian of the logarithmic equations.
 
-
-def _solve_shapes(tri: LabeledTriangulation, x0: Sequence[complex], target,
-                  tol: float, max_iter: int, logs) -> GluingSolution:
-    """Damped Newton on the edge equation plus one cusp equation.
-
-    target None cuts the complete structure by the meridian eigenvalue
-    equalling 1 (the meridian image is upper triangular in the
-    developing normalization, so its (0,0) entry is its eigenvalue);
-    a triple (p, q, w) asks for p*u + q*v = w on the log holonomies,
-    branch-tracked against `logs`.  A step is taken only if it keeps
+    target None cuts the complete structure by mu^2 = exp(u) = 1; a
+    triple (p, q, w) asks for p*u + q*v = w on the log holonomies, which
+    are branch-tracked against `logs` (then against each accepted
+    iterate) when `logs` is given.  A step is taken only if it keeps
     both shapes in the upper half plane and strictly decreases the
-    residual, halving it down to 1e-4."""
+    residual, halving it down to 1e-4.  Returns (shapes, residual,
+    (u, v)) at the first iterate with max-abs residual at most tol."""
     x = np.array(x0, dtype=complex)
 
-    def residual_vec(xv):
-        e1 = _fig8_edge_residual(xv[0], xv[1])
+    def system(xv):
+        (e, u, v), jac = _fig8_log_equations(xv[0], xv[1])
+        if logs is not None:
+            u += 2j * np.pi * np.round((logs[0] - u).imag / (2 * np.pi))
+            v += 2j * np.pi * np.round((logs[1] - v).imag / (2 * np.pi))
         if target is None:
-            a, _ = _fig8_generators(xv[0], xv[1])
-            return np.array([e1, a[0, 0] - 1.0], dtype=complex), (0.0 + 0j, 0.0 + 0j)
-        p, q, w = target
-        hu, hv = _fig8_log_holonomies(xv[0], xv[1], prev=logs)
-        return np.array([e1, p * hu + q * hv - w], dtype=complex), (hu, hv)
+            mu2 = np.exp(u)
+            res = np.array([e, mu2 - 1.0])
+            J = np.array([jac[0], mu2 * jac[1]])
+        else:
+            p, q, w = target
+            res = np.array([e, p * u + q * v - w])
+            J = np.array([jac[0], p * jac[1] + q * jac[2]])
+        return res, J, (complex(u), complex(v))
 
-    h = 1e-7
-    res, logs = residual_vec(x)
+    res, Jm, hol = system(x)
     for _ in range(max_iter):
         if np.max(np.abs(res)) <= tol:
             break
-        Jm = np.zeros((2, 2), dtype=complex)
-        for k in range(2):
-            dx = np.zeros(2, dtype=complex)
-            dx[k] = h
-            rp, _ = residual_vec(x + dx)
-            rm, _ = residual_vec(x - dx)
-            Jm[:, k] = (rp - rm) / (2 * h)
         try:
             step = np.linalg.solve(Jm, -res)
         except np.linalg.LinAlgError as exc:
@@ -679,9 +679,11 @@ def _solve_shapes(tri: LabeledTriangulation, x0: Sequence[complex], target,
         while damp > 1e-4:
             xn = x + damp * step
             if xn[0].imag > 0 and xn[1].imag > 0:
-                rn, logs_n = residual_vec(xn)
+                rn, Jn, hol_n = system(xn)
                 if np.max(np.abs(rn)) < np.max(np.abs(res)):
-                    x, res, logs = xn, rn, logs_n
+                    x, res, Jm, hol = xn, rn, Jn, hol_n
+                    if logs is not None:
+                        logs = hol
                     break
             damp *= 0.5
         else:
@@ -690,9 +692,16 @@ def _solve_shapes(tri: LabeledTriangulation, x0: Sequence[complex], target,
     if np.max(np.abs(res)) > tol:
         raise GluingError(
             f"Newton did not reach tol {tol}: residual {np.max(np.abs(res)):.3e}")
-    a, b = _fig8_generators(x[0], x[1])
+    return (complex(x[0]), complex(x[1])), float(np.max(np.abs(res))), hol
+
+
+def _gluing_solution(tri: LabeledTriangulation, shapes, residual: float,
+                     logs) -> GluingSolution:
+    """Reconstruct the generators from solved shapes and relator-check
+    the representation."""
+    a, b = _fig8_generators(*shapes)
     rep = check_representation(tri.presentation, {"a": a, "b": b})
-    return GluingSolution((x[0], x[1]), rep, float(np.max(np.abs(res))), logs)
+    return GluingSolution(shapes, rep, residual, logs)
 
 
 def solve_gluing_equations(tri: LabeledTriangulation, filling,
@@ -701,21 +710,22 @@ def solve_gluing_equations(tri: LabeledTriangulation, filling,
     """Newton-solve the fixture's gluing equations.
 
     filling is "complete" or a pair (p, q).  Filled structures satisfy
-    p*u + q*v = 2 pi i on the logarithmic meridian/longitude holonomies;
-    the complete structure (where u has a branch point) is cut instead by
-    the meridian eigenvalue equalling 1.  Shapes must start in the upper
-    half plane and are rejected if Newton leaves it.
+    p*u + q*v = 2 pi i on the logarithmic meridian/longitude holonomies
+    u, v, which are integer combinations of logarithms of the shapes
+    (analytic on the upper half plane, zero at the complete structure);
+    the complete structure is cut instead by the squared meridian
+    eigenvalue exp(u) equalling 1.  Shapes must start in the upper half
+    plane and are rejected if Newton leaves it.
 
-    A filled solve starts its holonomy logarithms on the branch through
-    the complete structure, so it converges only from shapes already
-    near the filled branch; from generic starting shapes it stops with a
-    GluingError.  Dehn-filled structures are reached by continuation
-    from the complete structure: generate_path("dehn3d", ...), or
-    `hypvol path scan` on a dehn3d path spec.
+    Newton has no global convergence guarantee: a filled solve from
+    shapes far from the solution may stop with a GluingError.
+    Continuation from the complete structure, generate_path("dehn3d",
+    ...) or `hypvol path scan` on a dehn3d path spec, follows the
+    cone-manifold deformation to the filling.
 
     Returns shape parameters (upper-half-plane for both cells), the
     reconstructed representation, the final residual and the log
-    holonomies (zero for the complete structure).
+    holonomies (zero up to the residual for the complete structure).
     """
     if tri.gluing is None or tri.gluing.get("recipe") != "two_tet_once_cusped":
         raise GluingError("triangulation carries no supported gluing data")
@@ -729,30 +739,35 @@ def solve_gluing_equations(tri: LabeledTriangulation, filling,
     else:
         p, q = filling
         target = (float(p), float(q), 2j * np.pi)
-    return _solve_shapes(tri, (z1, z2), target, tol, max_iter, None)
+    return _gluing_solution(tri, *_solve_shapes((z1, z2), target, tol, max_iter, None))
 
 
 def _dehn3d_path(tri: LabeledTriangulation, filling, steps: int) -> DeformationPath:
     """Continuation from the complete structure toward the (p, q) Dehn
-    filling: at parameter t the cusp equation is p*u + q*v = t * 2 pi i."""
+    filling: at parameter t the cusp equation is p*u + q*v = t * 2 pi i.
+
+    Every continuation step's (shapes, residual, log holonomies) is
+    kept; a relator-checked GluingSolution is built only for the
+    parameters asked for."""
     p, q = filling
     omega = complex(np.cos(np.pi / 3), np.sin(np.pi / 3))
     base_sol = solve_gluing_equations(tri, "complete", (omega, omega))
-    cache = {0.0: base_sol}
+    walked = {0.0: (base_sol.shapes, base_sol.residual, base_sol.log_holonomies)}
+    solutions = {0.0: base_sol}
 
     def solve_at(t: float) -> GluingSolution:
-        known = sorted(k for k in cache if k <= t + 1e-12)
-        t0 = known[-1]
-        sol = cache[t0]
-        if abs(t0 - t) < 1e-12:
+        sol = solutions.get(t)
+        if sol is not None:
             return sol
-        # walk from t0 to t in small increments, tracking branches
-        s = t0
+        # walk from the last step at or below t, tracking branches
+        s = max(k for k in walked if k <= t + 1e-12)
+        shapes, residual, logs = walked[s]
         while s < t - 1e-12:
             s = min(t, s + 1.0 / steps)
-            sol = _solve_shapes(tri, sol.shapes, (p, q, s * 2j * np.pi), 1e-11, 60,
-                                sol.log_holonomies)
-            cache[s] = sol
+            shapes, residual, logs = _solve_shapes(
+                shapes, (p, q, s * 2j * np.pi), 1e-11, 60, logs)
+            walked[s] = (shapes, residual, logs)
+        sol = solutions[t] = _gluing_solution(tri, shapes, residual, logs)
         return sol
 
     def ev(t: float) -> Representation:

@@ -4,11 +4,11 @@ lengths, and one-parameter families."""
 
 from __future__ import annotations
 
+import decimal
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.special import zeta
 
 from .cubature import build_rule, integrate_simplex
 from .lorentz import (
@@ -118,7 +118,22 @@ class GeodesicSimplex:
         return tuple(self.vertices[i] for i in indices)
 
 
-_ZETA_EVEN = zeta(2 * np.arange(1, 41, dtype=float))
+def _zeta_even(count: int) -> np.ndarray:
+    """zeta(2), zeta(4), ..., zeta(2 count), correctly rounded: the
+    recurrence (n + 1/2) zeta(2n) = sum_{0<k<n} zeta(2k) zeta(2n - 2k)
+    from zeta(2) = pi^2 / 6, run in 50-digit decimal arithmetic (all
+    terms are positive, so rounding errors do not grow)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        pi = decimal.Decimal("3.1415926535897932384626433832795028841971693993751")
+        z = [pi * pi / 6]
+        for n in range(2, count + 1):
+            z.append(sum(z[j] * z[n - 2 - j] for j in range(n - 1))
+                     / (n + decimal.Decimal("0.5")))
+    return np.array([float(v) for v in z])
+
+
+_ZETA_EVEN = _zeta_even(40)
 _LOB_COEFF = _ZETA_EVEN / (np.arange(1, 41) * (2 * np.arange(1, 41) + 1))
 
 

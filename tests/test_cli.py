@@ -198,6 +198,18 @@ def test_console_script_entrypoint(fixdir):
     assert proc.returncode == 0
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(hypvol.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hypvol.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 MATERIAL_TET = [[1.0, 0.0, 0.0, 0.0], [1.5, 1.118033988749895, 0.0, 0.0],
                 [1.5, 0.0, 1.118033988749895, 0.0], [1.5, 0.0, 0.0, 1.118033988749895]]
 

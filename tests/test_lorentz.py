@@ -99,6 +99,23 @@ def test_isometry_validation_rejects_bad_matrices():
         Isometry(B)
 
 
+def test_products_and_inverses_pass_full_validation():
+    rng = np.random.default_rng(12)
+    for n in (2, 3, 4):
+        g = Isometry.identity(n)
+        for _ in range(30):
+            h = random_so_element(rng, n)
+            g = g @ h.inverse() @ h @ h
+            Isometry(g.matrix)
+            Isometry(g.inverse().matrix)
+        assert np.max(np.abs((g @ g.inverse()).matrix - np.eye(n + 1))) < 1e-9
+        assert Isometry.identity(n) is Isometry.identity(n)
+    with pytest.raises(LorentzError):
+        Isometry.identity(1)
+    with pytest.raises(ValueError):
+        minkowski_matrix(3)[0, 0] = 1.0
+
+
 def test_form_preservation_random_products():
     rng = np.random.default_rng(11)
     J = minkowski_matrix(3)

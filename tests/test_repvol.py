@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_so_direction, random_so_element
 from hypvol.fixtures import (
+    FIG8_LONGITUDE,
+    FIG8_MERIDIAN,
     figure_eight_geometric_images,
     figure_eight_triangulation,
     fuchsian_punctured_torus_images,
     punctured_torus_triangulation,
     subdivide_at_material_vertex,
+    suspension_4d,
 )
 from hypvol.lorentz import Isometry, Kind, lift_moebius
 from hypvol.repvol import (
@@ -15,6 +20,7 @@ from hypvol.repvol import (
     GluingError,
     PeripheralKind,
     RelatorResidualError,
+    Representation,
     TwistEllipticBoundaryError,
     build_developing_assignment,
     check_representation,
@@ -27,6 +33,7 @@ from hypvol.repvol import (
     solve_gluing_equations,
     toledo_number,
 )
+from hypvol.repvol import _fig8_generators, _fig8_log_equations
 from hypvol.triangulation import LabeledSimplex, LabeledTriangulation
 
 V3 = 1.0149416064096535
@@ -85,6 +92,59 @@ def test_evaluate_word_long_product_stays_valid(fig8):
     word = " ".join(["a b a B A"] * 40)
     iso = evaluate_word(rho, word)
     assert isinstance(iso, Isometry)
+
+
+def _parabolic_so41(v):
+    """exp of the nilpotent so(4,1) element with translation vector v: a
+    parabolic fixing the ideal point (1, 1, 0, 0, 0)."""
+    X = np.zeros((5, 5))
+    X[0, 2:] = X[1, 2:] = X[2:, 0] = v
+    X[2:, 1] = -np.asarray(v)
+    return np.eye(5) + X + X @ X / 2.0
+
+
+@pytest.fixture(scope="module")
+def suspension4_rho():
+    tri = suspension_4d()
+    return check_representation(tri.presentation,
+                                {"x": _parabolic_so41(np.array([0.3, -0.5, 0.4]))})
+
+
+def _matrix_product(rho, word):
+    out = np.eye(rho.n + 1)
+    for g, e in rho.presentation.parse(word):
+        m = rho.images[g].matrix
+        out = out @ (m if e > 0 else np.linalg.inv(m))
+    return out
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_word_images_are_valid_cached_isometries(fig8, suspension4_rho, data):
+    for rho, letters in ((fig8[1], "abAB"), (suspension4_rho, "xX")):
+        word = " ".join(data.draw(st.lists(st.sampled_from(letters), max_size=20)))
+        iso = evaluate_word(rho, word)
+        Isometry(iso.matrix)  # full validation, as for outside input
+        assert evaluate_word(rho, word) is iso
+        fresh = Representation(rho.presentation, rho.images, rho.relator_residual)
+        assert np.array_equal(evaluate_word(fresh, word).matrix, iso.matrix)
+        P = _matrix_product(rho, word)
+        assert np.max(np.abs(iso.matrix - P)) <= 1e-9 * max(1.0, np.max(np.abs(P)))
+
+
+def test_representations_never_share_word_images(fig8):
+    tri, _ = fig8
+    images = figure_eight_geometric_images()
+    r1 = check_representation(tri.presentation, images)
+    r2 = check_representation(tri.presentation, images)
+    a1 = evaluate_word(r1, "a b A")
+    assert "a b A" not in r2._word_images
+    a2 = evaluate_word(r2, "a b A")
+    assert a2 is not a1 and np.array_equal(a2.matrix, a1.matrix)
+    conj = check_representation(
+        tri.presentation, {g: evaluate_word(r1, "b") @ im @ evaluate_word(r1, "B")
+                           for g, im in r1.images.items()})
+    assert not np.allclose(evaluate_word(conj, "a b A").matrix, a1.matrix)
 
 
 # --- peripheral classification ------------------------------------------------
@@ -355,6 +415,57 @@ def test_gluing_complete_solution(fig8):
     assert sol.representation.relator_residual < 1e-8
     asg = build_developing_assignment(sol.representation, tri, seed=0)
     assert abs(representation_volume(sol.representation, tri, asg) - FIG8_VOL) < 1e-8
+
+
+def test_gluing_complete_log_holonomies_vanish(fig8):
+    tri, _ = fig8
+    sol = solve_gluing_equations(tri, "complete", (0.4 + 1.1j, 0.6 + 0.7j))
+    assert max(abs(h) for h in sol.log_holonomies) <= 1e-10
+
+
+def test_gluing_jacobian_matches_finite_differences(rng):
+    for _ in range(5):
+        z = rng.normal(size=2) + 1j * rng.uniform(0.2, 2.0, size=2)
+        _, jac = _fig8_log_equations(*z)
+        h = 1e-6
+        for k in range(2):
+            dz = np.zeros(2, dtype=complex)
+            dz[k] = h
+            fd = (_fig8_log_equations(*(z + dz))[0] - _fig8_log_equations(*(z - dz))[0]) / (2 * h)
+            assert np.max(np.abs(fd - jac[:, k])) <= 1e-7 * max(1.0, np.max(np.abs(jac)))
+
+
+def _sl2_word(mats, word):
+    out = np.eye(2, dtype=complex)
+    for tok in word.split():
+        out = out @ (mats[tok] if tok in mats else np.linalg.inv(mats[tok.lower()]))
+    return out
+
+
+@pytest.mark.parametrize("filling", [(5, 1), (-4, 3), (3, 2)])
+def test_continuation_log_holonomies_match_word_images(fig8, filling):
+    # the reconstructed meridian and longitude images fix infinity, so
+    # their squared (0,0) entries are the squared eigenvalues
+    tri, _ = fig8
+    solve = generate_path("dehn3d", {"triangulation": tri,
+                                     "filling": filling}).meta["solver"]
+    for t in np.linspace(0.0, 1.0, 11):
+        sol = solve(float(t))
+        a, b = _fig8_generators(*sol.shapes)
+        mats = {"a": a, "b": b}
+        u, v = sol.log_holonomies
+        assert abs(np.exp(u) - _sl2_word(mats, FIG8_MERIDIAN)[0, 0] ** 2) <= 1e-10
+        assert abs(np.exp(v) - _sl2_word(mats, FIG8_LONGITUDE)[0, 0] ** 2) <= 1e-10
+
+
+@pytest.mark.parametrize("filling", [(5, 1), (-5, 1), (3, 2)])
+def test_filled_solve_reaches_continuation_endpoint(fig8, filling):
+    tri, _ = fig8
+    direct = solve_gluing_equations(tri, filling, (0.5 + 0.8j, 0.5 + 0.8j))
+    walked = generate_path("dehn3d", {"triangulation": tri,
+                                      "filling": filling}).meta["solver"](1.0)
+    assert np.max(np.abs(np.subtract(direct.shapes, walked.shapes))) <= 1e-9
+    assert np.max(np.abs(np.subtract(direct.log_holonomies, walked.log_holonomies))) <= 1e-9
 
 
 def test_gluing_rejects_real_line_shapes(fig8):

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import random_point_tuple, random_so_element
-from hypvol.cubature import IntegrationError, build_rule
+from hypvol.cubature import IntegrationError, build_rule, integrate_simplex
 from hypvol.lorentz import Kind, LorentzVector, from_klein
 from hypvol.simplex import (
     REGULAR_IDEAL_VOLUME,
@@ -409,6 +409,23 @@ def test_volume_evaluator_frozen_rule_consistency(rng):
     s = GeodesicSimplex(pts)
     ev = volume_evaluator(s, 1e-10)
     assert abs(ev(s) - signed_volume(s, 1e-10)) < 1e-9
+
+
+def test_rule_value_is_its_evaluation(rng):
+    for n, ideal in ((3, [True, False, False, False]), (4, [False] * 5)):
+        s = GeodesicSimplex(random_point_tuple(rng, n, n + 1, ideal_prob=0.0, radius=0.6))
+        klein = s.klein()
+        rule = build_rule(klein, ideal, 1e-10)
+        assert rule.value == integrate_simplex(klein, ideal, 1e-10)[0]
+        assert abs(rule.value - rule.evaluate(klein)) <= 1e-13 * rule.value
+
+
+def test_zeta_constants_match_scipy():
+    from scipy.special import zeta
+
+    from hypvol.simplex import _ZETA_EVEN
+
+    assert np.array_equal(_ZETA_EVEN, zeta(2 * np.arange(1, 41, dtype=float)))
 
 
 def test_integration_budget_error():
