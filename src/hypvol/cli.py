@@ -46,8 +46,17 @@ def _resolve(path: str) -> Path:
     raise FileNotFoundError(f"no such file: {path} (also tried {candidate})")
 
 
-def _load_tri(path: str) -> LabeledTriangulation:
+def _read_tri(path: str) -> LabeledTriangulation:
     return LabeledTriangulation.from_json(json.loads(_resolve(path).read_text()))
+
+
+def _load_tri(path: str) -> LabeledTriangulation:
+    """A triangulation without structural violations."""
+    tri = _read_tri(path)
+    issues = validate_triangulation(tri)
+    if issues:
+        raise ValueError(f"{path}: " + "; ".join(issues))
+    return tri
 
 
 _VERTEX_KINDS = {"material": LorentzVector.material, "ideal": LorentzVector.ideal}
@@ -165,7 +174,7 @@ def _cmd_simplex_schlafli(args) -> int:
 
 
 def _cmd_tri_validate(args) -> int:
-    tri = _load_tri(args.tri)
+    tri = _read_tri(args.tri)
     issues = validate_triangulation(tri)
     report = {"command": "tri validate", "violations": issues}
     if not issues:
@@ -238,6 +247,10 @@ def _cmd_rep_toledo(args) -> int:
 def _cmd_path_scan(args) -> int:
     tri = _load_tri(args.tri)
     spec = json.loads(_resolve(args.path).read_text())
+    if not isinstance(spec, dict) or not isinstance(spec.get("kind"), str):
+        raise ValueError(f"{args.path}: a path spec is an object with a 'kind'")
+    if not isinstance(spec.get("params", {}), dict):
+        raise ValueError(f"{args.path}: 'params' must be an object")
     kind = spec["kind"]
     params = dict(spec.get("params", {}))
     base_ref = spec.get("base", spec.get("rep"))

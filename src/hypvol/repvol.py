@@ -28,8 +28,10 @@ from .lorentz import (
 )
 from .simplex import GeodesicSimplex, signed_volume
 from .triangulation import (
+    CycleReport,
     LabeledTriangulation,
     TriangulationError,
+    _perm_parity,
     check_cycle,
     peripheral_words,
 )
@@ -209,43 +211,35 @@ def classify_peripheral(rho: Representation, tri: LabeledTriangulation,
 @dataclass(frozen=True)
 class DevelopingAssignment:
     """Values of the equivariant map on orbit vertices: slot (v, w)
-    develops to rho(w) applied to points[v]."""
+    develops to rho(w) applied to points[v].  `simplices` holds the
+    triangulation's simplices developed once, in its order."""
 
     points: Mapping[str, LorentzVector]
     seed: int
     classifications: Mapping[str, PeripheralClassification]
+    simplices: tuple[GeodesicSimplex, ...]
 
     def develop(self, rho: Representation, vid: str, word) -> LorentzVector:
         return evaluate_word(rho, word).apply(self.points[vid])
 
 
-def _develop_closure(rho: Representation, assignment: DevelopingAssignment):
-    """(vid, word) -> coords closure for the relaxed cycle checker, with
-    the word action attached."""
-
-    def dev(vid, word):
-        return assignment.develop(rho, vid, word).coords
-
-    def act(word, pt):
-        return evaluate_word(rho, word).matrix @ np.asarray(pt, dtype=float)
-
-    dev.act = act
-    return dev
+# |det| of the Klein-homogeneous vertex matrix below which
+# build_developing_assignment resamples a developed simplex's vertices
+_MIN_DET = 1e-8
 
 
-def _developed_simplices(rho: Representation, tri: LabeledTriangulation,
-                         assignment: DevelopingAssignment):
-    out = []
-    for s in tri.simplices:
-        verts = [assignment.develop(rho, v, w) for v, w in s.slots]
-        out.append((GeodesicSimplex(verts), s.sign))
-    return out
+def _develop(rho: Representation, tri: LabeledTriangulation, points, seed: int,
+             classes) -> DevelopingAssignment:
+    """The assignment of `points` with every simplex of `tri` developed."""
+    simplices = tuple(
+        GeodesicSimplex([evaluate_word(rho, w).apply(points[v]) for v, w in s.slots])
+        for s in tri.simplices)
+    return DevelopingAssignment(points, seed, classes, simplices)
 
 
 def build_developing_assignment(rho: Representation, tri: LabeledTriangulation,
                                 seed: int = 0,
                                 boundary_preference: str = "prefer_ideal",
-                                min_det: float = 1e-8,
                                 max_retries: int = 200,
                                 max_restarts: int = 20) -> DevelopingAssignment:
     """Choose developing values: cusp cone points go to fixed points of
@@ -255,9 +249,7 @@ def build_developing_assignment(rho: Representation, tri: LabeledTriangulation,
     nondegenerate."""
     if boundary_preference not in ("prefer_ideal", "prefer_interior"):
         raise RepvolError(f"unknown boundary preference {boundary_preference!r}")
-    classes = {}
-    for c in tri.cusps:
-        classes[c.id] = classify_peripheral(rho, tri, c.id)
+    classes = {c.id: classify_peripheral(rho, tri, c.id) for c in tri.cusps}
     n = rho.n
     fixed = {}
     material_ids = []
@@ -281,25 +273,17 @@ def build_developing_assignment(rho: Representation, tri: LabeledTriangulation,
         points = dict(fixed)
         for vid in material_ids:
             points[vid] = sample_point()
-        assignment = DevelopingAssignment(points, seed, classes)
         for attempt in range(max_retries):
-            degenerate = False
-            bad_vertices = set()
-            for s in tri.simplices:
-                dev = GeodesicSimplex(
-                    [assignment.develop(rho, v, w) for v, w in s.slots])
-                if abs(dev.orientation_det()) < min_det:
-                    degenerate = True
-                    bad_vertices.update(
-                        v for v, _ in s.slots if v in material_set)
-            if not degenerate:
+            assignment = _develop(rho, tri, points, seed, classes)
+            bad = [s for s, dev in zip(tri.simplices, assignment.simplices)
+                   if abs(dev.orientation_det()) < _MIN_DET]
+            if not bad:
                 return assignment
+            bad_vertices = {v for s in bad for v, _ in s.slots if v in material_set}
             if not bad_vertices:
                 break  # nothing to resample: the degeneracy is intrinsic
-            points = dict(points)
             for vid in bad_vertices:
                 points[vid] = sample_point()
-            assignment = DevelopingAssignment(points, seed, classes)
         if not material_ids:
             break
     raise DegenerateDevelopingError(
@@ -308,10 +292,71 @@ def build_developing_assignment(rho: Representation, tri: LabeledTriangulation,
         "(its volume is then 0 in tolerant mode)")
 
 
+# max-abs distance between x_0 = 1 rows at which developed points coincide
+_CYCLE_TOL = 1e-6
+
+
+def _developed_cycle(rho: Representation, tri: LabeledTriangulation,
+                     simplices: Sequence[GeodesicSimplex]) -> CycleReport:
+    """Relaxed cycle check of a triangulation with face pairings: each
+    pairing word must carry the developed points of the source face onto
+    those of the target face with canceling orientation.  Simplices and
+    faces whose developed points collide are degenerate chains and drop
+    out, matching the degenerate-tolerant volume convention."""
+    rows = [dev.vertex_matrix() for dev in simplices]
+    need = {(i, f) for i, pts in enumerate(rows)
+            if all(np.max(np.abs(a - b)) > _CYCLE_TOL
+                   for j, a in enumerate(pts) for b in pts[j + 1:])
+            for f in range(len(pts))}
+    used = set()
+    failures = []
+    for p in tri.pairings:
+        src_key, dst_key = (p.src, p.src_face), (p.dst, p.dst_face)
+        if src_key not in need or dst_key not in need:
+            continue  # pairing on a degenerate simplex: nothing to cancel
+        if src_key in used or dst_key in used:
+            failures.append(f"face reused by pairing {p}")
+            continue
+        moved = rows[p.src] @ evaluate_word(rho, p.word).matrix.T
+        dst_pts = [r for k, r in enumerate(rows[p.dst]) if k != p.dst_face]
+        perm = []  # dst_pts index of each moved source point
+        for q in (q / q[0] for k, q in enumerate(moved) if k != p.src_face):
+            hit = next((j for j, r in enumerate(dst_pts)
+                        if j not in perm and np.max(np.abs(q - r)) <= _CYCLE_TOL), None)
+            if hit is None:
+                break
+            perm.append(hit)
+        if len(perm) < len(dst_pts):
+            failures.append(f"pairing {p}: word does not carry the source "
+                            "face onto the target face at tolerance")
+            continue
+        c_src = tri.simplices[p.src].sign * (-1) ** p.src_face
+        c_dst = tri.simplices[p.dst].sign * (-1) ** p.dst_face
+        if c_src + c_dst * _perm_parity(perm) != 0:
+            failures.append(f"pairing {p}: orientations do not cancel")
+            continue
+        used.add(src_key)
+        used.add(dst_key)
+    unmatched = tuple(
+        {"face": tri.simplices[i].slots[:f] + tri.simplices[i].slots[f + 1:],
+         "coefficient": tri.simplices[i].sign * (-1) ** f,
+         "from_simplex": (tri.simplices[i].slots, f)}
+        for i, f in sorted(need - used)) + tuple(
+        {"face": (), "coefficient": 0, "from_simplex": msg} for msg in failures)
+    return CycleReport(is_cycle=not unmatched, unmatched=unmatched)
+
+
 def _validate_cycle(rho: Representation, tri: LabeledTriangulation,
                     assignment: DevelopingAssignment):
+    """Raise unless the triangulation is a cycle: through its face
+    pairings on the developed simplices when it has them, by check_cycle
+    otherwise."""
+    if len(assignment.simplices) != len(tri.simplices):
+        raise RepvolError(
+            f"the assignment develops {len(assignment.simplices)} simplices, "
+            f"the triangulation has {len(tri.simplices)}")
     if tri.pairings is not None:
-        report = check_cycle(tri, develop=_develop_closure(rho, assignment))
+        report = _developed_cycle(rho, tri, assignment.simplices)
     else:
         report = check_cycle(tri)
     if not report.is_cycle:
@@ -321,19 +366,17 @@ def _validate_cycle(rho: Representation, tri: LabeledTriangulation,
 
 def representation_volume(rho: Representation, tri: LabeledTriangulation,
                           assignment: DevelopingAssignment,
-                          tol: float = 1e-9,
-                          validate_cycle: bool = True) -> float:
+                          tol: float = 1e-9) -> float:
     """Sum of signed volumes of the developed simplices weighted by
     their cycle signs; degenerate developed simplices contribute zero.
 
     The value does not depend on the seed or fixed-point choices of the
     assignment (tested, not assumed).
     """
-    if validate_cycle:
-        _validate_cycle(rho, tri, assignment)
+    _validate_cycle(rho, tri, assignment)
     total = 0.0
-    for dev, sign in _developed_simplices(rho, tri, assignment):
-        total += sign * signed_volume(dev, tol)
+    for s, dev in zip(tri.simplices, assignment.simplices):
+        total += s.sign * signed_volume(dev, tol)
     return total
 
 
@@ -357,24 +400,21 @@ def _tangent_angle(simplex: GeodesicSimplex, at: int) -> float:
 
 
 def toledo_number(rho: Representation, tri: LabeledTriangulation,
-                  assignment: DevelopingAssignment,
-                  validate_cycle: bool = True) -> float:
+                  assignment: DevelopingAssignment) -> float:
     """The 2-dimensional volume of a representation, computed through
     the angle-sum area formula (pi minus the interior angles, measured
     between side tangents) rather than through signed_volume; both
     formulas give one number."""
     if tri.dim != 2:
         raise RepvolError("Toledo numbers are 2-dimensional")
-    if validate_cycle:
-        _validate_cycle(rho, tri, assignment)
+    _validate_cycle(rho, tri, assignment)
     total = 0.0
-    for dev, sign in _developed_simplices(rho, tri, assignment):
-        det = dev.orientation_det()
-        if abs(det) < 1e-12:
+    for s, dev in zip(tri.simplices, assignment.simplices):
+        if dev.is_degenerate():
             continue
-        eps = 1.0 if det > 0 else -1.0
+        eps = 1.0 if dev.orientation_det() > 0 else -1.0
         angle_sum = sum(_tangent_angle(dev, k) for k in range(3))
-        total += sign * eps * (np.pi - angle_sum)
+        total += s.sign * eps * (np.pi - angle_sum)
     return total
 
 

@@ -11,6 +11,7 @@ rather than solving the word problem.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -224,8 +225,11 @@ class LabeledTriangulation:
 
     @staticmethod
     def from_json(data) -> "LabeledTriangulation":
+        """Parse the JSON form written by to_json; a missing or ill-typed
+        key raises TriangulationError naming it."""
         if isinstance(data, str):
             data = json.loads(data)
+        _check_schema(data, _SCHEMA, "triangulation")
         pres = GroupPresentation(tuple(data["generators"]), tuple(data.get("relators", ())))
         verts = tuple(
             OrbitVertex(v["id"], v["kind"], v.get("cusp"))
@@ -238,9 +242,69 @@ class LabeledTriangulation:
         if "pairings" in data:
             pairings = tuple(FacePairing(*row) for row in data["pairings"])
         return LabeledTriangulation(
-            dim=int(data["dim"]), presentation=pres, orbit_vertices=verts,
+            dim=data["dim"], presentation=pres, orbit_vertices=verts,
             simplices=simps, cusps=cusps, pairings=pairings,
             gluing=data.get("gluing"))
+
+    @functools.cached_property
+    def _cycle_report(self) -> "CycleReport":
+        """check_cycle's report, computed on first use."""
+        pres = self.presentation
+        totals: dict = {}
+        examples: dict = {}
+        for s in self.simplices:
+            slots = [(v, pres.parse(w)) for v, w in s.slots]
+            if len(set(slots)) != len(slots):
+                continue
+            for i in range(len(slots)):
+                face = slots[:i] + slots[i + 1:]
+                if len(set(face)) != len(face):
+                    continue
+                key, parity = _canonical_face(face)
+                coeff = s.sign * (-1) ** i * parity
+                totals[key] = totals.get(key, 0) + coeff
+                examples.setdefault(key, (s.slots, i))
+        unmatched = tuple(
+            {"face": tuple((v, format_word(w)) for v, w in key),
+             "coefficient": c,
+             "from_simplex": examples[key]}
+            for key, c in sorted(totals.items()) if c != 0)
+        return CycleReport(is_cycle=not unmatched, unmatched=unmatched)
+
+
+# The JSON form of a triangulation: a type, [schema of every entry],
+# (schema of each position) or {key: schema}, where a key ending in "?"
+# may be absent.
+_SCHEMA = {
+    "dim": int, "generators": [str], "relators?": [str],
+    "cusps?": [{"id": str, "peripheral": [str]}],
+    "orbit_vertices": [{"id": str, "kind": str, "cusp?": str}],
+    "simplices": [{"slots": [(str, str)], "sign?": int}],
+    "pairings?": [(int, int, int, int, str)], "gluing?": dict,
+}
+_JSON_TYPES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+
+
+def _check_schema(value, schema, where: str) -> None:
+    kind = {dict: dict, list: list, tuple: list}.get(type(schema), schema)
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise TriangulationError(
+            f"{where} must be {_JSON_TYPES[kind]}, not {type(value).__name__}")
+    if isinstance(schema, dict):
+        for key, sub in schema.items():
+            name = key.rstrip("?")
+            if name in value:
+                _check_schema(value[name], sub, f"{where}.{name}")
+            elif name == key:
+                raise TriangulationError(f"{where} has no {name!r}")
+    elif isinstance(schema, list):
+        for i, item in enumerate(value):
+            _check_schema(item, schema[0], f"{where}[{i}]")
+    elif isinstance(schema, tuple):
+        if len(value) != len(schema):
+            raise TriangulationError(f"{where} must have {len(schema)} entries")
+        for i, (item, sub) in enumerate(zip(value, schema)):
+            _check_schema(item, sub, f"{where}[{i}]")
 
 
 def validate_triangulation(tri: LabeledTriangulation) -> list[str]:
@@ -338,131 +402,22 @@ class CycleReport:
     unmatched: tuple
 
 
-def check_cycle(tri: LabeledTriangulation, develop=None,
-                tol: float = 1e-6) -> CycleReport:
+def check_cycle(tri: LabeledTriangulation) -> CycleReport:
     """Whether the signed simplex sum is a cycle: every codimension-1
     face of the formal boundary must cancel.
 
-    In the default combinatorial mode, faces are identified when their
-    slot sets agree after a single left translation (exact word equality
-    after free reduction).  That mode can certify synthetic fixtures but
-    never a fundamental cycle of a group with relators or nontrivial
-    vertex stabilizers: word matching cannot see either, so every
-    combinatorially-matching cycle develops to zero total volume.
+    Faces are identified when their slot sets agree after a single left
+    translation (exact word equality after free reduction).  This can
+    certify synthetic fixtures but never a fundamental cycle of a group
+    with relators or nontrivial vertex stabilizers: word matching cannot
+    see either, so every combinatorially-matching cycle develops to zero
+    total volume.  Such fixtures carry face pairings instead, which the
+    representation layer verifies on the developed simplices.
 
-    Passing `develop` (a (vertex_id, word) -> R^{n+1} map realizing a
-    representation, normally DevelopingAssignment.develop from the
-    representation layer) switches to relaxed matching: the fixture's
-    stored face pairings are then verified numerically, each pairing
-    word's action carrying the developed slots of the source face onto
-    the target face with canceling orientation.  Simplices and faces
-    whose developed points collide are degenerate chains and are
-    dropped, matching the degenerate-tolerant volume convention.
+    The report depends on the triangulation alone and is computed once
+    per LabeledTriangulation.
     """
-    if develop is not None:
-        return _check_cycle_developed(tri, develop, tol)
-    pres = tri.presentation
-    totals: dict = {}
-    examples: dict = {}
-    for s in tri.simplices:
-        slots = [(v, pres.parse(w)) for v, w in s.slots]
-        if len(set(slots)) != len(slots):
-            continue
-        for i in range(len(slots)):
-            face = slots[:i] + slots[i + 1:]
-            if len(set(face)) != len(face):
-                continue
-            key, parity = _canonical_face(face)
-            coeff = s.sign * (-1) ** i * parity
-            totals[key] = totals.get(key, 0) + coeff
-            examples.setdefault(key, (s.slots, i))
-    unmatched = tuple(
-        {"face": tuple((v, format_word(w)) for v, w in key),
-         "coefficient": c,
-         "from_simplex": examples[key]}
-        for key, c in sorted(totals.items()) if c != 0)
-    return CycleReport(is_cycle=not unmatched, unmatched=unmatched)
-
-
-def _check_cycle_developed(tri: LabeledTriangulation, develop, tol: float) -> CycleReport:
-    import numpy as np
-
-    if tri.pairings is None:
-        raise TriangulationError(
-            "relaxed cycle checking needs the fixture's face pairings")
-    act = getattr(develop, "act", None)
-    if act is None:
-        raise TriangulationError(
-            "the develop map must expose .act(word, point) for relaxed "
-            "cycle checking (see the representation layer)")
-
-    def point(v, w):
-        p = np.asarray(develop(v, w), dtype=float)
-        return p / p[0]
-
-    def moved(word, pt):
-        q = np.asarray(act(word, pt), dtype=float)
-        return q / q[0]
-
-    # developed slot points per simplex; degenerate simplices drop out
-    dev = []
-    live = []
-    for idx, s in enumerate(tri.simplices):
-        pts = [point(v, w) for v, w in s.slots]
-        dev.append(pts)
-        distinct = all(
-            np.max(np.abs(pts[i] - pts[j])) > tol
-            for i in range(len(pts)) for j in range(i + 1, len(pts)))
-        if distinct:
-            live.append(idx)
-
-    need = {(i, f) for i in live for f in range(tri.dim + 1)}
-    used = set()
-    failures = []
-    for p in tri.pairings:
-        src_key, dst_key = (p.src, p.src_face), (p.dst, p.dst_face)
-        if src_key not in need or dst_key not in need:
-            continue  # pairing on a degenerate simplex: nothing to cancel
-        if src_key in used or dst_key in used:
-            failures.append(f"face reused by pairing {p}")
-            continue
-        n1 = tri.dim + 1
-        src_pts = [dev[p.src][k] for k in range(n1) if k != p.src_face]
-        dst_pts = [dev[p.dst][k] for k in range(n1) if k != p.dst_face]
-        img = [moved(p.word, q) for q in src_pts]
-        perm = []
-        taken = [False] * len(dst_pts)
-        ok = True
-        for q in img:
-            hit = -1
-            for j, r in enumerate(dst_pts):
-                if not taken[j] and np.max(np.abs(q - r)) <= tol:
-                    hit = j
-                    break
-            if hit < 0:
-                ok = False
-                break
-            taken[hit] = True
-            perm.append(hit)
-        if not ok:
-            failures.append(f"pairing {p}: word does not carry the source "
-                            "face onto the target face at tolerance")
-            continue
-        c_src = tri.simplices[p.src].sign * (-1) ** p.src_face
-        c_dst = tri.simplices[p.dst].sign * (-1) ** p.dst_face
-        if c_src + c_dst * _perm_parity(perm) != 0:
-            failures.append(f"pairing {p}: orientations do not cancel")
-            continue
-        used.add(src_key)
-        used.add(dst_key)
-    leftover = sorted(need - used)
-    unmatched = tuple(
-        {"face": tri.simplices[i].slots[:f] + tri.simplices[i].slots[f + 1:],
-         "coefficient": tri.simplices[i].sign * (-1) ** f,
-         "from_simplex": (tri.simplices[i].slots, f)}
-        for i, f in leftover) + tuple(
-        {"face": (), "coefficient": 0, "from_simplex": msg} for msg in failures)
-    return CycleReport(is_cycle=not unmatched, unmatched=unmatched)
+    return tri._cycle_report
 
 
 def cone_boundary(boundary: LabeledTriangulation, cusp_id: str,

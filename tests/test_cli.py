@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,10 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hypvol
 from hypvol.cli import main
-from hypvol.fixtures import write_fixtures
+from hypvol.fixtures import figure_eight_triangulation, write_fixtures
 
 
 @pytest.fixture(scope="module")
@@ -233,3 +237,63 @@ def test_simplex_vol_bad_input_exit_2(fixdir, monkeypatch, capsys, simplex, extr
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("spec", [
+    [{"kind": "dehn3d"}],
+    {"params": {"filling": [5, 1]}},
+    {"kind": 3, "params": {"filling": [5, 1]}},
+    {"kind": "dehn3d", "params": [5, 1]},
+], ids=["spec-not-object", "missing-kind", "kind-not-string", "params-not-object"])
+def test_path_scan_bad_spec_exit_2(fixdir, monkeypatch, capsys, spec):
+    monkeypatch.setenv("HYPVOL_FIXTURES", str(fixdir))
+    (fixdir / "bad_path.json").write_text(json.dumps(spec))
+    code = main(["--no-timestamp", "path", "scan", "--path", "bad_path.json",
+                 "--tri", "fig8.json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
+_OTHER_TYPES = (None, True, 7, 1.5, "x", [], {})
+
+
+@st.composite
+def _mutated_fig8(draw):
+    """fig8.json with one entry, at most two object keys deep, deleted or
+    replaced by a value of another JSON type."""
+    data = figure_eight_triangulation().to_json()
+    parent, key, keys = None, None, 0
+    node = data
+    while isinstance(node, (dict, list)) and node and keys < 2 and (
+            parent is None or draw(st.booleans())):
+        parent = node
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                   else range(len(node))))
+        keys += isinstance(node, dict)
+        node = parent[key]
+    if draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(st.sampled_from(
+            [v for v in _OTHER_TYPES if type(v) is not type(node)]))
+    return data
+
+
+@given(_mutated_fig8())
+@settings(max_examples=80, deadline=None)
+def test_malformed_triangulation_never_tracebacks(fixdir, data):
+    """A triangulation file with a key deleted or a value of the wrong
+    type is accepted (exit 0) or rejected with exit 2, never with the
+    verdict code 1 or an exception."""
+    path = fixdir / "mutated.json"
+    path.write_text(json.dumps(data))
+    for argv in (["tri", "validate", "--tri", str(path)],
+                 ["rep", "vol", "--tri", str(path), "--rep",
+                  str(fixdir / "fig8_geometric.json")]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["--no-timestamp", *argv])
+        assert code in (0, 2), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()

@@ -21,6 +21,7 @@ from hypvol.repvol import (
     PeripheralKind,
     RelatorResidualError,
     Representation,
+    RepvolError,
     TwistEllipticBoundaryError,
     build_developing_assignment,
     check_representation,
@@ -33,7 +34,9 @@ from hypvol.repvol import (
     solve_gluing_equations,
     toledo_number,
 )
-from hypvol.repvol import _fig8_generators, _fig8_log_equations
+from hypvol import triangulation
+from hypvol.repvol import _develop, _fig8_generators, _fig8_log_equations
+from hypvol.simplex import GeodesicSimplex
 from hypvol.triangulation import LabeledSimplex, LabeledTriangulation
 
 V3 = 1.0149416064096535
@@ -187,9 +190,10 @@ def test_punctured_torus_classifies_parabolic(ptorus):
 def test_fig8_assignment_all_ideal_nondegenerate(fig8):
     tri, rho = fig8
     asg = build_developing_assignment(rho, tri, seed=0)
-    for s in tri.simplices:
-        from hypvol.simplex import GeodesicSimplex
-        dev = GeodesicSimplex([asg.develop(rho, v, w) for v, w in s.slots])
+    assert len(asg.simplices) == len(tri.simplices)
+    for s, dev in zip(tri.simplices, asg.simplices):
+        again = GeodesicSimplex([asg.develop(rho, v, w) for v, w in s.slots])
+        assert np.array_equal(dev.vertex_matrix(), again.vertex_matrix())
         assert not dev.is_degenerate()
         assert all(v.kind is Kind.IDEAL for v in dev.vertices)
 
@@ -259,13 +263,63 @@ def test_trivial_rep_tolerant_volume_zero(ptorus):
     tri, _ = ptorus
     rep = check_representation(
         tri.presentation, {"a": Isometry.identity(2), "b": Isometry.identity(2)})
-    asg = build_developing_assignment.__wrapped__ if False else None
     # bypass nondegeneracy: assign the fixed point to every vertex
-    from hypvol.repvol import DevelopingAssignment, classify_peripheral as cp
-    cls = cp(rep, tri, "cusp0")
-    points = {"c": cls.fixed_point("prefer_ideal")}
-    asg = DevelopingAssignment(points, 0, {"cusp0": cls})
+    cls = classify_peripheral(rep, tri, "cusp0")
+    asg = _develop(rep, tri, {"c": cls.fixed_point("prefer_ideal")}, 0, {"cusp0": cls})
     assert representation_volume(rep, tri, asg) == 0.0
+
+
+def test_volume_rejects_assignment_of_another_triangulation(fig8):
+    tri, rho = fig8
+    sub = subdivide_at_material_vertex(tri, 0)
+    asg = build_developing_assignment(rho, sub, seed=0)
+    with pytest.raises(RepvolError, match="the assignment develops"):
+        representation_volume(rho, tri, asg)
+
+
+def test_scan_sample_develops_each_slot_once(fig8, monkeypatch):
+    """Developing, the cycle check and Vol(rho) share one developed
+    simplex list: a scan applies one isometry per slot and sample."""
+    tri, _ = fig8
+    path = generate_path("dehn3d", {"triangulation": tri, "filling": (5, 1), "steps": 8})
+    applies = []
+    apply = Isometry.apply
+    monkeypatch.setattr(Isometry, "apply", lambda g, x: applies.append(x) or apply(g, x))
+    scan_path(path, tri, 3)
+    assert len(applies) == 3 * 8 == 3 * sum(len(s.slots) for s in tri.simplices)
+
+
+def test_combinatorial_cycle_checked_once_per_triangulation(suspension4_rho, monkeypatch):
+    """Without face pairings Vol(rho) checks the cycle combinatorially;
+    that report depends on the triangulation alone and is computed once."""
+    tri = suspension_4d()
+    assert tri.pairings is None
+    faces = []
+    canonical_face = triangulation._canonical_face
+    monkeypatch.setattr(triangulation, "_canonical_face",
+                        lambda face: faces.append(face) or canonical_face(face))
+    cls = classify_peripheral(suspension4_rho, tri, "cusp0")
+    # every vertex on the cusp point: all simplices collapse, Vol = 0
+    points = {v.id: cls.fixed_point() for v in tri.orbit_vertices}
+    counts = []
+    for seed in (0, 1):
+        asg = _develop(suspension4_rho, tri, points, seed, {"cusp0": cls})
+        assert representation_volume(suspension4_rho, tri, asg) == 0.0
+        counts.append(len(faces))
+    assert counts[0] > 0 and counts[1] == counts[0]
+
+
+def test_suspension4_volume_vanishes(suspension4_rho):
+    """Vol(rho) in SO(4,1): the straightened 4-cycle of the suspension
+    bounds, so its volume is 0 up to the summed simplex tolerances, for
+    every developing seed, with the cusp parabolic."""
+    tri = suspension_4d()
+    tol = 1e-9
+    for seed in (0, 1):
+        asg = build_developing_assignment(suspension4_rho, tri, seed=seed)
+        assert asg.classifications["cusp0"].kind is PeripheralKind.PARABOLIC_FIX
+        vol = representation_volume(suspension4_rho, tri, asg, tol=tol)
+        assert abs(vol) <= len(tri.simplices) * tol
 
 
 # --- Toledo numbers -----------------------------------------------------------------
@@ -274,9 +328,8 @@ def test_toledo_trivial_rep_zero(ptorus):
     tri, _ = ptorus
     rep = check_representation(
         tri.presentation, {"a": Isometry.identity(2), "b": Isometry.identity(2)})
-    from hypvol.repvol import DevelopingAssignment
     cls = classify_peripheral(rep, tri, "cusp0")
-    asg = DevelopingAssignment({"c": cls.fixed_point()}, 0, {"cusp0": cls})
+    asg = _develop(rep, tri, {"c": cls.fixed_point()}, 0, {"cusp0": cls})
     assert toledo_number(rep, tri, asg) == 0.0
 
 

@@ -12,6 +12,7 @@ from hypvol.fixtures import (
     torus_boundary_2d,
     torus_boundary_3d,
 )
+from hypvol.repvol import representation_volume
 from hypvol.triangulation import (
     Cusp,
     FacePairing,
@@ -177,30 +178,23 @@ def test_torus_fixtures_are_cycles():
     assert check_cycle(suspension_4d()).is_cycle
 
 
+def _fig8_developed(tri):
+    from hypvol.fixtures import figure_eight_geometric_images
+    from hypvol.repvol import build_developing_assignment, check_representation
+
+    rho = check_representation(tri.presentation, figure_eight_geometric_images())
+    return rho, build_developing_assignment(rho, tri, seed=0)
+
+
 def test_fig8_combinatorial_cycle_fails_but_relaxed_passes():
     """Word matching cannot close a fundamental cycle of a group with
     relators (any combinatorially-matching cycle develops to volume 0),
     so the figure-eight fixture carries face pairings and passes the
     developed check instead."""
-    from hypvol.fixtures import figure_eight_geometric_images
-    from hypvol.repvol import (check_representation, build_developing_assignment,
-                               _develop_closure)
     tri = figure_eight_triangulation()
     assert not check_cycle(tri).is_cycle
-    rho = check_representation(tri.presentation, figure_eight_geometric_images())
-    asg = build_developing_assignment(rho, tri, seed=0)
-    assert check_cycle(tri, develop=_develop_closure(rho, asg)).is_cycle
-
-
-def test_relaxed_check_requires_pairings():
-    tri = torus_boundary_2d()
-
-    def dev(v, w):
-        return np.array([1.0, 0.0, 0.0])
-
-    dev.act = lambda w, p: p
-    with pytest.raises(TriangulationError):
-        check_cycle(tri, develop=dev)
+    rho, asg = _fig8_developed(tri)
+    assert abs(representation_volume(rho, tri, asg) - 2.0298832128193) < 1e-9
 
 
 def test_validate_flags_bad_pairing_data():
@@ -216,33 +210,27 @@ def test_validate_flags_bad_pairing_data():
 
 
 def test_relaxed_check_detects_flipped_sign():
-    from hypvol.fixtures import figure_eight_geometric_images
-    from hypvol.repvol import (check_representation, build_developing_assignment,
-                               _develop_closure)
     tri = figure_eight_triangulation()
     flipped = LabeledTriangulation(
         tri.dim, tri.presentation, tri.orbit_vertices,
         (tri.simplices[0],
          LabeledSimplex(tri.simplices[1].slots, -tri.simplices[1].sign)),
         tri.cusps, pairings=tri.pairings, gluing=tri.gluing)
-    rho = check_representation(tri.presentation, figure_eight_geometric_images())
-    asg = build_developing_assignment(rho, flipped, seed=0)
-    assert not check_cycle(flipped, develop=_develop_closure(rho, asg)).is_cycle
+    rho, asg = _fig8_developed(flipped)
+    with pytest.raises(TriangulationError, match="not a cycle"):
+        representation_volume(rho, flipped, asg)
 
 
 def test_relaxed_check_detects_broken_pairing():
-    from hypvol.fixtures import figure_eight_geometric_images
-    from hypvol.repvol import (check_representation, build_developing_assignment,
-                               _develop_closure)
     tri = figure_eight_triangulation()
     bad_pairings = tuple(
         FacePairing(p.src, p.src_face, p.dst, p.dst_face, "a b")
         for p in tri.pairings)
     bad = LabeledTriangulation(tri.dim, tri.presentation, tri.orbit_vertices,
                                tri.simplices, tri.cusps, pairings=bad_pairings)
-    rho = check_representation(tri.presentation, figure_eight_geometric_images())
-    asg = build_developing_assignment(rho, bad, seed=0)
-    assert not check_cycle(bad, develop=_develop_closure(rho, asg)).is_cycle
+    rho, asg = _fig8_developed(bad)
+    with pytest.raises(TriangulationError, match="not a cycle"):
+        representation_volume(rho, bad, asg)
 
 
 # --- coning ---------------------------------------------------------------------
@@ -309,6 +297,34 @@ def test_json_round_trip():
         blob = json.dumps(tri.to_json())
         back = LabeledTriangulation.from_json(blob)
         assert back == tri
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d.pop("dim"), "triangulation has no 'dim'"),
+    (lambda d: d["orbit_vertices"][0].pop("kind"),
+     "triangulation.orbit_vertices[0] has no 'kind'"),
+    (lambda d: d.update(dim="3"), "triangulation.dim must be an integer, not str"),
+    (lambda d: d.update(dim=True), "triangulation.dim must be an integer, not bool"),
+    (lambda d: d["simplices"][1]["slots"].append(["c"]),
+     "triangulation.simplices[1].slots[4] must have 2 entries"),
+    (lambda d: d["pairings"][2].__setitem__(0, 1.0),
+     "triangulation.pairings[2][0] must be an integer, not float"),
+    (lambda d: d["cusps"][0].update(peripheral="a"),
+     "triangulation.cusps[0].peripheral must be a list, not str"),
+    (lambda d: d.update(gluing=[]), "triangulation.gluing must be an object, not list"),
+], ids=["no-dim", "vertex-no-kind", "dim-str", "dim-bool", "short-slot",
+        "float-index", "peripheral-str", "gluing-list"])
+def test_from_json_names_the_bad_key(mutate, message):
+    data = figure_eight_triangulation().to_json()
+    mutate(data)
+    with pytest.raises(TriangulationError) as err:
+        LabeledTriangulation.from_json(data)
+    assert str(err.value) == message
+
+
+def test_from_json_rejects_a_non_object():
+    with pytest.raises(TriangulationError, match="must be an object, not list"):
+        LabeledTriangulation.from_json([figure_eight_triangulation().to_json()])
 
 
 def test_shipped_fixture_files_match_builders():
