@@ -21,7 +21,8 @@ from .cubature import IntegrationError
 from .lorentz import LorentzVector
 from .simplex import GeodesicSimplex, SimplexFamily, signed_volume, dihedral_angle
 from .schlafli import schlafli_residual, schlafli_residual_truncated_3d
-from .triangulation import LabeledTriangulation, check_cycle, validate_triangulation
+from .triangulation import (AnyOf, LabeledTriangulation, check_cycle, check_schema,
+                            validate_triangulation)
 from .repvol import (
     RepvolError,
     build_developing_assignment,
@@ -244,6 +245,18 @@ def _cmd_rep_toledo(args) -> int:
     return 0
 
 
+_MATRIX = [[float]]
+# The parameters of each path kind, as a triangulation-style schema; "base"
+# is the representation file named by the spec's "base" (or "rep") key.
+_PATH_PARAMS = {
+    "conjugation": {"base": str, "direction": _MATRIX},
+    "twist2d": {"base": str, "generator": str, "direction": AnyOf(str, _MATRIX),
+                "boundary_words?": [str]},
+    "keyframes": {"times": [float], "keyframes": [dict]},
+    "dehn3d": {"filling": (int, int), "steps?": int},
+}
+
+
 def _cmd_path_scan(args) -> int:
     tri = _load_tri(args.tri)
     spec = json.loads(_resolve(args.path).read_text())
@@ -252,12 +265,21 @@ def _cmd_path_scan(args) -> int:
     if not isinstance(spec.get("params", {}), dict):
         raise ValueError(f"{args.path}: 'params' must be an object")
     kind = spec["kind"]
+    if kind not in _PATH_PARAMS:
+        raise ValueError(f"{args.path}: unknown path kind {kind!r}; "
+                         f"known: {', '.join(_PATH_PARAMS)}")
     params = dict(spec.get("params", {}))
+    schema = _PATH_PARAMS[kind]
     base_ref = spec.get("base", spec.get("rep"))
-    if base_ref is not None:
-        params["base"] = _load_rep(tri, base_ref)
+    if "base" in schema and base_ref is not None:
+        params["base"] = base_ref
+    check_schema(params, schema, f"{args.path}: {kind} params")
+    if "base" in schema:
+        params["base"] = _load_rep(tri, params["base"])
     if kind == "conjugation":
         params["direction"] = np.asarray(params["direction"], dtype=float)
+    if kind == "keyframes":
+        params["presentation"] = tri.presentation
     if kind == "dehn3d":
         params["triangulation"] = tri
         params["filling"] = tuple(params["filling"])

@@ -12,7 +12,9 @@ integrand analytic for every n >= 2.  The scheme therefore is:
      most one ideal vertex (corner isolation),
   2. per cell, map a tensor Gauss-Legendre grid through collapsed
      (Duffy-type) coordinates anchored at that corner, with the square
-     substitution on the radial axis when the corner is ideal,
+     substitution on the radial axis when the corner is ideal; the grid
+     is a radial x face product, so |x|^2 is a broadcast of face-sized
+     vectors and no g^n-point matrix or threaded BLAS product is formed,
   3. raise the per-axis count until two successive estimates agree,
      bisecting cells whose convergence stalls (e.g. pinched against the
      sphere) and splitting their error budgets.
@@ -57,47 +59,35 @@ def _gauss01(g: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-_GRID_CACHE: dict = {}
+_FACTOR_CACHE: dict = {}
 
 
-def _grid(n: int, g: int, ideal_corner: bool):
-    """Coefficient matrix C ((g^n, n+1), rows are barycentric weights on
-    the cell vertices with the collapse corner first) and quadrature
-    weights omega, such that the cell integral of f is
-    |det[w1-w0,...]| * omega . f(C @ W)."""
+def _factors(n: int, g: int, ideal_corner: bool):
+    """Radial nodes r and weights wr (cone measure r^{n-1}, r = u^2 at
+    an ideal corner), face barycentrics beta ((g^{n-1}, n)) and weights
+    wf (collapse jacobian prod_k (1-u_k)^{n-2-k}) of the collapsed rule:
+    points C = [1-r, r beta] (collapse corner first), omega = wr (x) wf."""
     key = (n, g, ideal_corner)
-    hit = _GRID_CACHE.get(key)
+    hit = _FACTOR_CACHE.get(key)
     if hit is not None:
         return hit
     x, w = _gauss01(g)
-    axes = np.meshgrid(*([x] * n), indexing="ij")
-    wts = np.meshgrid(*([w] * n), indexing="ij")
-    u = [a.ravel() for a in axes]
-    omega = np.ones(g**n)
-    for a in wts:
-        omega = omega * a.ravel()
-    if ideal_corner:
-        r = u[0] ** 2
-        omega = omega * (2.0 * u[0])
-    else:
-        r = u[0]
-    # cone measure r^{n-1} dr, face jacobian prod_{k=2..n} (1-u_k)^{n-k}
-    omega = omega * r ** (n - 1)
-    beta = np.empty((g**n, n))
-    rem = np.ones(g**n)
-    for k in range(n - 1):
-        beta[:, k] = u[k + 1] * rem
-        rem = rem * (1.0 - u[k + 1])
+    r, wr = (x * x, 2.0 * x * w) if ideal_corner else (x, w)
+    wr = wr * r ** (n - 1)
+    grid = zip(np.meshgrid(*([x] * (n - 1)), indexing="ij"),
+               np.meshgrid(*([w] * (n - 1)), indexing="ij"))
+    beta = np.empty((g ** (n - 1), n))
+    wf, rem = np.ones(g ** (n - 1)), np.ones(g ** (n - 1))
+    for k, (u, wu) in enumerate(grid):
+        u = u.ravel()
+        wf *= wu.ravel() * (1.0 - u) ** (n - 2 - k)
+        beta[:, k] = u * rem
+        rem *= 1.0 - u
     beta[:, n - 1] = rem
-    for k in range(2, n + 1):
-        omega = omega * (1.0 - u[k - 1]) ** (n - k)
-    C = np.empty((g**n, n + 1))
-    C[:, 0] = 1.0 - r
-    C[:, 1:] = r[:, None] * beta
-    C.setflags(write=False)
-    omega.setflags(write=False)
-    _GRID_CACHE[key] = (C, omega)
-    return C, omega
+    for a in (r, wr, beta, wf):
+        a.setflags(write=False)
+    _FACTOR_CACHE[key] = hit = (r, wr, beta, wf)
+    return hit
 
 
 def _decompose_cells(ideal: Sequence[bool]):
@@ -128,19 +118,29 @@ def _decompose_cells(ideal: Sequence[bool]):
 
 
 def _eval_cell(mix, has_ideal, klein: np.ndarray, g: int) -> float:
+    """|det[w1-w0,...]| * omega . f(C @ W): a point (1-r) w0 + r q with
+    q = beta W[1:] has |x|^2 = (1-r)^2 |w0|^2 + 2r(1-r) w0.q + r^2 |q|^2."""
     n = klein.shape[1]
     W = mix @ klein
-    C, omega = _grid(n, g, has_ideal)
-    pts = C @ W
-    t = 1.0 - np.einsum("ij,ij->i", pts, pts)
+    r, wr, beta, wf = _factors(n, g, has_ideal)
+    q = np.einsum("ij,jk->ik", beta, W[1:])
+    a = np.einsum("ij,j->i", q, W[0])
+    b = np.einsum("ij,ij->i", q, q)
+    s = 1.0 - r
+    t = np.multiply.outer(-2.0 * r * s, a)
+    t -= np.multiply.outer(r * r, b)
+    t += (1.0 - s * s * float(W[0] @ W[0]))[:, None]
     if np.any(t <= 0.0):
         raise IntegrationError(
             "integration points escaped the open ball; simplex is not "
             "contained in the closed ball or is degenerate against it",
             np.nan, np.inf)
-    f = t ** (-(n + 1) / 2.0)
+    f = t * np.sqrt(t) if n % 2 == 0 else t * t  # t^{(n+1)/2}, no pow
+    for _ in range((n - 2) // 2):
+        f *= t
+    np.reciprocal(f, out=f)
     D = abs(np.linalg.det(W[1:] - W[0]))
-    return D * float(omega @ f)
+    return D * float(np.einsum("i,ij,j->", wr, f, wf))
 
 
 @dataclass(frozen=True)

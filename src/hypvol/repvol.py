@@ -502,6 +502,8 @@ def _keyframes_path(presentation, times: Sequence[float],
     from scipy.interpolate import CubicSpline
 
     times = np.asarray(times, dtype=float)
+    if len(keyframes) < 2 or len(keyframes) != len(times):
+        raise RepvolError("a keyframes path needs one keyframe per time, at least two")
     gens = list(keyframes[0])
     reps = [check_representation(presentation, imgs) for imgs in keyframes]
     data = {g: np.array([r.images[g].matrix for r in reps]) for g in gens}
@@ -789,6 +791,8 @@ def _dehn3d_path(tri: LabeledTriangulation, filling, steps: int) -> DeformationP
     Every continuation step's (shapes, residual, log holonomies) is
     kept; a relator-checked GluingSolution is built only for the
     parameters asked for."""
+    if steps < 1:
+        raise RepvolError(f"a dehn3d path needs at least one step, not {steps}")
     p, q = filling
     omega = complex(np.cos(np.pi / 3), np.sin(np.pi / 3))
     base_sol = solve_gluing_equations(tri, "complete", (omega, omega))

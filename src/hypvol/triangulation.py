@@ -229,7 +229,7 @@ class LabeledTriangulation:
         key raises TriangulationError naming it."""
         if isinstance(data, str):
             data = json.loads(data)
-        _check_schema(data, _SCHEMA, "triangulation")
+        check_schema(data, _SCHEMA, "triangulation")
         pres = GroupPresentation(tuple(data["generators"]), tuple(data.get("relators", ())))
         verts = tuple(
             OrbitVertex(v["id"], v["kind"], v.get("cusp"))
@@ -272,9 +272,16 @@ class LabeledTriangulation:
         return CycleReport(is_cycle=not unmatched, unmatched=unmatched)
 
 
+class AnyOf:
+    """A schema met by a value that meets any one of the alternatives."""
+
+    def __init__(self, *alternatives):
+        self.alternatives = alternatives
+
+
 # The JSON form of a triangulation: a type, [schema of every entry],
-# (schema of each position) or {key: schema}, where a key ending in "?"
-# may be absent.
+# (schema of each position), {key: schema}, where a key ending in "?"
+# may be absent, or AnyOf(schema, ...).
 _SCHEMA = {
     "dim": int, "generators": [str], "relators?": [str],
     "cusps?": [{"id": str, "peripheral": [str]}],
@@ -282,29 +289,42 @@ _SCHEMA = {
     "simplices": [{"slots": [(str, str)], "sign?": int}],
     "pairings?": [(int, int, int, int, str)], "gluing?": dict,
 }
-_JSON_TYPES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+_JSON_TYPES = {int: "an integer", float: "a number", str: "a string", list: "a list",
+               dict: "an object"}
 
 
-def _check_schema(value, schema, where: str) -> None:
+def check_schema(value, schema, where: str) -> None:
+    """Raise TriangulationError naming the first entry of the JSON value
+    that is missing or of the wrong type under the schema; booleans are
+    not numbers and integers are numbers."""
+    if isinstance(schema, AnyOf):
+        failures = []
+        for alternative in schema.alternatives:
+            try:
+                return check_schema(value, alternative, where)
+            except TriangulationError as exc:
+                failures.append(str(exc))
+        raise TriangulationError(" or ".join(failures))
     kind = {dict: dict, list: list, tuple: list}.get(type(schema), schema)
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(value, accepted) or (kind in (int, float) and isinstance(value, bool)):
         raise TriangulationError(
             f"{where} must be {_JSON_TYPES[kind]}, not {type(value).__name__}")
     if isinstance(schema, dict):
         for key, sub in schema.items():
             name = key.rstrip("?")
             if name in value:
-                _check_schema(value[name], sub, f"{where}.{name}")
+                check_schema(value[name], sub, f"{where}.{name}")
             elif name == key:
                 raise TriangulationError(f"{where} has no {name!r}")
     elif isinstance(schema, list):
         for i, item in enumerate(value):
-            _check_schema(item, schema[0], f"{where}[{i}]")
+            check_schema(item, schema[0], f"{where}[{i}]")
     elif isinstance(schema, tuple):
         if len(value) != len(schema):
             raise TriangulationError(f"{where} must have {len(schema)} entries")
         for i, (item, sub) in enumerate(zip(value, schema)):
-            _check_schema(item, sub, f"{where}[{i}]")
+            check_schema(item, sub, f"{where}[{i}]")
 
 
 def validate_triangulation(tri: LabeledTriangulation) -> list[str]:

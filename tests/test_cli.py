@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 import hypvol
 from hypvol.cli import main
-from hypvol.fixtures import figure_eight_triangulation, write_fixtures
+from hypvol.fixtures import (figure_eight_geometric_images, figure_eight_triangulation,
+                             write_fixtures)
+from hypvol.repvol import check_representation
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +96,18 @@ def test_path_scan_expect_constant(run, fixdir):
     (fixdir / "conj.json").write_text(json.dumps(spec))
     code, out = run("--no-timestamp", "path", "scan", "--path", "conj.json",
                     "--tri", "fig8.json", "--expect-constant")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "Constant"
+
+
+def test_path_scan_keyframes_over_the_triangulation_presentation(run, fixdir):
+    rep = check_representation(figure_eight_triangulation().presentation,
+                               figure_eight_geometric_images())
+    frame = {g: im.matrix.tolist() for g, im in rep.images.items()}
+    spec = {"kind": "keyframes", "params": {"times": [0, 1], "keyframes": [frame, frame]}}
+    (fixdir / "keyframes.json").write_text(json.dumps(spec))
+    code, out = run("--no-timestamp", "path", "scan", "--path", "keyframes.json",
+                    "--tri", "fig8.json", "--samples", "3", "--expect-constant")
     assert code == 0
     assert json.loads(out)["verdict"] == "Constant"
 
@@ -244,7 +258,16 @@ def test_simplex_vol_bad_input_exit_2(fixdir, monkeypatch, capsys, simplex, extr
     {"params": {"filling": [5, 1]}},
     {"kind": 3, "params": {"filling": [5, 1]}},
     {"kind": "dehn3d", "params": [5, 1]},
-], ids=["spec-not-object", "missing-kind", "kind-not-string", "params-not-object"])
+    {"kind": "conjugation", "rep": "fig8_geometric.json"},
+    {"kind": "twist2d", "base": "fig8_geometric.json", "params": {"direction": "a"}},
+    {"kind": "keyframes", "params": {"times": [0.0, 1.0]}},
+    {"kind": "dehn3d"},
+    {"kind": "dehn3d", "params": {"filling": [5, "1"]}},
+    {"kind": "dehn3d", "params": {"filling": [5, 1], "steps": 0}},
+    {"kind": "spiral", "params": {}},
+], ids=["spec-not-object", "missing-kind", "kind-not-string", "params-not-object",
+        "conjugation-no-direction", "twist2d-no-generator", "keyframes-no-keyframes",
+        "dehn3d-no-filling", "filling-not-int", "dehn3d-zero-steps", "unknown-kind"])
 def test_path_scan_bad_spec_exit_2(fixdir, monkeypatch, capsys, spec):
     monkeypatch.setenv("HYPVOL_FIXTURES", str(fixdir))
     (fixdir / "bad_path.json").write_text(json.dumps(spec))
