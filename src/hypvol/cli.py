@@ -21,8 +21,8 @@ from .cubature import IntegrationError
 from .lorentz import LorentzVector
 from .simplex import GeodesicSimplex, SimplexFamily, signed_volume, dihedral_angle
 from .schlafli import schlafli_residual, schlafli_residual_truncated_3d
-from .triangulation import (AnyOf, LabeledTriangulation, check_cycle, check_schema,
-                            validate_triangulation)
+from .triangulation import (AnyOf, LabeledTriangulation, Matrix, check_cycle,
+                            check_schema, validate_triangulation)
 from .repvol import (
     RepvolError,
     build_developing_assignment,
@@ -245,7 +245,7 @@ def _cmd_rep_toledo(args) -> int:
     return 0
 
 
-_MATRIX = [[float]]
+_MATRIX = Matrix()
 # The parameters of each path kind, as a triangulation-style schema; "base"
 # is the representation file named by the spec's "base" (or "rep") key.
 _PATH_PARAMS = {

@@ -279,9 +279,13 @@ class AnyOf:
         self.alternatives = alternatives
 
 
+class Matrix:
+    """A schema met by a list of number rows that all have one length."""
+
+
 # The JSON form of a triangulation: a type, [schema of every entry],
 # (schema of each position), {key: schema}, where a key ending in "?"
-# may be absent, or AnyOf(schema, ...).
+# may be absent, AnyOf(schema, ...), or Matrix().
 _SCHEMA = {
     "dim": int, "generators": [str], "relators?": [str],
     "cusps?": [{"id": str, "peripheral": [str]}],
@@ -305,6 +309,14 @@ def check_schema(value, schema, where: str) -> None:
             except TriangulationError as exc:
                 failures.append(str(exc))
         raise TriangulationError(" or ".join(failures))
+    if isinstance(schema, Matrix):
+        check_schema(value, [[float]], where)
+        for i, row in enumerate(value):
+            if len(row) != len(value[0]):
+                raise TriangulationError(
+                    f"{where} must be a rectangular matrix, but row {i} has "
+                    f"{len(row)} entries and row 0 has {len(value[0])}")
+        return
     kind = {dict: dict, list: list, tuple: list}.get(type(schema), schema)
     accepted = (int, float) if kind is float else kind
     if not isinstance(value, accepted) or (kind in (int, float) and isinstance(value, bool)):

@@ -279,6 +279,27 @@ def test_path_scan_bad_spec_exit_2(fixdir, monkeypatch, capsys, spec):
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("spec, key", [
+    ({"kind": "conjugation", "rep": "fig8_geometric.json",
+      "params": {"direction": [[0, 1], [1]]}}, "conjugation params.direction"),
+    ({"kind": "twist2d", "base": "fig8_geometric.json",
+      "params": {"generator": "a", "direction": [[0, 1, 0], [1, 0], [0, 0, 0]]}},
+     "twist2d params.direction"),
+], ids=["conjugation", "twist2d"])
+def test_path_scan_ragged_direction_exit_2(fixdir, monkeypatch, capsys, spec, key):
+    """A direction matrix with rows of different lengths exits 2 with a
+    message naming the file and the key."""
+    monkeypatch.setenv("HYPVOL_FIXTURES", str(fixdir))
+    (fixdir / "bad_path.json").write_text(json.dumps(spec))
+    code = main(["--no-timestamp", "path", "scan", "--path", "bad_path.json",
+                 "--tri", "fig8.json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert f"bad_path.json: {key} must be a rectangular matrix" in captured.err
+
+
 _OTHER_TYPES = (None, True, 7, 1.5, "x", [], {})
 
 

@@ -19,9 +19,11 @@ from hypvol.triangulation import (
     GroupPresentation,
     LabeledSimplex,
     LabeledTriangulation,
+    Matrix,
     OrbitVertex,
     TriangulationError,
     check_cycle,
+    check_schema,
     cone_boundary,
     format_word,
     parse_word,
@@ -325,6 +327,19 @@ def test_from_json_names_the_bad_key(mutate, message):
 def test_from_json_rejects_a_non_object():
     with pytest.raises(TriangulationError, match="must be an object, not list"):
         LabeledTriangulation.from_json([figure_eight_triangulation().to_json()])
+
+
+@pytest.mark.parametrize("value, message", [
+    ([[0, 1], [1]], "spec.direction must be a rectangular matrix, but row 1 has 1 "
+                    "entries and row 0 has 2"),
+    ([[0, 1], [1, "x"]], "spec.direction[1][1] must be a number, not str"),
+    ([0, 1], "spec.direction[0] must be a list, not int"),
+], ids=["ragged", "entry-str", "flat"])
+def test_matrix_schema_names_the_bad_entry(value, message):
+    check_schema([[0.0, 1.5], [2, 3]], Matrix(), "spec.direction")
+    with pytest.raises(TriangulationError) as err:
+        check_schema(value, Matrix(), "spec.direction")
+    assert str(err.value) == message
 
 
 def test_shipped_fixture_files_match_builders():
