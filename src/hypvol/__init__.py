@@ -29,6 +29,7 @@ from .simplex import (
     SimplexFamily,
     default_horoballs,
     dihedral_angle,
+    dihedral_angles,
     face_measure,
     ideal_tet_volume,
     lobachevsky,

@@ -80,6 +80,32 @@ def _inner(u: np.ndarray, v: np.ndarray) -> float:
     return float(-u[0] * v[0] + u[1:] @ v[1:])
 
 
+def _project_material(coords: Sequence[float]) -> np.ndarray:
+    """A fresh array on the upper hyperboloid sheet, rescaled from a
+    future-pointing timelike vector (refused otherwise)."""
+    c = np.asarray(coords, dtype=float)
+    q = _inner(c, c)
+    if q >= 0 or c[0] <= 0:
+        raise LorentzError(f"not timelike future-pointing: <x,x>={q}")
+    return c / np.sqrt(-q)
+
+
+def _project_ideal(coords: Sequence[float]) -> np.ndarray:
+    """A fresh array on the future light cone: the time coordinate of a
+    representative within 0.1% of the cone is reset to the length of
+    its space part (refused otherwise)."""
+    c = np.asarray(coords, dtype=float)
+    if c[0] <= 0:
+        raise LorentzError("ideal representative must have x0 > 0")
+    s = np.linalg.norm(c[1:])
+    if s == 0:
+        raise LorentzError("zero space part cannot be lightlike")
+    q = _inner(c, c)
+    if abs(q) > 1e-3 * float(c @ c):
+        raise LorentzError(f"representative too far from the light cone: <x,x>={q}")
+    return np.concatenate(([s], c[1:]))
+
+
 @dataclass(frozen=True)
 class LorentzVector:
     """A vector of R^{n,1} tagged as a hyperbolic point, an ideal point,
@@ -121,11 +147,7 @@ class LorentzVector:
     def material(coords: Sequence[float]) -> "LorentzVector":
         """Material point from hyperboloid coordinates, renormalized to
         kill floating-point drift in <x,x>."""
-        c = np.asarray(coords, dtype=float)
-        q = _inner(c, c)
-        if q >= 0 or c[0] <= 0:
-            raise LorentzError(f"not timelike future-pointing: <x,x>={q}")
-        return LorentzVector(c / np.sqrt(-q), Kind.MATERIAL)
+        return LorentzVector(_project_material(coords), Kind.MATERIAL)
 
     @staticmethod
     def ideal(coords: Sequence[float]) -> "LorentzVector":
@@ -134,17 +156,18 @@ class LorentzVector:
         part.  The input only needs to be near the cone (sanity guard at
         0.1% relative); interpolation or long isometry products may have
         drifted it."""
-        c = np.asarray(coords, dtype=float)
-        if c[0] <= 0:
-            raise LorentzError("ideal representative must have x0 > 0")
-        s = np.linalg.norm(c[1:])
-        if s == 0:
-            raise LorentzError("zero space part cannot be lightlike")
-        q = _inner(c, c)
-        if abs(q) > 1e-3 * float(c @ c):
-            raise LorentzError(f"representative too far from the light cone: <x,x>={q}")
-        out = np.concatenate(([s], c[1:]))
-        return LorentzVector(out, Kind.IDEAL)
+        return LorentzVector(_project_ideal(coords), Kind.IDEAL)
+
+    @classmethod
+    def _trusted(cls, c: np.ndarray, kind: Kind) -> "LorentzVector":
+        """Wrap a fresh float array that is a point of the given kind by
+        construction, without validating it; the array is frozen, not
+        copied."""
+        c.setflags(write=False)
+        x = object.__new__(cls)
+        object.__setattr__(x, "coords", c)
+        object.__setattr__(x, "kind", kind)
+        return x
 
     @staticmethod
     def raw(coords: Sequence[float]) -> "LorentzVector":
@@ -340,12 +363,14 @@ class Isometry:
         y = self.matrix @ x.coords
         # strong contractions shrink lightlike vectors by 1/lambda while
         # rounding noise stays relative to |A||x|; re-project onto the
-        # cone / hyperboloid instead of validating the raw product
+        # cone / hyperboloid instead of validating the raw product.  The
+        # projection guards and builds a fresh array, so the image is
+        # trusted like a composition.
         if x.kind is Kind.IDEAL:
-            return LorentzVector.ideal(y)
+            return LorentzVector._trusted(_project_ideal(y), Kind.IDEAL)
         if x.kind is Kind.MATERIAL:
-            return LorentzVector.material(y)
-        return LorentzVector(y, Kind.RAW)
+            return LorentzVector._trusted(_project_material(y), Kind.MATERIAL)
+        return LorentzVector._trusted(y, Kind.RAW)
 
 
 class IsometryClass(enum.Enum):

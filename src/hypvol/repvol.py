@@ -15,7 +15,6 @@ from .lorentz import (
     EmptyFixedSetError,
     Isometry,
     IsometryClass,
-    Kind,
     LorentzError,
     LorentzVector,
     classify_isometry,
@@ -23,10 +22,9 @@ from .lorentz import (
     from_klein,
     lift_moebius,
     minkowski_gram_schmidt,
-    minkowski_matrix,
     so_algebra_residual,
 )
-from .simplex import GeodesicSimplex, signed_volume
+from .simplex import GeodesicSimplex, signed_volume, tangent_angles
 from .triangulation import (
     CycleReport,
     LabeledTriangulation,
@@ -380,31 +378,13 @@ def representation_volume(rho: Representation, tri: LabeledTriangulation,
     return total
 
 
-def _tangent_angle(simplex: GeodesicSimplex, at: int) -> float:
-    """Interior angle of a 2-simplex at a material vertex, from the
-    Riemannian angle between the initial tangents of the two sides."""
-    x = simplex.vertices[at]
-    if x.kind is Kind.IDEAL:
-        return 0.0
-    others = [v for k, v in enumerate(simplex.vertices) if k != at]
-    J = minkowski_matrix(simplex.dim)
-    tangents = []
-    for u in others:
-        t = u.coords + float(x.coords @ J @ u.coords) * x.coords
-        norm = float(t @ J @ t)
-        if norm <= 0:
-            raise RepvolError("degenerate side in angle computation")
-        tangents.append(t / np.sqrt(norm))
-    c = float(tangents[0] @ J @ tangents[1])
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
-
-
 def toledo_number(rho: Representation, tri: LabeledTriangulation,
                   assignment: DevelopingAssignment) -> float:
     """The 2-dimensional volume of a representation, computed through
     the angle-sum area formula (pi minus the interior angles, measured
-    between side tangents) rather than through signed_volume; both
-    formulas give one number."""
+    between side tangents by tangent_angles) rather than through
+    signed_volume, whose angles come from facet normals; both formulas
+    give one number."""
     if tri.dim != 2:
         raise RepvolError("Toledo numbers are 2-dimensional")
     _validate_cycle(rho, tri, assignment)
@@ -413,7 +393,7 @@ def toledo_number(rho: Representation, tri: LabeledTriangulation,
         if dev.is_degenerate():
             continue
         eps = 1.0 if dev.orientation_det() > 0 else -1.0
-        angle_sum = sum(_tangent_angle(dev, k) for k in range(3))
+        angle_sum = float(tangent_angles(dev, [0, 1, 2], [1, 0, 0], [2, 2, 1]).sum())
         total += s.sign * eps * (np.pi - angle_sum)
     return total
 

@@ -20,7 +20,9 @@ from .simplex import (
     SimplexFamily,
     default_horoballs,
     dihedral_angle,
+    dihedral_angles,
     face_measure,
+    triangle_areas,
     truncated_edge_length,
     volume_evaluator,
 )
@@ -103,17 +105,18 @@ def family_derivatives(fam: SimplexFamily, t: float, h: float = 1e-4,
     dvol_half = sign * (vol(stencil[h / 2]) - vol(stencil[-h / 2])) / h
     err = abs(dvol - dvol_half) * (4.0 / 3.0)
 
-    n = center.dim
-    dtheta = {}
-    measures = {}
-    for face in _faces(n):
-        tp = dihedral_angle(stencil[h], face)
-        tm = dihedral_angle(stencil[-h], face)
-        dtheta[face] = (tp - tm) / (2 * h)
-        try:
-            measures[face] = face_measure(center, face)
-        except InfiniteFaceMeasureError:
-            pass
+    faces = _faces(center.dim)
+    plus, minus = dihedral_angles(stencil[h]), dihedral_angles(stencil[-h])
+    dtheta = {face: float(plus[face] - minus[face]) / (2 * h) for face in faces}
+    if center.dim == 4:
+        measures = dict(zip(faces, triangle_areas(center, faces).tolist()))
+    else:
+        measures = {}
+        for face in faces:
+            try:
+                measures[face] = face_measure(center, face)
+            except InfiniteFaceMeasureError:
+                pass
     return FamilyDerivativeReport(t=t, h=h, dvol=dvol, dtheta=dtheta,
                                   face_measures=measures, error_estimate=err)
 

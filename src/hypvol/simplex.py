@@ -1,10 +1,18 @@
 """Geodesic simplices in the closed hyperbolic ball: signed volumes,
 dihedral angles, codimension-2 face measures, horoball-truncated edge
-lengths, and one-parameter families."""
+lengths, and one-parameter families.
+
+A simplex computes its geometry as whole matrices: the Klein-homogeneous
+vertex matrix, its determinant and its degeneracy scale are cached on
+the simplex; all facet normals come from one batched SVD, and all
+dihedral angles from those normals in one pass (`dihedral_angles`).  The
+triangular faces of a 4-simplex are measured together by Gauss-Bonnet
+from the angles between side tangents (`triangle_areas`)."""
 
 from __future__ import annotations
 
 import decimal
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -32,6 +40,9 @@ __all__ = [
     "lobachevsky",
     "ideal_tet_volume",
     "dihedral_angle",
+    "dihedral_angles",
+    "tangent_angles",
+    "triangle_areas",
     "face_measure",
     "default_horoballs",
     "truncated_edge_length",
@@ -91,25 +102,37 @@ class GeodesicSimplex:
     def kinds(self) -> tuple[Kind, ...]:
         return tuple(v.kind for v in self.vertices)
 
-    def vertex_matrix(self) -> np.ndarray:
-        """Rows are x_0 = 1 representatives (Klein-homogeneous)."""
-        return np.array([v.coords / v.coords[0] for v in self.vertices])
+    @functools.cached_property
+    def _vertex_matrix(self) -> np.ndarray:
+        M = np.array([v.coords / v.coords[0] for v in self.vertices])
+        M.setflags(write=False)
+        return M
 
-    def klein(self) -> np.ndarray:
-        return self.vertex_matrix()[:, 1:]
+    @functools.cached_property
+    def _det(self) -> float:
+        return float(np.linalg.det(self._vertex_matrix))
 
-    def orientation_det(self) -> float:
-        return float(np.linalg.det(self.vertex_matrix()))
-
+    @functools.cached_property
     def _degeneracy_scale(self) -> float:
         """The determinant of the Klein-homogeneous vertex matrix scales
         like diameter^n; degeneracy must be judged relative to that."""
         K = self.klein()
         return float(np.max(np.linalg.norm(K - K.mean(axis=0), axis=1)))
 
+    def vertex_matrix(self) -> np.ndarray:
+        """Rows are x_0 = 1 representatives (Klein-homogeneous); built
+        once per simplex and shared read-only."""
+        return self._vertex_matrix
+
+    def klein(self) -> np.ndarray:
+        return self._vertex_matrix[:, 1:]
+
+    def orientation_det(self) -> float:
+        return self._det
+
     def is_degenerate(self, threshold: float = DEGENERACY_THRESHOLD) -> bool:
-        scale = max(self._degeneracy_scale(), 1e-30)
-        return abs(self.orientation_det()) < threshold * scale ** self.dim
+        scale = max(self._degeneracy_scale, 1e-30)
+        return abs(self._det) < threshold * scale ** self.dim
 
     def ideal_mask(self) -> tuple[bool, ...]:
         return tuple(v.kind is Kind.IDEAL for v in self.vertices)
@@ -172,67 +195,130 @@ def ideal_tet_volume(alpha: float, beta: float, gamma: float) -> float:
     return float(lobachevsky(alpha) + lobachevsky(beta) + lobachevsky(gamma))
 
 
-def _face_normal(simplex: GeodesicSimplex, omit: int) -> np.ndarray:
-    """Outward spacelike unit Minkowski normal of the hyperplane spanned
-    by all vertices except `omit` (the omitted vertex sits on the
-    negative side)."""
+def _minkowski(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """<p, q> over the last axis of two stacks of vectors."""
+    jd = np.diag(minkowski_matrix(p.shape[-1] - 1))
+    return np.einsum("...k,k,...k->...", p, jd, q)
+
+
+def _half_angle_atan2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The angle between unit spacelike vectors a and b (stacked),
+    2 atan2(|a - b|, |a + b|): unlike arccos <a, b> it keeps full
+    accuracy near 0 and pi."""
+    d, s = a - b, a + b
+    return 2.0 * np.arctan2(np.sqrt(np.maximum(_minkowski(d, d), 0.0)),
+                            np.sqrt(np.maximum(_minkowski(s, s), 0.0)))
+
+
+@functools.lru_cache(maxsize=None)
+def _facet_rows(n: int) -> np.ndarray:
+    """(n+1, n) indices, shared read-only: row k lists the vertices of
+    the facet omitting k."""
+    rows = np.array([[j for j in range(n + 1) if j != k] for k in range(n + 1)])
+    rows.setflags(write=False)
+    return rows
+
+
+def _face_normals(simplex: GeodesicSimplex) -> np.ndarray:
+    """Outward spacelike unit Minkowski normals of all facets, as rows:
+    row k is the normal of the hyperplane spanned by every vertex except
+    k, which sits on its negative side.
+
+    One batched SVD over the stacked (n+1, n, n+1) facet rows; the
+    normal is the null vector of each stack entry.  A facet of a
+    nondegenerate simplex always spans a hyperplane, so the caller
+    checks is_degenerate first."""
     M = simplex.vertex_matrix()
-    rows = np.delete(M, omit, axis=0)
-    J = minkowski_matrix(simplex.dim)
-    _, s, vt = np.linalg.svd(rows @ J)
-    if s[-1] > 1e-8 * s[0] and len(s) == rows.shape[1]:
-        raise DegenerateSimplexError("face hyperplane is not well defined")
-    m = vt[-1]
-    q = float(m @ J @ m)
-    if q <= 0:
+    jd = np.diag(minkowski_matrix(simplex.dim))
+    _, _, vt = np.linalg.svd(M[_facet_rows(simplex.dim)] * jd)
+    m = vt[:, -1, :]
+    q = _minkowski(m, m)
+    if np.any(q <= 0):
         raise DegenerateSimplexError("face normal is not spacelike")
-    m = m / np.sqrt(q)
-    if float(m @ J @ M[omit]) > 0:
-        m = -m
+    m = m / np.sqrt(q)[:, None]
+    m[_minkowski(m, M) > 0] *= -1.0
     return m
+
+
+def dihedral_angles(simplex: GeodesicSimplex) -> np.ndarray:
+    """Symmetric (n+1) x (n+1) matrix of interior dihedral angles: entry
+    (i, j) is the angle at the codimension-2 face spanned by the
+    vertices other than i and j; the diagonal is 0.
+
+    The angle is arccos(-<m_i, m_j>) for the outward unit normals of the
+    two facets, all taken from one batched SVD and evaluated together in
+    the stable atan2 form.  For n = 2 the face is a vertex, and the angle
+    at an ideal vertex (tangent sides) is exactly 0."""
+    if simplex.is_degenerate():
+        raise DegenerateSimplexError("dihedral angle of a degenerate simplex")
+    m = _face_normals(simplex)
+    # cos(theta) = -<mi, mj>, so theta = angle between mi and -mj
+    theta = _half_angle_atan2(m[:, None, :], -m[None, :, :])
+    np.fill_diagonal(theta, 0.0)
+    if simplex.dim == 2:
+        for k, ideal in enumerate(simplex.ideal_mask()):
+            if ideal:
+                i, j = (k + 1) % 3, (k + 2) % 3
+                theta[i, j] = theta[j, i] = 0.0
+    return theta
 
 
 def dihedral_angle(simplex: GeodesicSimplex, face: tuple[int, int]) -> float:
     """Interior dihedral angle at the codimension-2 face spanned by the
-    vertices other than the pair `face` = (i, j) of omitted indices.
-
-    Computed as arccos(-<m_i, m_j>) from the outward spacelike unit
-    normals of the two bounding hyperplanes.  Zero at an ideal vertex of
-    a 2-simplex (tangent sides)."""
+    vertices other than the pair `face` = (i, j) of omitted indices; one
+    entry of dihedral_angles.  Exactly 0 at an ideal vertex of a
+    2-simplex (tangent sides)."""
     i, j = face
     if i == j:
         raise SimplexError("face must omit two distinct vertices")
-    if simplex.is_degenerate():
-        raise DegenerateSimplexError("dihedral angle of a degenerate simplex")
-    J = minkowski_matrix(simplex.dim)
-    mi = _face_normal(simplex, i)
-    mj = _face_normal(simplex, j)
-    # cos(theta) = -<mi, mj>; the atan2 form stays fully accurate at both
-    # endpoints, where arccos would lose half the digits
-    q_plus = max(float((mi + mj) @ J @ (mi + mj)), 0.0)   # 2 (1 - cos)
-    q_minus = max(float((mi - mj) @ J @ (mi - mj)), 0.0)  # 2 (1 + cos)
-    return float(2.0 * np.arctan2(np.sqrt(q_plus), np.sqrt(q_minus)))
+    if not (0 <= i <= simplex.dim and 0 <= j <= simplex.dim):
+        raise SimplexError(f"face indices must lie in 0..{simplex.dim}, got {face}")
+    return float(dihedral_angles(simplex)[i, j])
 
 
-def _vertex_angles(simplex: GeodesicSimplex) -> np.ndarray:
-    """Interior angles of a 2-simplex (zero at ideal vertices)."""
-    n1 = len(simplex.vertices)
-    angles = np.zeros(n1)
-    for k in range(n1):
-        if simplex.vertices[k].kind is Kind.IDEAL:
-            continue
-        others = [i for i in range(n1) if i != k]
-        angles[k] = dihedral_angle(simplex, (others[0], others[1]))
-    return angles
+def tangent_angles(simplex: GeodesicSimplex, at, toward_u, toward_w) -> np.ndarray:
+    """Angles at vertices `at` between the geodesic sides toward vertices
+    `toward_u` and `toward_w` (equal-length index sequences); 0 at an
+    ideal vertex.
+
+    The side from x toward u leaves x along the unit tangent
+    t_u = P_x(u - x), P_x the Minkowski projection orthogonal to x, on
+    Klein-homogeneous rows.  Tangents are formed as vectors from the
+    small difference u - x: on a simplex of diameter d, projecting u
+    itself cancels terms of size 1 (errors near eps/d), and taking the
+    tangent inner products from the Gram matrix V J V^T cancels in
+    them (near eps/d^2).  The angle between t_u and t_w uses the stable
+    atan2 form."""
+    at = np.asarray(at)
+    material = ~np.asarray(simplex.ideal_mask())[at]
+    V = simplex.vertex_matrix()
+    x = V[at[material]]
+    xx = _minkowski(x, x)
+
+    def unit_tangent(toward) -> np.ndarray:
+        a = V[np.asarray(toward)[material]] - x
+        t = a - (_minkowski(x, a) / xx)[:, None] * x
+        q = _minkowski(t, t)
+        if np.any(q <= 0):
+            raise DegenerateSimplexError("side of zero length in angle computation")
+        return t / np.sqrt(q)[:, None]
+
+    out = np.zeros(len(at))
+    out[material] = _half_angle_atan2(unit_tangent(toward_u), unit_tangent(toward_w))
+    return out
 
 
-def _all_ideal_tet_angles(simplex: GeodesicSimplex) -> tuple[float, float, float]:
-    """Dihedral angles at the three edges through vertex 0 of an
-    all-ideal 3-simplex (they sum to pi)."""
-    a = dihedral_angle(simplex, (2, 3))
-    b = dihedral_angle(simplex, (1, 3))
-    c = dihedral_angle(simplex, (1, 2))
-    return a, b, c
+def triangle_areas(simplex: GeodesicSimplex, faces: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Areas of the triangular codimension-2 faces of a 4-simplex, one
+    per omitted vertex pair in `faces`: pi minus the angles at the
+    triangle's material vertices (Gauss-Bonnet), all from one
+    tangent_angles call."""
+    if simplex.dim != 4:
+        raise SimplexError("triangle faces are codimension 2 only in a 4-simplex")
+    tri = np.array([[k for k in range(5) if k not in face] for face in faces])
+    corners = [tri[:, [0, 1, 2]], tri[:, [1, 0, 0]], tri[:, [2, 2, 1]]]
+    angles = tangent_angles(simplex, *(c.ravel() for c in corners))
+    return np.pi - angles.reshape(-1, 3).sum(axis=1)
 
 
 def numeric_volume(simplex: GeodesicSimplex, tol: float = 1e-9) -> float:
@@ -258,10 +344,13 @@ def signed_volume(simplex: GeodesicSimplex, tol: float = 1e-9) -> float:
     sign = 1.0 if det > 0 else -1.0
     n = simplex.dim
     if n == 2:
-        return sign * float(np.pi - _vertex_angles(simplex).sum())
+        # angle defect; the angles at vertices 0, 1, 2 (0 at ideal ones)
+        angles = dihedral_angles(simplex)[[1, 0, 0], [2, 2, 1]]
+        return sign * float(np.pi - angles.sum())
     if n == 3 and all(simplex.ideal_mask()):
-        a, b, c = _all_ideal_tet_angles(simplex)
-        return sign * float(lobachevsky(a) + lobachevsky(b) + lobachevsky(c))
+        # dihedral angles at the three edges through vertex 0 (sum pi)
+        angles = dihedral_angles(simplex)[[2, 1, 1], [3, 3, 2]]
+        return sign * float(lobachevsky(angles).sum())
     return sign * numeric_volume(simplex, tol)
 
 
@@ -313,14 +402,33 @@ def _span_basis(vertices: Sequence[LorentzVector]) -> np.ndarray:
     return T
 
 
+def _span_face_measure(verts: Sequence[LorentzVector], tol: float) -> float:
+    """Volume of the simplex spanned by `verts` (a face of a larger
+    simplex), re-expressed in an intrinsic hyperbolic coordinate system
+    of its span and measured there."""
+    T = _span_basis(verts)
+    J = minkowski_matrix(verts[0].n)
+    Jsub = minkowski_matrix(T.shape[1] - 1)
+    coords = []
+    for v in verts:
+        c = Jsub @ (T.T @ J @ v.coords)
+        if v.kind is Kind.MATERIAL:
+            coords.append(LorentzVector.material(c))
+        else:
+            coords.append(LorentzVector.ideal(c))
+    sub = GeodesicSimplex(coords)
+    return abs(signed_volume(sub, tol))
+
+
 def face_measure(simplex: GeodesicSimplex, face: tuple[int, int], tol: float = 1e-9) -> float:
     """(n-2)-dimensional volume of the codimension-2 face obtained by
     omitting the vertex pair `face`.
 
     n=2 returns 0 (points).  n=3 returns the edge length and refuses
-    ideal endpoints (infinite).  For n >= 4 the face is re-expressed in
-    an intrinsic hyperbolic coordinate system and measured there; ideal
-    faces have finite measure.
+    ideal endpoints (infinite).  n=4 returns the triangle's area from
+    triangle_areas.  For n >= 5 the face is re-expressed in an intrinsic
+    hyperbolic coordinate system and measured there.  Ideal faces of
+    n >= 4 have finite measure.
     """
     n = simplex.dim
     i, j = face
@@ -335,18 +443,9 @@ def face_measure(simplex: GeodesicSimplex, face: tuple[int, int], tol: float = 1
                 "n=3 edge with an ideal endpoint has infinite length; "
                 "use truncated_edge_length")
         return distance(x, y)
-    T = _span_basis(verts)
-    J = minkowski_matrix(n)
-    Jsub = minkowski_matrix(T.shape[1] - 1)
-    coords = []
-    for v in verts:
-        c = Jsub @ (T.T @ J @ v.coords)
-        if v.kind is Kind.MATERIAL:
-            coords.append(LorentzVector.material(c))
-        else:
-            coords.append(LorentzVector.ideal(c))
-    sub = GeodesicSimplex(coords)
-    return abs(signed_volume(sub, tol))
+    if n == 4:
+        return float(triangle_areas(simplex, [face])[0])
+    return _span_face_measure(verts, tol)
 
 
 @dataclass(frozen=True)

@@ -169,6 +169,25 @@ def test_simplex_angle_command(run, fixdir):
     assert abs(json.loads(out)["dihedral_angle"] - np.pi / 3) < 1e-9
 
 
+def test_simplex_angle_at_ideal_vertex_prints_zero(run, fixdir):
+    simplex = {"dim": 2, "vertices": [
+        {"coords": [1, 0.6, 0.8], "kind": "ideal"},
+        {"coords": [1, 0.1, -0.2], "kind": "material"},
+        {"coords": [1, -0.3, 0.4], "kind": "material"}]}
+    (fixdir / "one_ideal_tri.json").write_text(json.dumps(simplex))
+    code, out = run("--no-timestamp", "simplex", "angle",
+                    "--simplex", "one_ideal_tri.json", "--face", "1,2")
+    assert code == 0
+    assert json.loads(out)["dihedral_angle"] == 0.0
+    code, out = run("--no-timestamp", "simplex", "angle",
+                    "--simplex", "one_ideal_tri.json", "--face", "0,1")
+    assert code == 0
+    assert 0.0 < json.loads(out)["dihedral_angle"] < np.pi
+    code, _ = run("--no-timestamp", "simplex", "angle",
+                  "--simplex", "one_ideal_tri.json", "--face", "0,3")
+    assert code == 2
+
+
 def test_rep_check_command(run):
     code, out = run("--no-timestamp", "rep", "check", "--tri", "fig8.json",
                     "--rep", "fig8_geometric.json")

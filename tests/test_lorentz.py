@@ -116,6 +116,27 @@ def test_products_and_inverses_pass_full_validation():
         minkowski_matrix(3)[0, 0] = 1.0
 
 
+def test_applied_images_pass_full_validation():
+    """apply re-projects its image and wraps it without validating; the
+    wrapped point must still pass the LorentzVector check, frozen."""
+    rng = np.random.default_rng(13)
+    for n in (2, 3, 4):
+        for _ in range(20):
+            g = random_so_element(rng, n, scale=1.5)
+            d = rng.normal(size=n)
+            d /= np.linalg.norm(d)
+            points = [from_klein(0.9 * rng.uniform() * d), from_klein(d),
+                      LorentzVector.raw(rng.normal(size=n + 1))]
+            for x in points:
+                y = g.apply(x)
+                again = LorentzVector(y.coords, y.kind)
+                assert y.kind is x.kind
+                assert np.array_equal(again.coords, y.coords)
+                assert not y.coords.flags.writeable
+                assert np.max(np.abs(y.coords - g.matrix @ x.coords)) <= 1e-12 * np.max(
+                    np.abs(g.matrix)) * np.max(np.abs(x.coords))
+
+
 def test_form_preservation_random_products():
     rng = np.random.default_rng(11)
     J = minkowski_matrix(3)

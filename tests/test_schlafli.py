@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import trig_family
+from hypvol import simplex as simplex_mod
 from hypvol.lorentz import LorentzVector, from_klein
 from hypvol.simplex import (
     GeodesicSimplex,
@@ -128,6 +129,22 @@ def test_schlafli_residual_n4_one_ideal(rng):
         rep = family_derivatives(fam, 0.5, 1e-4)
         assert abs(r1) <= 1e-5 * (1.0 + abs(rep.dvol))
         assert 2.5 <= abs(r1 / r2) <= 6.0
+
+
+def test_family_derivatives_batches_angles_and_areas(rng, monkeypatch):
+    """An n=4 family's derivatives take all dihedral angles of a stencil
+    side from one batched normal computation, and all face areas from
+    side tangents, never from a span basis."""
+    fam = trig_family(rng, 4, n_ideal=1)
+    normals, spans = [], []
+    face_normals, span_basis = simplex_mod._face_normals, simplex_mod._span_basis
+    monkeypatch.setattr(simplex_mod, "_face_normals",
+                        lambda s: normals.append(s) or face_normals(s))
+    monkeypatch.setattr(simplex_mod, "_span_basis",
+                        lambda verts: spans.append(verts) or span_basis(verts))
+    rep = family_derivatives(fam, 0.5, 1e-4)
+    assert len(normals) == 2 and len(spans) == 0
+    assert len(rep.dtheta) == len(rep.face_measures) == 10
 
 
 def test_schlafli_residual_constant_zero(rng):

@@ -7,7 +7,8 @@ from scipy.integrate import quad
 
 from conftest import random_point_tuple, random_so_element
 from hypvol.cubature import IntegrationError, build_rule, integrate_simplex
-from hypvol.lorentz import Kind, LorentzVector, from_klein
+from hypvol import simplex as simplex_mod
+from hypvol.lorentz import Kind, LorentzVector, from_klein, minkowski_matrix
 from hypvol.simplex import (
     REGULAR_IDEAL_VOLUME,
     GeodesicSimplex,
@@ -18,11 +19,13 @@ from hypvol.simplex import (
     SimplexFamily,
     default_horoballs,
     dihedral_angle,
+    dihedral_angles,
     face_measure,
     ideal_tet_volume,
     lobachevsky,
     numeric_volume,
     signed_volume,
+    triangle_areas,
     truncated_edge_length,
     volume_evaluator,
 )
@@ -37,6 +40,23 @@ def regular_ideal_tet():
 
 def ideal_triangle(angles=(0.3, 2.4, 4.4)):
     return GeodesicSimplex([from_klein([np.cos(a), np.sin(a)]) for a in angles])
+
+
+def random_simplex(rng, n, n_ideal, radius=0.95, center=None, diameter=None):
+    """n+1 points in random order, n_ideal of them on the sphere; the
+    material ones uniform in the Klein ball of the given radius, or in a
+    cube of the given diameter about `center`."""
+    pts = []
+    for k in range(n + 1):
+        d = rng.normal(size=n)
+        d /= np.linalg.norm(d)
+        if k < n_ideal:
+            pts.append(from_klein(d))
+        elif diameter is not None:
+            pts.append(from_klein(center + diameter * rng.uniform(-0.5, 0.5, size=n)))
+        else:
+            pts.append(from_klein(radius * rng.uniform() ** (1.0 / n) * d))
+    return GeodesicSimplex([pts[k] for k in rng.permutation(n + 1)])
 
 
 # --- Lobachevsky function -------------------------------------------------
@@ -208,10 +228,21 @@ def test_dihedral_angles_regular_ideal_tet():
         assert abs(dihedral_angle(tet, face) - np.pi / 3) < 1e-9
 
 
-def test_vertex_angle_of_ideal_triangle_zero():
+def test_vertex_angle_of_ideal_triangle_zero(rng):
     tri = ideal_triangle()
     # face = a single vertex: omit the other two
-    assert abs(dihedral_angle(tri, (1, 2))) < 1e-9
+    assert dihedral_angle(tri, (1, 2)) == 0.0
+    assert signed_volume(tri) == np.pi
+    for n_ideal in (1, 2, 3):
+        for _ in range(200):
+            s = random_simplex(rng, 2, n_ideal)
+            for k in range(3):
+                if s.vertices[k].kind is Kind.IDEAL:
+                    assert dihedral_angle(s, tuple(j for j in range(3) if j != k)) == 0.0
+    two_ideal = GeodesicSimplex([from_klein([1.0, 0.0]), from_klein([0.0, 1.0]),
+                                 from_klein([0.1, -0.2])])
+    assert dihedral_angle(two_ideal, (1, 2)) == 0.0
+    assert dihedral_angle(two_ideal, (0, 2)) == 0.0
 
 
 def test_material_triangle_angle_sum_below_pi(rng):
@@ -269,6 +300,76 @@ def test_face_measure_scale_invariance(rng):
     scaled = GeodesicSimplex([v.scaled(2.5) if v.kind is Kind.IDEAL else v
                               for v in s.vertices])
     assert face_measure(scaled, (3, 4)) == face_measure(s, (3, 4))
+
+
+def oracle_dihedral_angle(s, i, j):
+    """One SVD per facet and the atan2 form on the two normals."""
+    M = s.vertex_matrix()
+    J = minkowski_matrix(s.dim)
+
+    def normal(omit):
+        _, _, vt = np.linalg.svd(np.delete(M, omit, axis=0) @ J)
+        m = vt[-1] / np.sqrt(vt[-1] @ J @ vt[-1])
+        return -m if m @ J @ M[omit] > 0 else m
+
+    mi, mj = normal(i), normal(j)
+    return 2 * np.arctan2(np.sqrt(max((mi + mj) @ J @ (mi + mj), 0.0)),
+                          np.sqrt(max((mi - mj) @ J @ (mi - mj), 0.0)))
+
+
+def test_dihedral_angles_match_per_pair_oracle(rng):
+    checked = 0
+    for n in (2, 3, 4):
+        for n_ideal in range(n + 2):
+            for _ in range(12):
+                s = random_simplex(rng, n, n_ideal)
+                if s.is_degenerate():
+                    continue
+                A = dihedral_angles(s)
+                assert np.array_equal(A, A.T) and np.all(np.diag(A) == 0.0)
+                for i, j in itertools.combinations(range(n + 1), 2):
+                    ideal_corner = n == 2 and s.vertices[3 - i - j].kind is Kind.IDEAL
+                    if ideal_corner:
+                        assert A[i, j] == 0.0
+                    else:
+                        assert abs(A[i, j] - oracle_dihedral_angle(s, i, j)) < 1e-12
+                    assert dihedral_angle(s, (i, j)) == A[i, j]
+                    checked += 1
+    assert checked > 1000
+
+
+def test_dihedral_angle_refuses_bad_faces():
+    tet = regular_ideal_tet()
+    for face in ((1, 1), (0, 4), (-1, 2)):
+        with pytest.raises(SimplexError):
+            dihedral_angle(tet, face)
+
+
+@pytest.mark.parametrize("case", ["ideal", "near_sphere", "small"])
+def test_triangle_areas_match_span_basis_route(rng, case):
+    faces = list(itertools.combinations(range(5), 2))
+    simplices = []
+    for k in range(24):
+        if case == "ideal":
+            simplices.append(random_simplex(rng, 4, 1 + k % 2))
+        elif case == "near_sphere":
+            # material vertices exactly at Klein radius 0.999
+            s = random_simplex(rng, 4, k % 3, radius=1.0)
+            simplices.append(GeodesicSimplex(
+                [from_klein(0.999 * v.coords[1:] / np.linalg.norm(v.coords[1:]))
+                 if v.kind is Kind.MATERIAL else v for v in s.vertices]))
+        else:
+            center = rng.uniform(-0.5, 0.5, size=4)
+            simplices.append(random_simplex(rng, 4, 0, center=center, diameter=1e-3))
+    for s in simplices:
+        if s.is_degenerate():
+            continue
+        got = triangle_areas(s, faces)
+        for face, area in zip(faces, got):
+            keep = [k for k in range(5) if k not in face]
+            ref = simplex_mod._span_face_measure(s.subsimplex(keep), 1e-12)
+            assert abs(area - ref) <= 5e-13
+            assert face_measure(s, face) == area
 
 
 # --- truncated edge lengths ------------------------------------------------
