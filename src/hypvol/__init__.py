@@ -35,6 +35,7 @@ from .simplex import (
     lobachevsky,
     numeric_volume,
     signed_volume,
+    signed_volumes,
     truncated_edge_length,
 )
 from .schlafli import (

@@ -18,12 +18,43 @@ the face is analytic even when w0 is ideal.  The scheme therefore is:
      most one ideal vertex (corner isolation),
   2. per cell, sum the closed-form radial integral over a collapsed
      (Duffy-type) Gauss rule with g^{n-1} nodes on the face opposite that
-     corner, using only einsum and elementwise numpy (no threaded BLAS),
+     corner,
   3. raise the per-axis count until two successive estimates agree,
      bisecting cells whose convergence stalls (e.g. pinched against the
      sphere) and splitting their error budgets.
 
-Material vertices on or outside the unit sphere are refused up front.
+Batched ladder.  `build_rules` runs step 3 for every cell of a list of
+same-dimension simplices at once.  Each generation stacks the per-cell
+set-up of its pending cells; each rung of the Gauss-degree ladder
+evaluates all still-active cells in one kernel call (the first two
+rungs in one call, since no cell can retire on the first), and a cell
+whose two last estimates agree retires with its degree, value and bound.
+A cell that exhausts the ladder bisects into the next generation with
+half its budget.  Each simplex's final cells are kept in depth-first
+split order (sorted on their split path), so its rule is what building
+it alone gives; `build_rule` is `build_rules` on one simplex.  A frozen
+rule re-evaluates its cells grouped by degree through the same kernel.
+
+Split kernel.  With M = 1 - W W^T over a cell's Klein vertices W (corner
+first) and the face barycentrics split as a top axis u toward W1 times
+the collapsed rule on the sub-face W2..Wn, the node values are
+
+    c = (1-u) c' + u M01,   e = (1-u)^2 e' + 2u(1-u) f' + u^2 M11,
+
+where c' = sum_k beta_k M0k, f' = sum_k beta_k M1k and e' = sum_kl
+beta_k beta_l Mkl live on the g^{n-2} sub-face nodes.  One einsum gives
+the sub-face values and two more carry them along the top axis, so no
+n x g^{n-1} array of node coordinates is formed.  Every node value is a
+positive combination of entries of M, and M = mix (1 - K K^T) mix^T is
+the congruence by the cell's mix of the simplex's own matrix 1 - K K^T,
+whose entries off the ideal diagonal are positive exactly when no
+material vertex leaves the open ball and no two vertices meet on the
+sphere.  Checking that once per
+simplex keeps every node inside the open ball, and no node value
+cancels.  Cells run in chunks of at most 2^13 cell x node values, so
+peak memory stays flat for large batches, and only einsum and
+elementwise numpy touch arrays that grow with g (no threaded BLAS).
+
 Cells are stored as barycentric mixtures of the parent vertices, so a
 rule built for one simplex re-evaluates on nearby simplices and the
 result is an analytic function of the vertex paths; that keeps finite
@@ -32,12 +63,15 @@ differences of volumes along families well behaved.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-__all__ = ["IntegrationError", "VolumeRule", "integrate_simplex", "build_rule"]
+__all__ = ["IntegrationError", "VolumeRule", "integrate_simplex", "build_rule",
+           "build_rules"]
 
 _G_LADDERS = {
     2: (8, 12, 17, 24, 34, 48),
@@ -47,19 +81,23 @@ _G_LADDERS = {
 _G_LADDER_HIGH = (4, 6, 9, 13, 19)
 _REL_FLOOR = 1e-13
 _MAX_SPLIT_DEPTH = 14
+_CHUNK = 1 << 13  # cell x node entries per kernel pass
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
 _SERIES_Y3 = 0.09  # the n = 3 closed form below x = 0.3 cancels
 _SERIES_Y = 0.5  # the n >= 5 recurrence below x^2 = 1/2 cancels
 
 
 class IntegrationError(RuntimeError):
-    """Requested tolerance unreachable; carries the best estimate and the
-    last error bound."""
+    """Requested tolerance unreachable; carries the best estimate, the
+    last error bound and, when raised for a batch of simplices, the
+    index of the offending simplex in it (`simplex`, else None)."""
 
-    def __init__(self, message, best, bound):
-        super().__init__(message)
+    def __init__(self, message, best, bound, simplex=None):
+        super().__init__(message if simplex is None else f"simplex {simplex}: {message}")
+        self.reason = message
         self.best = best
         self.bound = bound
+        self.simplex = simplex
 
 
 def _gauss01(g: int):
@@ -96,32 +134,111 @@ def _face_rule(n: int, g: int):
     return hit
 
 
+@functools.lru_cache(maxsize=None)
+def _pairs(m: int):
+    """Index pairs k <= l of an m x m symmetric matrix and the factor (1
+    on the diagonal, 2 off it) that sums its quadratic form over them."""
+    k, l = np.triu_indices(m)
+    factor = np.where(k == l, 1.0, 2.0)
+    for arr in (k, l, factor):
+        arr.setflags(write=False)
+    return k, l, factor
+
+
+# A cell's sub-face coefficient rows, in the order the kernel reads them:
+# c' and M01 give c along the top axis, e', f' and M11 give e.
+_ROWS = 5
+
+
+_SPLIT_CACHE: dict = {}
+
+
+def _split_rule(n: int, g: int):
+    """The face rule on n vertices as a top axis u (toward the first
+    vertex) times the rule on the other n - 1, as the kernel uses it:
+
+      basis  (L, G2), G2 = g^{n-2}: the sub-face barycentrics beta_k, a
+             row of ones and the pair products beta_k beta_l (k <= l,
+             doubled off the diagonal), so that a cell's (_ROWS, L)
+             coefficients give c', M01, e', f', M11 on the sub-face;
+      top_c  (2, g): 1-u, u, which carry c', M01 to c;
+      top_e  (3, g): (1-u)^2, 2u(1-u), u^2, which carry e', f', M11 to e;
+      weights (g G2,): the top-axis weights w (1-u)^{n-2} times the
+             sub-face weights, top axis slowest."""
+    key = (n, g)
+    hit = _SPLIT_CACHE.get(key)
+    if hit is not None:
+        return hit
+    u, w = _gauss01(g)
+    v = 1.0 - u
+    beta, wf = _face_rule(n - 1, g)
+    k, l, factor = _pairs(n - 1)
+    hit = (np.vstack([beta, np.ones((1, beta.shape[1])), factor[:, None] * beta[k] * beta[l]]),
+           np.stack([v, u]), np.stack([v * v, 2.0 * u * v, u * u]),
+           np.outer(w * v ** (n - 2), wf).ravel())
+    for arr in hit:
+        arr.setflags(write=False)
+    _SPLIT_CACHE[key] = hit
+    return hit
+
+
+@functools.lru_cache(maxsize=None)
+def _frame_map(n: int):
+    """Where a cell's flattened (_ROWS, L) sub-face coefficients and,
+    last, M00 come from in its (n+1) x (n+1) matrix M: M[0, 2:] gives
+    the beta part of row c', M[1, 2:] that of row f', the upper triangle
+    of M[2:, 2:] the pair part of row e', M01 and M11 the ones column of
+    their rows; every other coefficient is 0.  Returns the row and
+    column in M of each coefficient, a 0/1 vector of which are taken,
+    and L."""
+    k, l, _ = _pairs(n - 1)
+    m, L = n - 1, n + len(k)  # L: n-1 barycentrics, a ones column, the pairs
+    dst = np.concatenate([np.arange(m), 3 * L + np.arange(m), 2 * L + n + np.arange(len(k)),
+                          [L + m, 4 * L + m, _ROWS * L]])
+    rows, cols, taken = (np.zeros(_ROWS * L + 1, int), np.zeros(_ROWS * L + 1, int),
+                         np.zeros(_ROWS * L + 1))
+    rows[dst] = np.concatenate([np.zeros(m, int), np.ones(m, int), k + 2, [0, 1, 0]])
+    cols[dst] = np.concatenate([np.arange(2, n + 1), np.arange(2, n + 1), l + 2, [1, 1, 0]])
+    taken[dst] = 1.0
+    for arr in (rows, cols, taken):
+        arr.setflags(write=False)
+    return rows, cols, taken, L
+
+
 def _kernel_series(n: int, y: np.ndarray) -> np.ndarray:
     """K_n = 2F1(1/2, 1; (n+2)/2; x^2) / n summed at y = x^2 < 1: term
     j+1 is term j times (2j+1) y / (2j+n+2), so the tail after J terms is
-    below y^J / n."""
+    below y^J / n.  Evaluated by Horner's rule, in place."""
     ymax = float(y.max(initial=0.0))
-    terms = 1 if ymax == 0.0 else int(np.ceil(np.log(2.0 ** -56) / np.log(ymax)))
-    term = np.full_like(y, 1.0 / n)
-    total = term.copy()
-    for j in range(terms):
-        term *= ((2 * j + 1) / (2 * j + n + 2)) * y
-        total += term
-    return total
+    terms = 1 if ymax == 0.0 else math.ceil(math.log(2.0 ** -56) / math.log(ymax))
+    coeffs = _series_coefficients(n, terms)
+    K = np.full_like(y, coeffs[-1])
+    for a in coeffs[-2::-1]:
+        K *= y
+        K += a
+    return K
+
+
+@functools.lru_cache(maxsize=None)
+def _series_coefficients(n: int, terms: int) -> tuple:
+    """Coefficients of y^0 .. y^terms of the K_n series."""
+    ratios = [(2 * j + 1) / (2 * j + n + 2) for j in range(terms)]
+    return tuple(np.cumprod([1.0 / n] + ratios).tolist())
 
 
 def _radial_kernel(n: int, x: np.ndarray, m: np.ndarray) -> np.ndarray:
     """K_n(x) = cosh(d) S_n(d) / sinh(d)^n with x = tanh d, m = sech d =
     sqrt(1 - x^2) and S_n(d) = int_0^d sinh^{n-1}; K_n(0) = 1/n and
-    K_n(1) = 1/(n-1).  Both x and m are passed because each is computed
-    without cancellation from the cell data.  n = 2 and 4 are rational in
-    m (x may be None there); n = 3 uses artanh, and n >= 5 climbs
+    K_n(1) = 1/(n-1).  Both x and m are passed because the cancellation
+    of each form is in a different place.  n = 2 and 4 are rational in m
+    (x may be None there); n = 3 uses artanh, and n >= 5 climbs
     K_k = (1 - (k-2) m^2 K_{k-2}) / ((k-1) x^2).  Those forms cancel at
     small x, where the hypergeometric series takes over."""
     if n == 2:
         return 1.0 / (1.0 + m)
     if n == 4:
-        return (1.0 + 2.0 * m) / (3.0 * (1.0 + m) ** 2)
+        t = 1.0 + m
+        return (t + m) / (3.0 * t * t)
     y, m2 = x * x, m * m
     with np.errstate(divide="ignore", invalid="ignore"):
         if n % 2:
@@ -137,21 +254,26 @@ def _radial_kernel(n: int, x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return K
 
 
-def _decompose_cells(ideal: Sequence[bool]):
+@functools.lru_cache(maxsize=None)
+def _decompose_cells(ideal: tuple):
     """Split (in barycentric coordinates) until every cell holds at most
-    one ideal vertex; returns (mix, corner_ideal) pairs where mix is an
-    (n+1, n+1) row-stochastic matrix over parent vertices with the cell's
-    collapse corner in row 0."""
+    one ideal vertex.  Returns the cells of an ideal mask in the order
+    building visits them, stacked: mixes (B, n+1, n+1), row-stochastic
+    matrices over parent vertices with each cell's collapse corner in
+    row 0; material (B, 1), 1 where the corner is material and 0 where
+    it is ideal; shares (B,), |det mix|, each cell's part of the
+    simplex's volume, halved by each bisection; and B for each cell,
+    which takes 1/B of the simplex's error budget."""
     n1 = len(ideal)
-    start = (np.eye(n1), tuple(i for i, f in enumerate(ideal) if f))
-    stack = [start]
-    cells = []
+    stack = [(np.eye(n1), tuple(i for i, f in enumerate(ideal) if f), 1.0)]
+    mixes, material, shares = [], [], []
     while stack:
-        mix, ideal_idx = stack.pop()
+        mix, ideal_idx, share = stack.pop()
         if len(ideal_idx) <= 1:
             corner = ideal_idx[0] if ideal_idx else 0
-            order = [corner] + [i for i in range(n1) if i != corner]
-            cells.append((mix[order], bool(ideal_idx)))
+            mixes.append(mix[[corner] + [i for i in range(n1) if i != corner]])
+            material.append([0.0 if ideal_idx else 1.0])
+            shares.append(share)
             continue
         i, j = ideal_idx[0], ideal_idx[1]
         mid = 0.5 * (mix[i] + mix[j])
@@ -159,63 +281,150 @@ def _decompose_cells(ideal: Sequence[bool]):
         a[i] = mid
         b = mix.copy()
         b[j] = mid
-        stack.append((a, tuple(k for k in ideal_idx if k != i)))
-        stack.append((b, tuple(k for k in ideal_idx if k != j)))
+        stack.append((a, tuple(k for k in ideal_idx if k != i), share / 2.0))
+        stack.append((b, tuple(k for k in ideal_idx if k != j), share / 2.0))
+    cells = (np.array(mixes), np.array(material), np.array(shares),
+             np.full(len(shares), float(len(shares))))
+    for arr in cells:
+        arr.setflags(write=False)
     return cells
 
 
-def _cell_frame(mix, has_ideal, klein: np.ndarray):
-    """What a cell's value needs besides the Gauss degree: the collapse
-    corner w0, the edges dW = W[1:] - w0, 1 - |w0|^2, the kernel's a
-    (1 - |w0|^2 again, but 0 at an ideal corner) and |det dW|."""
-    W = mix @ klein
-    w0, dW = W[0], W[1:] - W[0]
-    a0 = 1.0 - float(w0 @ w0)
-    return w0, dW, a0, 0.0 if has_ideal else a0, abs(np.linalg.det(dW))
+@functools.lru_cache(maxsize=None)
+def _diagonal_skip(ideal: tuple) -> np.ndarray:
+    """Flattened (n+1) x (n+1) additive mask, 1 on the diagonal at the
+    ideal vertices: the entries _simplex_matrices does not require to be
+    positive."""
+    m = len(ideal)
+    skip = np.zeros(m * m)
+    skip[::m + 1] = ideal
+    skip.setflags(write=False)
+    return skip
 
 
-def _face_sum(frame, g: int) -> float:
-    """|det dW| * sum_j wf_j F(q_j) over the face rule of degree g on the
-    face opposite w0, where F(q) = int_0^1 r^{n-1} (1 - |(1-r) w0 +
-    r q|^2)^{-(n+1)/2} dr = K_n(x) / (c e^{(n-1)/2}) in closed form.  With
-    d = q - w0 = beta dW and b = w0.d: c = 1 - w0.q = 1 - |w0|^2 - b,
-    e = 1 - |q|^2 = c - b - |d|^2, and x^2 = D / c^2, m^2 = 1 - x^2 =
-    a e / c^2 with D = c^2 - a e = a |d|^2 + b^2."""
-    w0, dW, a0, a, vol = frame
-    n = w0.shape[0]
-    beta, wf = _face_rule(n, g)
-    d = np.einsum("kj,ki->ji", dW, beta)
-    b = np.einsum("j,ji->i", w0, d)
-    s = np.einsum("ji,ji->i", d, d)
-    c = a0 - b
-    e = c - b - s
-    if not (e.min() > 0.0 and c.min() > 0.0):
+def _simplex_matrices(kleins: np.ndarray, skip: np.ndarray):
+    """For a Klein simplex K (n+1, n), or a stack of them (S, n+1, n),
+    with its ideal vertices marked by _diagonal_skip (rows of it for a
+    stack): the matrix 1 - K K^T, with the diagonal at ideal vertices (0
+    up to rounding) clamped to be nonnegative, and |det(K[1:] - K[0])|.
+
+    A cell's M is the congruence mix (1 - K K^T) mix^T (mix rows sum to
+    1), and every node value a positive combination of entries of M, so
+    every entry of 1 - K K^T off the ideal diagonal must be positive.
+    This is the escape check: a material vertex on or outside the unit
+    sphere, or two vertices that meet on it, is refused here rather than
+    let the ladder stall, and a stack names the offending simplex."""
+    ms = 1.0 - kleins @ kleins.swapaxes(-1, -2)
+    flat = ms.reshape(*ms.shape[:-2], -1)
+    if not (flat + skip).min() > 0.0:
+        *s, i, j = np.argwhere(~(ms > 0.0) & (skip == 0.0).reshape(ms.shape))[0]
+        simplex = int(s[0]) if s else None
+        if i == j:
+            radius = math.sqrt(float(kleins[(*s, i)] @ kleins[(*s, i)]))
+            raise IntegrationError(f"material vertex {i} at Klein radius {radius:.17g} "
+                                   "escaped the open ball", np.nan, np.inf, simplex)
         raise IntegrationError(
-            "integration points escaped the open ball; simplex is not "
-            "contained in the closed ball or is degenerate against it",
-            np.nan, np.inf)
-    # the n = 2 and n = 4 kernels are rational in m alone
-    x = None if n in (2, 4) else np.minimum(np.sqrt(a * s + b * b) / c, 1.0)
-    m = np.sqrt(a * e) / c
-    F = _radial_kernel(n, x, m) / c
-    half = (n - 1) // 2  # e^{(n-1)/2} as e^half, times sqrt(e) for even n
-    F /= e ** half * np.sqrt(e) if n % 2 == 0 else e ** half
-    return vol * float(np.einsum("i,i->", wf, F))
+            f"vertices {i} and {j} meet on or beyond the sphere: integration points "
+            "escaped the open ball", np.nan, np.inf, simplex)
+    np.maximum(flat, 0.0, out=flat)  # the ideal diagonal, 0 up to rounding
+    return ms, np.abs(np.linalg.det(kleins[..., 1:, :] - kleins[..., :1, :]))
+
+
+def _cell_frames(mixes: np.ndarray, ms: np.ndarray, material_corner: np.ndarray,
+                 vols: np.ndarray):
+    """What the kernel needs of stacked cells besides the Gauss degree,
+    computed once for every degree: from each cell's M = mix ms mix^T
+    (ms from _simplex_matrices, per cell or shared) its (_ROWS, L)
+    sub-face coefficients (see _split_rule and _frame_map) and the
+    square root of the kernel's a = M00 (0 at an ideal corner, where
+    material_corner, a (C, 1) column of 1s and 0s, is 0); and the cells'
+    volumes `vols`, their shares of the simplex's |det|."""
+    rows, cols, taken, L = _frame_map(mixes.shape[1] - 1)
+    coef = (mixes @ ms @ mixes.swapaxes(1, 2))[:, rows, cols] * taken
+    return (coef[:, :-1].reshape(len(coef), _ROWS, L), np.sqrt(coef[:, -1:] * material_corner),
+            vols)
+
+
+@functools.lru_cache(maxsize=None)
+def _rung_plan(n: int, degrees: tuple):
+    """The split rules of `degrees` (basis, top_c, top_e each) and their
+    weights as one (len(degrees), N) block matrix over the N nodes of
+    all degrees side by side; the 1/3 of F_4 is folded into it."""
+    rules = [_split_rule(n, g) for g in degrees]
+    sizes = [rule[-1].size for rule in rules]
+    weights = np.zeros((len(rules), sum(sizes)))
+    for k, (rule, start) in enumerate(zip(rules, np.cumsum([0] + sizes))):
+        weights[k, start:start + sizes[k]] = rule[-1] / (3.0 if n == 4 else 1.0)
+    weights.setflags(write=False)
+    return [rule[:3] for rule in rules], weights
+
+
+def _face_sums(frames, n: int, degrees: tuple) -> np.ndarray:
+    """Per Gauss degree g in `degrees` and per cell, |det dW| * sum_j
+    wf_j F(q_j) over the face rule of degree g on the face opposite the
+    corner w0, as a (len(degrees), C) array.  F(q) = int_0^1 r^{n-1}
+    (1 - |(1-r) w0 + r q|^2)^{-(n+1)/2} dr = K_n(x) / (c e^{(n-1)/2}) in
+    closed form, with m = sech d = p / c, p = sqrt(a e) and x =
+    sqrt(1 - m^2).  K_2 and K_4 are rational in m, so there F is formed
+    from h = c + p without dividing by c:
+
+        F_2 = 1 / (h sqrt(e)),   F_4 = (h + p) / (3 h^2 e sqrt(e)).
+
+    c and e come from the split rule: one einsum gives the sub-face
+    values on g^{n-2} nodes, and two more carry them along the top axis
+    to the g x g^{n-2} grid, written side by side for all degrees into
+    one (cells, nodes) array each for the elementwise rest.  Cells run
+    in chunks of about _CHUNK node values."""
+    coef, alpha, vol = frames
+    rules, weights = _rung_plan(n, degrees)
+    step = max(1, _CHUNK // weights.shape[1])
+    out = np.empty((len(rules), len(vol)))
+    for lo in range(0, len(vol), step):
+        hi = lo + step
+        c, e = np.empty((2, len(vol[lo:hi]), weights.shape[1]))
+        start = 0
+        for basis, top_c, top_e in rules:
+            sub = np.einsum("cql,lj->cqj", coef[lo:hi], basis)
+            grid = (len(c), top_c.shape[1], basis.shape[1])
+            stop = start + grid[1] * grid[2]
+            np.einsum("ctj,tg->cgj", sub[:, :2], top_c, out=c[:, start:stop].reshape(grid))
+            np.einsum("ctj,tg->cgj", sub[:, 2:], top_e, out=e[:, start:stop].reshape(grid))
+            start = stop
+        r = np.sqrt(e)
+        p = r * alpha[lo:hi]
+        if n == 2:
+            c += p
+            c *= r
+            F = np.reciprocal(c, out=c)
+        elif n == 4:
+            c += p
+            F = np.add(c, p, out=p)
+            c *= c
+            c *= e
+            c *= r
+            F /= c
+        else:
+            m = np.divide(p, c, out=p)
+            x = 1.0 - m
+            x *= 1.0 + m
+            F = _radial_kernel(n, np.sqrt(np.maximum(x, 0.0, out=x), out=x), m)
+            if n % 2 == 0:
+                c *= r
+            for _ in range((n - 1) // 2):
+                c *= e
+            F /= c
+        out[:, lo:hi] = np.einsum("cj,kj->kc", F, weights)
+    out *= vol
+    return out
 
 
 def _eval_cell(mix, has_ideal, klein: np.ndarray, g: int) -> float:
-    return _face_sum(_cell_frame(mix, has_ideal, klein), g)
-
-
-def _check_material_inside(klein: np.ndarray, ideal: Sequence[bool]) -> None:
-    """A material vertex on or outside the unit sphere cannot be
-    integrated; refuse it here rather than let the ladder stall."""
-    r2 = np.einsum("ij,ij->i", klein, klein)
-    for i, (flag, rr) in enumerate(zip(ideal, r2)):
-        if not flag and not rr < 1.0:
-            raise IntegrationError(
-                f"material vertex {i} at Klein radius {np.sqrt(rr):.17g} "
-                "escaped the open ball", np.nan, np.inf)
+    """One cell's value at degree g (the kernel on a batch of one)."""
+    mix = np.asarray(mix)[None]
+    vol = abs(np.linalg.det(mix[0]) * np.linalg.det(klein[1:] - klein[0]))
+    frames = _cell_frames(mix, 1.0 - klein @ klein.T, np.array([[0.0 if has_ideal else 1.0]]),
+                          np.array([vol]))
+    return float(_face_sums(frames, klein.shape[1], (g,))[0, 0])
 
 
 @dataclass(frozen=True)
@@ -232,10 +441,31 @@ class VolumeRule:
     value: float
     ideal: tuple  # of bool, one per vertex
 
+    @functools.cached_property
+    def _plan(self):
+        """Per Gauss degree: the cell positions, stacked mixes, corner
+        material columns and volume shares |det mix|; and the ideal
+        diagonal mask."""
+        by_degree: dict = {}
+        for i, (_, _, g) in enumerate(self.cells):
+            by_degree.setdefault(g, []).append(i)
+        groups = []
+        for g, idx in by_degree.items():
+            mixes = np.array([self.cells[i][0] for i in idx])
+            groups.append((g, idx, mixes,
+                           np.array([[0.0 if self.cells[i][1] else 1.0] for i in idx]),
+                           np.abs(np.linalg.det(mixes))))
+        return groups, _diagonal_skip(self.ideal)
+
     def evaluate(self, klein: np.ndarray) -> float:
         klein = np.asarray(klein, dtype=float)
-        _check_material_inside(klein, self.ideal)
-        return sum(_eval_cell(mix, flag, klein, g) for mix, flag, g in self.cells)
+        groups, skip = self._plan
+        ms, det = _simplex_matrices(klein, skip)
+        vals = np.empty(len(self.cells))
+        for g, idx, mixes, material, shares in groups:
+            frames = _cell_frames(mixes, ms, material, shares * det)
+            vals[idx] = _face_sums(frames, klein.shape[1], (g,))[0]
+        return sum(vals.tolist())
 
 
 def _ladder(n: int):
@@ -262,53 +492,107 @@ def _split_cell(mix, has_ideal, klein):
     return out
 
 
-def build_rule(klein: np.ndarray, ideal: Sequence[bool], tol: float) -> VolumeRule:
-    """Adaptively pick per-cell Gauss degrees (subdividing cells whose
-    spectral convergence stalls) until the total error estimate is at
-    most tol, then freeze the rule for re-evaluation on nearby vertex
-    configurations.  Its value is the sum of the converged cell values,
-    which equals the rule evaluated on `klein`."""
-    klein = np.asarray(klein, dtype=float)
-    n = klein.shape[1]
-    _check_material_inside(klein, ideal)
-    base = _decompose_cells(ideal)
-    budget0 = tol / max(len(base), 1)
-    stack = [(mix, flag, budget0, _MAX_SPLIT_DEPTH) for mix, flag in base]
-    final = []
-    total_bound = 0.0
-    total_value = 0.0
-    while stack:
-        mix, flag, budget, depth = stack.pop()
-        prev = None
-        done = False
-        val = bound = None
-        frame = _cell_frame(mix, flag, klein)
-        for g in _ladder(n):
-            val = _face_sum(frame, g)
-            if prev is not None:
-                bound = abs(val - prev)
-                if bound <= max(budget, _REL_FLOOR * abs(val)):
-                    final.append((mix, flag, g))
-                    total_bound += bound
-                    total_value += val
-                    done = True
+def build_rules(kleins: Sequence[np.ndarray], ideals: Sequence[Sequence[bool]],
+                tol: float) -> list[VolumeRule]:
+    """Build the rule of every simplex in a list of same-dimension Klein
+    simplices (with their ideal-vertex masks) at once: per cell, raise
+    the Gauss degree along the ladder until two successive estimates
+    agree to within the cell's budget (or _REL_FLOOR of its value), and
+    bisect cells that exhaust the ladder into the next generation with
+    half the budget.  All pending cells of a generation are set up
+    together and all active cells of a rung evaluated in one kernel
+    call; a simplex's cells keep the depth-first order of building it
+    alone, so each rule equals that of build_rule.  Its value is the sum
+    of the converged cell values, which equals the rule evaluated on its
+    simplex.  An IntegrationError names the simplex's index."""
+    masks = [tuple(map(bool, mask)) for mask in ideals]
+    if len(kleins) != len(masks):
+        raise ValueError(f"{len(kleins)} simplices but {len(masks)} ideal masks")
+    if not masks:
+        return []
+    stacked = np.array(kleins, dtype=float)
+    if stacked.ndim != 3 or stacked.shape[1:] != (len(masks[0]), len(masks[0]) - 1):
+        raise ValueError("build_rules needs Klein simplices of one dimension")
+    ms, dets = _simplex_matrices(stacked, np.array([_diagonal_skip(mask) for mask in masks]))
+    n = stacked.shape[2]
+    ladder = _ladder(n)
+    # the pending cells of one generation: owning simplex, split path
+    # (sorts in depth-first order), stacked mixes, material-corner
+    # column, volume shares and budgets
+    bases = [_decompose_cells(mask) for mask in masks]
+    owner = [i for i, base in enumerate(bases) for _ in base[2]]
+    path = [(len(base[2]) - 1 - j,) for base in bases for j in range(len(base[2]))]
+    mixes, material, shares, counts = (np.concatenate(part) for part in zip(*bases))
+    budget = tol / counts
+    done = [[] for _ in masks]  # per simplex: (path, mix, flag, g, value, bound)
+    for depth in range(_MAX_SPLIT_DEPTH, -1, -1):
+        # one simplex broadcasts over its cells
+        frames = _cell_frames(mixes, ms if len(ms) == 1 else ms[owner], material,
+                              shares * (dets if len(ms) == 1 else dets[owner]))
+        live, live_budget = np.arange(len(owner)), budget
+        # no cell can retire on the first rung, so it runs with the second
+        prev, val = _face_sums(frames, n, tuple(ladder[:2]))
+        for rung, g in enumerate(ladder[1:]):
+            if rung:
+                prev, val = val, _face_sums(frames, n, (g,))[0]
+            bound = np.abs(val - prev)
+            ok = bound <= np.maximum(live_budget, _REL_FLOOR * val)
+            retired = np.count_nonzero(ok)
+            if retired:
+                whole = retired == len(ok)
+                sel = slice(None) if whole else ok
+                for c, v, b in zip(live[sel].tolist(), val[sel].tolist(), bound[sel].tolist()):
+                    done[owner[c]].append((path[c], mixes[c], not material[c, 0], g, v, b))
+                if whole:
+                    live = live[:0]
                     break
-            prev = val
-        if done:
-            continue
-        if depth <= 0:
+                keep = ~ok
+                live, val, bound = live[keep], val[keep], bound[keep]
+                live_budget = live_budget[keep]
+                frames = tuple(f[keep] for f in frames)
+        if not live.size:
+            break
+        stalled = live.tolist()
+        if depth == 0:
+            first = min(range(len(stalled)), key=lambda k: (owner[stalled[k]], path[stalled[k]]))
             raise IntegrationError(
-                f"cell subdivision exhausted at estimate {val} with bound "
-                f"{bound} > budget {budget}", val, bound)
-        for child, child_flag in _split_cell(mix, flag, klein):
-            stack.append((child, child_flag, budget / 2.0, depth - 1))
-    if total_bound > tol:
-        raise IntegrationError(
-            f"requested tolerance {tol} is below what double precision "
-            f"reaches here (estimate {total_value}, bound {total_bound})",
-            total_value, total_bound)
-    return VolumeRule(tuple(final), total_bound, total_value,
-                      tuple(bool(f) for f in ideal))
+                f"cell subdivision exhausted at estimate {val[first]} with bound "
+                f"{bound[first]} > budget {live_budget[first]}", float(val[first]),
+                float(bound[first]), owner[stalled[first]])
+        children = []
+        for c in stalled:
+            halves = _split_cell(mixes[c], not material[c, 0], stacked[owner[c]])
+            # the stack-order depth-first walk visits the second half first
+            for rank, (child, child_ideal) in zip((1, 0), halves):
+                children.append((owner[c], path[c] + (rank,), child,
+                                 [0.0 if child_ideal else 1.0], shares[c] / 2.0,
+                                 budget[c] / 2.0))
+        owner, path, mixes, material, shares, budget = (
+            list(col) if k < 2 else np.array(col) for k, col in enumerate(zip(*children)))
+    rules = []
+    for i, cells in enumerate(done):
+        cells.sort(key=lambda cell: cell[0])
+        total_bound = 0.0
+        total_value = 0.0
+        for *_, v, b in cells:
+            total_bound += b
+            total_value += v
+        if total_bound > tol:
+            raise IntegrationError(
+                f"requested tolerance {tol} is below what double precision "
+                f"reaches here (estimate {total_value}, bound {total_bound})",
+                total_value, total_bound, i)
+        rules.append(VolumeRule(tuple((mix, flag, g) for _, mix, flag, g, _, _ in cells),
+                                total_bound, total_value, masks[i]))
+    return rules
+
+
+def build_rule(klein: np.ndarray, ideal: Sequence[bool], tol: float) -> VolumeRule:
+    """The rule of one simplex (build_rules on a batch of one): per-cell
+    Gauss degrees, subdividing cells whose spectral convergence stalls,
+    until the total error estimate is at most tol, frozen for
+    re-evaluation on nearby vertex configurations."""
+    return build_rules([klein], [ideal], tol)[0]
 
 
 def integrate_simplex(klein: np.ndarray, ideal: Sequence[bool], tol: float) -> tuple[float, float]:

@@ -24,7 +24,8 @@ from .lorentz import (
     minkowski_gram_schmidt,
     so_algebra_residual,
 )
-from .simplex import GeodesicSimplex, signed_volume, tangent_angles
+# perfbench/tracing.py wraps hypvol.repvol.signed_volume by name
+from .simplex import GeodesicSimplex, signed_volume, signed_volumes, tangent_angles  # noqa: F401
 from .triangulation import (
     CycleReport,
     LabeledTriangulation,
@@ -228,10 +229,16 @@ _MIN_DET = 1e-8
 
 def _develop(rho: Representation, tri: LabeledTriangulation, points, seed: int,
              classes) -> DevelopingAssignment:
-    """The assignment of `points` with every simplex of `tri` developed."""
-    simplices = tuple(
-        GeodesicSimplex([evaluate_word(rho, w).apply(points[v]) for v, w in s.slots])
-        for s in tri.simplices)
+    """The assignment of `points` with every simplex of `tri` developed;
+    each distinct slot (v, w) is developed once and shared."""
+    developed = {}
+    for s in tri.simplices:
+        for slot in s.slots:
+            if slot not in developed:
+                v, w = slot
+                developed[slot] = evaluate_word(rho, w).apply(points[v])
+    simplices = tuple(GeodesicSimplex([developed[slot] for slot in s.slots])
+                      for s in tri.simplices)
     return DevelopingAssignment(points, seed, classes, simplices)
 
 
@@ -368,13 +375,15 @@ def representation_volume(rho: Representation, tri: LabeledTriangulation,
     """Sum of signed volumes of the developed simplices weighted by
     their cycle signs; degenerate developed simplices contribute zero.
 
-    The value does not depend on the seed or fixed-point choices of the
-    assignment (tested, not assumed).
+    The volumes come from one signed_volumes call: closed forms per
+    simplex, and every simplex that needs cubature in one batched
+    build_rules ladder per dimension.  The value does not depend on the
+    seed or fixed-point choices of the assignment (tested, not assumed).
     """
     _validate_cycle(rho, tri, assignment)
     total = 0.0
-    for s, dev in zip(tri.simplices, assignment.simplices):
-        total += s.sign * signed_volume(dev, tol)
+    for s, vol in zip(tri.simplices, signed_volumes(assignment.simplices, tol)):
+        total += s.sign * vol
     return total
 
 

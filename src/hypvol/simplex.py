@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .cubature import build_rule, integrate_simplex
+from .cubature import IntegrationError, build_rule, build_rules, integrate_simplex
 from .lorentz import (
     Kind,
     LorentzVector,
@@ -35,6 +35,7 @@ __all__ = [
     "InfiniteFaceMeasureError",
     "OverlappingHoroballsError",
     "signed_volume",
+    "signed_volumes",
     "numeric_volume",
     "volume_evaluator",
     "lobachevsky",
@@ -331,6 +332,50 @@ def numeric_volume(simplex: GeodesicSimplex, tol: float = 1e-9) -> float:
     return val
 
 
+def _closed_form_volume(simplex: GeodesicSimplex) -> Optional[float]:
+    """Unsigned volume of a nondegenerate simplex where a closed form
+    applies: the angle defect for n=2, Lobachevsky's formula for
+    all-ideal n=3; None elsewhere."""
+    n = simplex.dim
+    if n == 2:
+        # angle defect; the angles at vertices 0, 1, 2 (0 at ideal ones)
+        angles = dihedral_angles(simplex)[[1, 0, 0], [2, 2, 1]]
+        return float(np.pi - angles.sum())
+    if n == 3 and all(simplex.ideal_mask()):
+        # dihedral angles at the three edges through vertex 0 (sum pi)
+        angles = dihedral_angles(simplex)[[2, 1, 1], [3, 3, 2]]
+        return float(lobachevsky(angles).sum())
+    return None
+
+
+def signed_volumes(simplices: Sequence[GeodesicSimplex], tol: float = 1e-9) -> list[float]:
+    """Signed volumes of a list of simplices, each as signed_volume gives
+    it: degenerate simplices give 0 and closed forms apply per simplex,
+    but every other simplex is integrated in one build_rules batch per
+    dimension rather than one rule at a time.  An IntegrationError names
+    the failing simplex's index in `simplices`."""
+    out = [0.0] * len(simplices)
+    pending: dict[int, list[int]] = {}
+    for i, s in enumerate(simplices):
+        if s.is_degenerate():
+            continue
+        vol = _closed_form_volume(s)
+        if vol is None:
+            pending.setdefault(s.dim, []).append(i)
+        else:
+            out[i] = vol if s.orientation_det() > 0 else -vol
+    for idx in pending.values():
+        try:
+            rules = build_rules([simplices[i].klein() for i in idx],
+                                [simplices[i].ideal_mask() for i in idx], tol)
+        except IntegrationError as exc:
+            raise IntegrationError(exc.reason, exc.best, exc.bound,
+                                   idx[exc.simplex]) from exc
+        for i, rule in zip(idx, rules):
+            out[i] = rule.value if simplices[i].orientation_det() > 0 else -rule.value
+    return out
+
+
 def signed_volume(simplex: GeodesicSimplex, tol: float = 1e-9) -> float:
     """Signed hyperbolic volume; sign is the orientation of the vertex
     tuple (odd permutations flip it), degenerate simplices give 0.
@@ -340,18 +385,10 @@ def signed_volume(simplex: GeodesicSimplex, tol: float = 1e-9) -> float:
     """
     if simplex.is_degenerate():
         return 0.0
-    det = simplex.orientation_det()
-    sign = 1.0 if det > 0 else -1.0
-    n = simplex.dim
-    if n == 2:
-        # angle defect; the angles at vertices 0, 1, 2 (0 at ideal ones)
-        angles = dihedral_angles(simplex)[[1, 0, 0], [2, 2, 1]]
-        return sign * float(np.pi - angles.sum())
-    if n == 3 and all(simplex.ideal_mask()):
-        # dihedral angles at the three edges through vertex 0 (sum pi)
-        angles = dihedral_angles(simplex)[[2, 1, 1], [3, 3, 2]]
-        return sign * float(lobachevsky(angles).sum())
-    return sign * numeric_volume(simplex, tol)
+    vol = _closed_form_volume(simplex)
+    if vol is None:
+        vol = numeric_volume(simplex, tol)
+    return vol if simplex.orientation_det() > 0 else -vol
 
 
 def volume_evaluator(simplex: GeodesicSimplex, tol: float = 1e-9) -> Callable[[GeodesicSimplex], float]:

@@ -5,7 +5,17 @@ import mpmath
 import numpy as np
 import pytest
 
-from hypvol.cubature import IntegrationError, _eval_cell, _radial_kernel, build_rule
+from hypvol.cubature import (
+    IntegrationError,
+    _cell_frames,
+    _diagonal_skip,
+    _eval_cell,
+    _face_sums,
+    _radial_kernel,
+    _simplex_matrices,
+    build_rule,
+    build_rules,
+)
 
 
 def dense_collapsed_rule(n, g, ideal_corner):
@@ -235,3 +245,60 @@ def test_rule_selection_is_pinned():
         else:
             reference = build_rule(klein, ideal, 1e-12).value
         assert abs(rule.value - reference) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_build_rules_matches_build_rule(n):
+    """One batched ladder over the seeded simplices of a dimension picks
+    the cells, corner flags, Gauss degrees and order of building each
+    alone, with the same value and bound.  The n = 4 batch holds pinned
+    case 12, whose cells split across generations."""
+    cases = [(klein, ideal) for klein, ideal in _seeded_simplices() if klein.shape[1] == n]
+    batch = build_rules([klein for klein, _ in cases], [ideal for _, ideal in cases], 1e-9)
+    assert len(batch) == len(cases)
+    for (klein, ideal), rule in zip(cases, batch, strict=True):
+        alone = build_rule(klein, ideal, 1e-9)
+        assert len(rule.cells) == len(alone.cells)
+        for (mix, flag, g), (mix1, flag1, g1) in zip(rule.cells, alone.cells):
+            assert np.array_equal(mix, mix1) and flag == flag1 and g == g1
+        assert rule.value == pytest.approx(alone.value, rel=1e-14, abs=0.0)
+        assert abs(rule.error_estimate - alone.error_estimate) <= 4e-16 * alone.value
+        assert rule.ideal == alone.ideal
+    if n == 4:
+        assert len(batch[2].cells) == len(_PINNED_RULES[12]) > 2
+
+
+def test_build_rules_names_the_failing_simplex():
+    """A material vertex outside the ball in simplex 2 of a batch of 5
+    is refused with that simplex's index, in the message and on the
+    error; so is a tolerance the ladder cannot reach."""
+    rng = np.random.default_rng(5)
+    kleins = [_klein_simplex(rng, 4, 0, 0.2, 0.8) for _ in range(5)]
+    ideals = [[False] * 5] * 5
+    kleins[2][3] *= 1.01 / np.linalg.norm(kleins[2][3])
+    with pytest.raises(IntegrationError, match="^simplex 2: material vertex 3 .* escaped the open ball") as err:
+        build_rules(kleins, ideals, 1e-9)
+    assert err.value.simplex == 2
+    cases = _seeded_simplices()
+    batch = [klein for klein, _ in cases[10:15]]
+    with pytest.raises(IntegrationError, match="^simplex 2: ") as err:
+        build_rules(batch, [ideal for _, ideal in cases[10:15]], 1e-12)
+    assert err.value.simplex == 2
+
+
+def test_kernel_batches_match_cells_alone():
+    """The kernel's value for a cell does not depend on the other cells
+    of its batch, on how many chunks the batch needs or on the degrees
+    evaluated beside it."""
+    rng = np.random.default_rng(11)
+    ideal = [c % 3 == 0 for c in range(40)]  # corners ideal and material
+    kleins = [_klein_simplex(rng, 4, int(flag), 0.3, 0.9) for flag in ideal]
+    ms, dets = _simplex_matrices(
+        np.array(kleins), np.array([_diagonal_skip((flag,) + (False,) * 4) for flag in ideal]))
+    mixes = np.repeat(np.eye(5)[None], 40, axis=0)
+    frames = _cell_frames(mixes, ms, 1.0 - np.array(ideal, float)[:, None], dets)
+    together = _face_sums(frames, 4, (9, 13))
+    for c in (0, 16, 17, 38, 39):
+        for k, g in enumerate((9, 13)):
+            alone = _eval_cell(np.eye(5), ideal[c], kleins[c], g)
+            assert together[k, c] == pytest.approx(alone, rel=1e-14, abs=0.0)

@@ -36,7 +36,7 @@ from hypvol.repvol import (
 )
 from hypvol import triangulation
 from hypvol.repvol import _develop, _fig8_generators, _fig8_log_equations
-from hypvol.simplex import GeodesicSimplex
+from hypvol.simplex import GeodesicSimplex, signed_volume, signed_volumes
 from hypvol.triangulation import LabeledSimplex, LabeledTriangulation
 
 V3 = 1.0149416064096535
@@ -279,14 +279,50 @@ def test_volume_rejects_assignment_of_another_triangulation(fig8):
 
 def test_scan_sample_develops_each_slot_once(fig8, monkeypatch):
     """Developing, the cycle check and Vol(rho) share one developed
-    simplex list: a scan applies one isometry per slot and sample."""
+    simplex list, and a slot (v, w) shared by simplices is developed
+    once: a scan applies one isometry per distinct slot and sample."""
     tri, _ = fig8
     path = generate_path("dehn3d", {"triangulation": tri, "filling": (5, 1), "steps": 8})
     applies = []
     apply = Isometry.apply
     monkeypatch.setattr(Isometry, "apply", lambda g, x: applies.append(x) or apply(g, x))
     scan_path(path, tri, 3)
-    assert len(applies) == 3 * 8 == 3 * sum(len(s.slots) for s in tri.simplices)
+    distinct = {slot for s in tri.simplices for slot in s.slots}
+    assert len(distinct) == 5
+    assert len(applies) == 3 * len(distinct)
+
+
+def test_suspension4_develops_each_slot_once(suspension4_rho, monkeypatch):
+    """The 324 simplices of the 4-D suspension hold 1620 slots but only
+    29 distinct ones; developing applies 29 isometries, and every
+    developed vertex equals its slot developed on its own."""
+    tri = suspension_4d()
+    asg = build_developing_assignment(suspension4_rho, tri, seed=0)
+    distinct = {slot for s in tri.simplices for slot in s.slots}
+    assert len(distinct) == 29
+    applies = []
+    apply = Isometry.apply
+    monkeypatch.setattr(Isometry, "apply", lambda g, x: applies.append(x) or apply(g, x))
+    again = _develop(suspension4_rho, tri, asg.points, 0, asg.classifications)
+    assert len(applies) == len(distinct)
+    monkeypatch.undo()
+    for s, dev in zip(tri.simplices, again.simplices, strict=True):
+        for (v, w), vertex in zip(s.slots, dev.vertices):
+            assert np.array_equal(vertex.coords, asg.develop(suspension4_rho, v, w).coords)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_suspension4_batched_volumes_match_per_simplex(suspension4_rho, seed):
+    """Vol(rho) integrates the developed 4-simplices in one batched
+    ladder; each batched signed volume equals that simplex's own
+    signed_volume to 1e-14 relative."""
+    tri = suspension_4d()
+    asg = build_developing_assignment(suspension4_rho, tri, seed=seed)
+    together = signed_volumes(asg.simplices, 1e-9)
+    for dev, vol in zip(asg.simplices, together, strict=True):
+        assert vol == pytest.approx(signed_volume(dev, 1e-9), rel=1e-14, abs=0.0)
+    total = sum(s.sign * v for s, v in zip(tri.simplices, together))
+    assert total == representation_volume(suspension4_rho, tri, asg)
 
 
 def test_combinatorial_cycle_checked_once_per_triangulation(suspension4_rho, monkeypatch):

@@ -535,3 +535,42 @@ def test_integration_budget_error():
     with pytest.raises(IntegrationError) as err:
         build_rule(verts, [False, False, False], 1e-280)
     assert err.value.bound > 1e-280
+
+
+def _mixed_batch(rng):
+    """n=4 simplices with 0, 1 and 2 ideal vertices, a degenerate one,
+    n=3 simplices all-ideal and with 0, 1 and 2 ideal vertices, and an
+    ideal triangle, interleaved."""
+    batch = [random_simplex(rng, 4, k % 3, radius=0.9) for k in range(6)]
+    batch += [random_simplex(rng, 3, k % 3, radius=0.9) for k in range(6)]
+    batch.append(regular_ideal_tet())
+    batch.append(ideal_triangle())
+    flat = random_simplex(rng, 4, 1, radius=0.9)
+    flat = GeodesicSimplex(flat.vertices[:4] + (flat.vertices[3],))
+    assert flat.is_degenerate()
+    batch.append(flat)
+    return [batch[k] for k in rng.permutation(len(batch))]
+
+
+def test_signed_volumes_match_signed_volume(rng):
+    """One batched call gives each simplex's signed_volume: closed forms
+    per simplex, 0 for the degenerate one, and one build_rules ladder per
+    dimension for the rest."""
+    batch = _mixed_batch(rng)
+    together = simplex_mod.signed_volumes(batch, 1e-9)
+    alone = [signed_volume(s, 1e-9) for s in batch]
+    assert len(together) == len(batch)
+    for a, b in zip(together, alone):
+        assert a == pytest.approx(b, rel=1e-14, abs=0.0)
+    assert sum(v == 0.0 for v in together) == 1
+
+
+def test_signed_volumes_name_the_failing_simplex(rng):
+    """An IntegrationError from the batched ladder names the simplex by
+    its index in the list given, not in the cubature batch."""
+    batch = [ideal_triangle(), regular_ideal_tet(), random_simplex(rng, 4, 0, radius=0.5),
+             GeodesicSimplex(random_point_tuple(rng, 3, 4, ideal_prob=0.0, radius=0.5)),
+             random_simplex(rng, 4, 0, radius=0.5)]
+    with pytest.raises(IntegrationError, match="^simplex 2: requested tolerance") as err:
+        simplex_mod.signed_volumes(batch, 1e-280)
+    assert err.value.simplex == 2
