@@ -27,6 +27,7 @@ from .simplex import (
     GeodesicSimplex,
     HoroballAssignment,
     SimplexFamily,
+    bloch_wigner,
     default_horoballs,
     dihedral_angle,
     dihedral_angles,

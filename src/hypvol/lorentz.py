@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -97,7 +98,7 @@ def _project_ideal(coords: Sequence[float]) -> np.ndarray:
     c = np.asarray(coords, dtype=float)
     if c[0] <= 0:
         raise LorentzError("ideal representative must have x0 > 0")
-    s = np.linalg.norm(c[1:])
+    s = math.sqrt(c[1:] @ c[1:])
     if s == 0:
         raise LorentzError("zero space part cannot be lightlike")
     q = _inner(c, c)
@@ -201,7 +202,7 @@ class LorentzVector:
         a, b = self.coords, other.coords
         if self.kind is Kind.IDEAL:
             a, b = a / a[0], b / b[0]
-        return bool(np.max(np.abs(a - b)) <= tol)
+        return bool(np.abs(a - b).max() <= tol)
 
 
 def minkowski_inner(u: LorentzVector, v: LorentzVector) -> float:
@@ -295,8 +296,8 @@ class Isometry:
         J = minkowski_matrix(A.shape[0] - 1)
         # the residual of an exact isometry rounded to floats scales with
         # |A|^2, so the tolerance is relative to that
-        scale = max(1.0, float(np.max(np.abs(A))) ** 2)
-        resid = np.max(np.abs(A.T @ J @ A - J))
+        scale = max(1.0, float(np.abs(A).max()) ** 2)
+        resid = np.abs(A.T @ J @ A - J).max()
         if resid > FORM_TOL * scale:
             raise LorentzError(
                 f"form residual {resid:.3e} exceeds {FORM_TOL} * {scale:.2e}")
@@ -333,8 +334,8 @@ class Isometry:
         first when the residual is above drift level but still small."""
         A = np.asarray(A, dtype=float)
         J = minkowski_matrix(A.shape[0] - 1)
-        scale = max(1.0, float(np.max(np.abs(A))) ** 2)
-        resid = np.max(np.abs(A.T @ J @ A - J))
+        scale = max(1.0, float(np.abs(A).max()) ** 2)
+        resid = np.abs(A.T @ J @ A - J).max()
         if reproject and 0.5 * FORM_TOL * scale < resid < 1e-4 * scale:
             A = minkowski_gram_schmidt(A)
         return Isometry(A)
@@ -349,8 +350,8 @@ class Isometry:
         when accumulated drift approaches the validation tolerance."""
         P = self.matrix @ other.matrix
         J = minkowski_matrix(self.n)
-        scale = max(1.0, float(np.max(np.abs(P))) ** 2)
-        if np.max(np.abs(P.T @ J @ P - J)) > 0.5 * FORM_TOL * scale:
+        scale = max(1.0, float(np.abs(P).max()) ** 2)
+        if np.abs(P.T @ J @ P - J).max() > 0.5 * FORM_TOL * scale:
             P = minkowski_gram_schmidt(P)
         return Isometry._trusted(P)
 
@@ -441,7 +442,7 @@ def _ball_points_from_subspace(B: np.ndarray, tol: float):
         # ideal points; those are not enumerated.
     elif abs(w[0]) <= tol:
         ray = B @ U[:, 0]
-        if abs(ray[0]) > tol * np.linalg.norm(ray):
+        if abs(ray[0]) > tol * math.sqrt(ray @ ray):
             if ray[0] < 0:
                 ray = -ray
             rays.append(ray)
@@ -454,11 +455,13 @@ def _residual(A: np.ndarray, x: np.ndarray) -> float:
     lam = float(y @ x) / float(x @ x)
     if lam <= 0:
         return np.inf
-    return float(np.linalg.norm(y - lam * x) / np.linalg.norm(y))
+    r = y - lam * x
+    return math.sqrt((r @ r) / (y @ y))
 
 
-def _loxodromic_rays(A: np.ndarray, tol: float) -> list[np.ndarray]:
-    eigvals, eigvecs = np.linalg.eig(A)
+def _loxodromic_rays(eigvals: np.ndarray, eigvecs: np.ndarray) -> list[np.ndarray]:
+    """The expanding and contracting lightlike eigenvectors of a
+    loxodromic element, from its eigendecomposition."""
     order = np.argsort(np.abs(eigvals))
     rays = []
     for idx in (order[-1], order[0]):
@@ -470,7 +473,7 @@ def _loxodromic_rays(A: np.ndarray, tol: float) -> list[np.ndarray]:
         v = eigvecs[:, idx]
         phase = v[np.argmax(np.abs(v))]
         v = np.real(v * np.conj(phase) / abs(phase))
-        nv = np.linalg.norm(v)
+        nv = math.sqrt(v @ v)
         if nv == 0 or abs(_inner(v, v)) > 1e-6 * nv**2:
             raise AmbiguousClassificationError(
                 "extremal eigenvector is not lightlike at tolerance",
@@ -497,11 +500,14 @@ def classify_isometry(iso: Isometry, tol: float = 1e-8) -> IsometryClassificatio
     """
     A = iso.matrix
     m = A.shape[0]
-    scale = max(1.0, float(np.max(np.abs(A))))
-    if np.max(np.abs(A - np.eye(m))) <= tol * scale:
+    scale = max(1.0, float(np.abs(A).max()))
+    if np.abs(A - np.eye(m)).max() <= tol * scale:
         return IsometryClassification(
             IsometryClass.IDENTITY, LorentzVector.basis_point(m - 1), (), fixes_sphere=True)
-    lam_max = float(np.max(np.abs(np.linalg.eigvals(A))))
+    # one eigendecomposition: its spectral radius decides, and its
+    # eigenvectors are the fixed rays when the element is loxodromic
+    eigvals, eigvecs = np.linalg.eig(A)
+    lam_max = float(np.abs(eigvals).max())
     # Below `guard` the spectral radius of a true parabolic is
     # indistinguishable from 1 (defective eigenvalues scatter like
     # eps^(1/3)); above `decisive` the expanding eigenvector is crisp and
@@ -509,7 +515,7 @@ def classify_isometry(iso: Isometry, tol: float = 1e-8) -> IsometryClassificatio
     guard = max(100.0 * tol, 1e-5) * scale
     decisive = 1e-3
     if lam_max > 1.0 + max(decisive, guard):
-        lox = _loxodromic_rays(A, tol)
+        lox = _loxodromic_rays(eigvals, eigvecs)
         return IsometryClassification(
             IsometryClass.LOXODROMIC, None,
             tuple(LorentzVector.ideal(r) for r in lox))
@@ -538,7 +544,7 @@ def classify_isometry(iso: Isometry, tol: float = 1e-8) -> IsometryClassificatio
             "no eigenvalue-1 fixed point in the closed ball and no clear "
             "expansion; numerically on a classification boundary",
             [IsometryClass.PARABOLIC, IsometryClass.LOXODROMIC])
-    lox = _loxodromic_rays(A, tol)
+    lox = _loxodromic_rays(eigvals, eigvecs)
     return IsometryClassification(
         IsometryClass.LOXODROMIC, None, tuple(LorentzVector.ideal(r) for r in lox))
 
@@ -561,7 +567,7 @@ def common_fixed_set(gens: Sequence[Isometry], tol: float = 1e-8) -> FixedSet:
     interior, rays, sphere = _ball_points_from_subspace(B, tol)
 
     candidates = list(rays)
-    nontrivial = [g for g in gens if np.max(np.abs(g.matrix - np.eye(m))) > tol]
+    nontrivial = [g for g in gens if np.abs(g.matrix - np.eye(m)).max() > tol]
     if not nontrivial:
         sphere = True
         interior = LorentzVector.basis_point(m - 1).coords
@@ -578,7 +584,7 @@ def common_fixed_set(gens: Sequence[Isometry], tol: float = 1e-8) -> FixedSet:
             c = c / c[0]
             if any(_residual(M, c) > tol for M in mats):
                 continue
-            if not any(np.max(np.abs(c - v)) <= IDEAL_EQ_TOL for v in verified):
+            if not any(np.abs(c - v).max() <= IDEAL_EQ_TOL for v in verified):
                 verified.append(c)
         candidates = verified
 
@@ -642,7 +648,7 @@ def lift_moebius(m: np.ndarray, dim: Optional[int] = None) -> Isometry:
     if dim == 3:
         A = _sl2_action_matrix(np.asarray(m, dtype=complex), hermitian=True)
     elif dim == 2:
-        if np.iscomplexobj(m) and np.max(np.abs(m.imag)) > 1e-12:
+        if np.iscomplexobj(m) and np.abs(m.imag).max() > 1e-12:
             raise LorentzError("H^2 lift needs a real matrix")
         A = _sl2_action_matrix(np.asarray(m, dtype=float).real, hermitian=False)
     else:
@@ -655,4 +661,4 @@ def so_algebra_residual(X: np.ndarray) -> float:
     algebra, i.e. JX antisymmetric)."""
     X = np.asarray(X, dtype=float)
     J = minkowski_matrix(X.shape[0] - 1)
-    return float(np.max(np.abs(X.T @ J + J @ X)))
+    return float(np.abs(X.T @ J + J @ X).max())

@@ -5,7 +5,9 @@ scans, and the two-tetrahedron gluing-equation solver."""
 
 from __future__ import annotations
 
+import cmath
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -146,7 +148,7 @@ def check_representation(presentation, images, tol: float = RELATOR_TOL) -> Repr
     worst, worst_r = 0.0, None
     n = rep.n
     for r in presentation.relators:
-        resid = float(np.max(np.abs(evaluate_word(rep, r).matrix - np.eye(n + 1))))
+        resid = float(np.abs(evaluate_word(rep, r).matrix - np.eye(n + 1)).max())
         if resid > worst:
             worst, worst_r = resid, r
     if worst > tol:
@@ -301,6 +303,11 @@ def build_developing_assignment(rho: Representation, tri: LabeledTriangulation,
 _CYCLE_TOL = 1e-6
 
 
+def _max_abs_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) matrix of max-abs distances between the rows."""
+    return np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)
+
+
 def _developed_cycle(rho: Representation, tri: LabeledTriangulation,
                      simplices: Sequence[GeodesicSimplex]) -> CycleReport:
     """Relaxed cycle check of a triangulation with face pairings: each
@@ -309,10 +316,11 @@ def _developed_cycle(rho: Representation, tri: LabeledTriangulation,
     faces whose developed points collide are degenerate chains and drop
     out, matching the degenerate-tolerant volume convention."""
     rows = [dev.vertex_matrix() for dev in simplices]
-    need = {(i, f) for i, pts in enumerate(rows)
-            if all(np.max(np.abs(a - b)) > _CYCLE_TOL
-                   for j, a in enumerate(pts) for b in pts[j + 1:])
-            for f in range(len(pts))}
+    need = set()
+    for i, pts in enumerate(rows):
+        upper = np.triu_indices(len(pts), 1)
+        if (_max_abs_distances(pts, pts)[upper] > _CYCLE_TOL).all():
+            need.update((i, f) for f in range(len(pts)))
     used = set()
     failures = []
     for p in tri.pairings:
@@ -322,12 +330,12 @@ def _developed_cycle(rho: Representation, tri: LabeledTriangulation,
         if src_key in used or dst_key in used:
             failures.append(f"face reused by pairing {p}")
             continue
-        moved = rows[p.src] @ evaluate_word(rho, p.word).matrix.T
-        dst_pts = [r for k, r in enumerate(rows[p.dst]) if k != p.dst_face]
+        moved = np.delete(rows[p.src] @ evaluate_word(rho, p.word).matrix.T, p.src_face, axis=0)
+        dst_pts = np.delete(rows[p.dst], p.dst_face, axis=0)
+        close = (_max_abs_distances(moved / moved[:, :1], dst_pts) <= _CYCLE_TOL).tolist()
         perm = []  # dst_pts index of each moved source point
-        for q in (q / q[0] for k, q in enumerate(moved) if k != p.src_face):
-            hit = next((j for j, r in enumerate(dst_pts)
-                        if j not in perm and np.max(np.abs(q - r)) <= _CYCLE_TOL), None)
+        for hits in close:
+            hit = next((j for j, ok in enumerate(hits) if ok and j not in perm), None)
             if hit is None:
                 break
             perm.append(hit)
@@ -657,73 +665,88 @@ _FIG8_LOG_ROWS = np.array([[2, -1, -1, 2],
                            [-1, 1, 1, -1],
                            [4, -2, 0, 0]])
 _FIG8_LOG_CONST = np.array([0.0, 0.0, -2j * np.pi])
-_DLOG_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
+# the same rows and constants as Python numbers, for scalar evaluation
+_FIG8_ROW_TERMS = tuple(zip(_FIG8_LOG_ROWS.tolist(), _FIG8_LOG_CONST.tolist()))
 
 
 def _fig8_log_equations(z1: complex, z2: complex):
     """(edge, u, v) at the shapes, and their Jacobian in (z1, z2): the
     rows times diag(1/z1, -1/(1-z1), 1/z2, -1/(1-z2)), folded onto the
-    two shapes."""
-    w = np.array([z1, 1.0 - z1, z2, 1.0 - z2])
-    vals = _FIG8_LOG_ROWS @ np.log(w) + _FIG8_LOG_CONST
-    d = _FIG8_LOG_ROWS * (_DLOG_SIGNS / w)
-    return vals, d[:, 0::2] + d[:, 1::2]
+    two shapes.  Evaluated in scalar complex arithmetic and returned as a
+    length-3 array and a (3, 2) array."""
+    w = (z1, 1.0 - z1, z2, 1.0 - z2)
+    l1, l2, l3, l4 = (cmath.log(x) for x in w)
+    d1, d2, d3, d4 = 1.0 / w[0], -1.0 / w[1], 1.0 / w[2], -1.0 / w[3]
+    vals = [a * l1 + b * l2 + c * l3 + d * l4 + k for (a, b, c, d), k in _FIG8_ROW_TERMS]
+    jac = [(a * d1 + b * d2, c * d3 + d * d4) for (a, b, c, d), _ in _FIG8_ROW_TERMS]
+    return np.array(vals), np.array(jac)
+
+
+def _branch(h: complex, ref: complex) -> complex:
+    """h moved by a multiple of 2 pi i to the branch nearest ref."""
+    return h + 2j * math.pi * round((ref - h).imag / (2 * math.pi))
 
 
 def _solve_shapes(x0: Sequence[complex], target, tol: float, max_iter: int, logs):
     """Damped Newton on the edge equation plus one cusp equation, with
-    the analytic Jacobian of the logarithmic equations.
+    the analytic Jacobian of the logarithmic equations, in scalar complex
+    arithmetic: the 2x2 step is solved by Cramer's rule, and a zero
+    determinant is a singular system.
 
     target None cuts the complete structure by mu^2 = exp(u) = 1; a
     triple (p, q, w) asks for p*u + q*v = w on the log holonomies, which
     are branch-tracked against `logs` (then against each accepted
     iterate) when `logs` is given.  A step is taken only if it keeps
     both shapes in the upper half plane and strictly decreases the
-    residual, halving it down to 1e-4.  Returns (shapes, residual,
-    (u, v)) at the first iterate with max-abs residual at most tol."""
-    x = np.array(x0, dtype=complex)
+    max-abs residual, halving it down to 1e-4.  Returns (shapes,
+    residual, (u, v)) at the first iterate with max-abs residual at most
+    tol."""
 
-    def system(xv):
-        (e, u, v), jac = _fig8_log_equations(xv[0], xv[1])
+    def system(z1, z2):
+        vals, jac = _fig8_log_equations(z1, z2)
+        e, u, v = vals.tolist()
+        (e1, e2), (u1, u2), (v1, v2) = jac.tolist()
         if logs is not None:
-            u += 2j * np.pi * np.round((logs[0] - u).imag / (2 * np.pi))
-            v += 2j * np.pi * np.round((logs[1] - v).imag / (2 * np.pi))
+            u, v = _branch(u, logs[0]), _branch(v, logs[1])
         if target is None:
-            mu2 = np.exp(u)
-            res = np.array([e, mu2 - 1.0])
-            J = np.array([jac[0], mu2 * jac[1]])
+            mu2 = cmath.exp(u)
+            res, row = mu2 - 1.0, (mu2 * u1, mu2 * u2)
         else:
             p, q, w = target
-            res = np.array([e, p * u + q * v - w])
-            J = np.array([jac[0], p * jac[1] + q * jac[2]])
-        return res, J, (complex(u), complex(v))
+            res, row = p * u + q * v - w, (p * u1 + q * v1, p * u2 + q * v2)
+        return (e, res), ((e1, e2), row), (u, v)
 
-    res, Jm, hol = system(x)
+    def size(res) -> float:
+        return max(abs(res[0]), abs(res[1]))
+
+    z1, z2 = (complex(z) for z in x0)
+    res, jac, hol = system(z1, z2)
     for _ in range(max_iter):
-        if np.max(np.abs(res)) <= tol:
+        if size(res) <= tol:
             break
-        try:
-            step = np.linalg.solve(Jm, -res)
-        except np.linalg.LinAlgError as exc:
-            raise GluingError("singular Newton system") from exc
+        ((a, b), (c, d)), (r1, r2) = jac, res
+        det = a * d - b * c
+        if det == 0:
+            raise GluingError("singular Newton system")
+        s1, s2 = (b * r2 - d * r1) / det, (c * r1 - a * r2) / det
         damp = 1.0
         while damp > 1e-4:
-            xn = x + damp * step
-            if xn[0].imag > 0 and xn[1].imag > 0:
-                rn, Jn, hol_n = system(xn)
-                if np.max(np.abs(rn)) < np.max(np.abs(res)):
-                    x, res, Jm, hol = xn, rn, Jn, hol_n
+            n1, n2 = z1 + damp * s1, z2 + damp * s2
+            if n1.imag > 0 and n2.imag > 0:
+                rn, jn, hol_n = system(n1, n2)
+                if size(rn) < size(res):
+                    z1, z2, res, jac, hol = n1, n2, rn, jn, hol_n
                     if logs is not None:
                         logs = hol
                     break
             damp *= 0.5
         else:
             raise GluingError(
-                f"Newton stalled at shapes {x}: residual {np.max(np.abs(res)):.3e}")
-    if np.max(np.abs(res)) > tol:
+                f"Newton stalled at shapes {np.array([z1, z2])}: residual {size(res):.3e}")
+    if size(res) > tol:
         raise GluingError(
-            f"Newton did not reach tol {tol}: residual {np.max(np.abs(res)):.3e}")
-    return (complex(x[0]), complex(x[1])), float(np.max(np.abs(res))), hol
+            f"Newton did not reach tol {tol}: residual {size(res):.3e}")
+    return (z1, z2), size(res), hol
 
 
 def _gluing_solution(tri: LabeledTriangulation, shapes, residual: float,

@@ -7,12 +7,16 @@ vertex matrix, its determinant and its degeneracy scale are cached on
 the simplex; all facet normals come from one batched SVD, and all
 dihedral angles from those normals in one pass (`dihedral_angles`).  The
 triangular faces of a 4-simplex are measured together by Gauss-Bonnet
-from the angles between side tangents (`triangle_areas`)."""
+from the angles between side tangents (`triangle_areas`).  An all-ideal
+3-simplex takes its volume from the cross-ratio of its vertices through
+the Bloch-Wigner dilogarithm (`bloch_wigner`), with no facet normals."""
 
 from __future__ import annotations
 
+import cmath
 import decimal
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -39,6 +43,7 @@ __all__ = [
     "numeric_volume",
     "volume_evaluator",
     "lobachevsky",
+    "bloch_wigner",
     "ideal_tet_volume",
     "dihedral_angle",
     "dihedral_angles",
@@ -159,6 +164,7 @@ def _zeta_even(count: int) -> np.ndarray:
 
 _ZETA_EVEN = _zeta_even(40)
 _LOB_COEFF = _ZETA_EVEN / (np.arange(1, 41) * (2 * np.arange(1, 41) + 1))
+_LOB_POWERS = np.arange(40)
 
 
 def lobachevsky(theta):
@@ -167,22 +173,36 @@ def lobachevsky(theta):
     Odd and pi-periodic.  Evaluated by range reduction to [-pi/2, pi/2]
     and the expansion L(t) = t - t log|2t| + sum zeta(2k)/(k(2k+1)) *
     t^{2k+1} / pi^{2k}; with |t/pi| <= 1/2 the terms decay at least as
-    4^{-k}, so 40 terms leave a tail below 1e-13.
+    4^{-k}, so 40 terms leave a tail below 1e-13.  The series is one
+    product of the powers (t/pi)^{2k}, k < 40, with the coefficients,
+    for any array shape at once.
     """
     t = np.asarray(theta, dtype=float)
     scalar = t.ndim == 0
-    t = np.atleast_1d(t).copy()
-    t -= np.pi * np.round(t / np.pi)
-    out = np.zeros_like(t)
+    t = np.atleast_1d(t)
+    t = t - np.pi * np.round(t / np.pi)
     nz = np.abs(t) > 1e-300
-    tn = t[nz]
-    ratio = (tn / np.pi) ** 2
-    acc = np.zeros_like(tn)
-    # Horner in ratio for sum c_k ratio^k
-    for c in _LOB_COEFF[::-1]:
-        acc = acc * ratio + c
-    out[nz] = tn - tn * np.log(np.abs(2.0 * tn)) + tn * ratio * acc
+    ratio = (t / np.pi) ** 2
+    series = (ratio[..., None] ** _LOB_POWERS) @ _LOB_COEFF
+    log2t = np.log(np.where(nz, np.abs(2.0 * t), 1.0))
+    out = np.where(nz, t - t * log2t + t * ratio * series, 0.0)
     return float(out[0]) if scalar else out
+
+
+def bloch_wigner(z: complex) -> float:
+    """The Bloch-Wigner dilogarithm D(z) = Im Li_2(z) + arg(1 - z) log|z|,
+    as L(arg z) + L(arg 1/(1-z)) + L(arg(1 - 1/z)).
+
+    For z in the upper half plane the three arguments are the dihedral
+    angles of the ideal tetrahedron of shape z and D(z) its volume;
+    D(conj z) = -D(z), and D vanishes on the real line, 0 and 1
+    included."""
+    z = complex(z)
+    if z == 0 or z == 1:
+        return 0.0
+    angles = np.array([cmath.phase(z), -cmath.phase(1.0 - z),
+                       cmath.phase(z - 1.0) - cmath.phase(z)])
+    return float(lobachevsky(angles).sum())
 
 
 def ideal_tet_volume(alpha: float, beta: float, gamma: float) -> float:
@@ -332,19 +352,43 @@ def numeric_volume(simplex: GeodesicSimplex, tol: float = 1e-9) -> float:
     return val
 
 
+def _ideal_cross_ratio(vertex_matrix: np.ndarray) -> complex:
+    """Cross-ratio [p0 p2][p1 p3] / ([p0 p3][p1 p2]) of four ideal points
+    given as x_0 = 1 rows of R^{3,1}, [p q] = p_0 q_1 - p_1 q_0 on
+    spinors.
+
+    The spinor p of a lightlike v satisfies p p^* = [[v0 + v3, v1 + i v2],
+    [v1 - i v2, v0 - v3]]; it is read off the larger diagonal entry, so
+    that a point at (1, 0, 0, -1) is as well conditioned as any other.
+    Phases and scales of the spinors cancel in the ratio."""
+    spinors = []
+    for _, x, y, w in vertex_matrix.tolist():
+        if w >= 0.0:
+            a = math.sqrt(1.0 + w)
+            spinors.append((a, complex(x, -y) / a))
+        else:
+            b = math.sqrt(1.0 - w)
+            spinors.append((complex(x, y) / b, b))
+
+    def bracket(i: int, j: int) -> complex:
+        (a, b), (c, d) = spinors[i], spinors[j]
+        return a * d - b * c
+
+    return bracket(0, 2) * bracket(1, 3) / (bracket(0, 3) * bracket(1, 2))
+
+
 def _closed_form_volume(simplex: GeodesicSimplex) -> Optional[float]:
     """Unsigned volume of a nondegenerate simplex where a closed form
-    applies: the angle defect for n=2, Lobachevsky's formula for
-    all-ideal n=3; None elsewhere."""
+    applies: the angle defect for n=2, the Bloch-Wigner dilogarithm of
+    the vertices' cross-ratio for all-ideal n=3 (dihedral_angles with
+    Lobachevsky's formula is its independent check); None elsewhere."""
     n = simplex.dim
     if n == 2:
         # angle defect; the angles at vertices 0, 1, 2 (0 at ideal ones)
         angles = dihedral_angles(simplex)[[1, 0, 0], [2, 2, 1]]
         return float(np.pi - angles.sum())
     if n == 3 and all(simplex.ideal_mask()):
-        # dihedral angles at the three edges through vertex 0 (sum pi)
-        angles = dihedral_angles(simplex)[[2, 1, 1], [3, 3, 2]]
-        return float(lobachevsky(angles).sum())
+        return abs(bloch_wigner(_ideal_cross_ratio(simplex.vertex_matrix())))
     return None
 
 
@@ -381,7 +425,8 @@ def signed_volume(simplex: GeodesicSimplex, tol: float = 1e-9) -> float:
     tuple (odd permutations flip it), degenerate simplices give 0.
 
     Closed forms are used for n=2 (angle defect) and all-ideal n=3
-    (Lobachevsky); everything else integrates numerically at tol.
+    (Bloch-Wigner of the cross-ratio); everything else integrates
+    numerically at tol.
     """
     if simplex.is_degenerate():
         return 0.0

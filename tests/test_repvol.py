@@ -36,7 +36,7 @@ from hypvol.repvol import (
 )
 from hypvol import triangulation
 from hypvol.repvol import _develop, _fig8_generators, _fig8_log_equations
-from hypvol.simplex import GeodesicSimplex, signed_volume, signed_volumes
+from hypvol.simplex import GeodesicSimplex, bloch_wigner, signed_volume, signed_volumes
 from hypvol.triangulation import LabeledSimplex, LabeledTriangulation
 
 V3 = 1.0149416064096535
@@ -605,3 +605,41 @@ def test_dehn_continuation_solves_filled_equations(fig8, t):
                                           boundary_preference="prefer_ideal")
         vols.append(representation_volume(rep, tri, asg))
     assert abs(vols[0] - vols[1]) <= 1e-9
+
+
+# --- manifold-level oracles along the Dehn continuation -------------------
+
+def _dehn_volume(tri, path, t):
+    rep = path.evaluate(t)
+    return representation_volume(rep, tri, build_developing_assignment(rep, tri, seed=0))
+
+
+@pytest.mark.parametrize("filling", [(5, 1), (-5, 1), (3, 2)])
+def test_dehn_volume_is_bloch_wigner_sum_of_shapes(fig8, filling):
+    # Neumann-Zagier: the volume of the structure with shapes z_i is
+    # sum D(z_i); the developed volume reaches its tetrahedra through the
+    # reconstructed holonomy and the developing map, not through the shapes
+    tri, _ = fig8
+    path = generate_path("dehn3d", {"triangulation": tri, "filling": filling})
+    solve = path.meta["solver"]
+    report = scan_path(path, tri, 11)
+    for t, vol, _ in report.samples:
+        assert abs(vol - sum(bloch_wigner(z) for z in solve(t).shapes)) <= 1e-10
+
+
+@pytest.mark.parametrize("filling, dual", [((5, 1), (-1, 0)), ((-5, 1), (-1, 0)),
+                                           ((3, 2), (1, 1))])
+@pytest.mark.parametrize("t", [0.3, 0.5])
+def test_dehn_volume_derivative_is_minus_pi_core_length(fig8, filling, dual, t):
+    # Hodgson-Kerckhoff: along the cone-manifold deformation of angle
+    # 2 pi t, dVol/dt = -pi l(t) with l the length of the core geodesic,
+    # the real part of the dual holonomy r u + s v (p s - q r = 1)
+    tri, _ = fig8
+    (p, q), (r, s) = filling, dual
+    assert p * s - q * r == 1
+    path = generate_path("dehn3d", {"triangulation": tri, "filling": filling})
+    h = 1e-3
+    dvol = (_dehn_volume(tri, path, t + h) - _dehn_volume(tri, path, t - h)) / (2 * h)
+    u, v = path.meta["solver"](t).log_holonomies
+    length = abs((r * u + s * v).real)
+    assert abs(dvol + np.pi * length) <= 1e-5

@@ -17,6 +17,7 @@ from hypvol.simplex import (
     OverlappingHoroballsError,
     SimplexError,
     SimplexFamily,
+    bloch_wigner,
     default_horoballs,
     dihedral_angle,
     dihedral_angles,
@@ -75,6 +76,22 @@ def test_lobachevsky_against_defining_integral():
         assert abs(lobachevsky(t) - ref) < max(1e-10, 5 * err)
 
 
+def test_lobachevsky_matches_horner_series():
+    # reference: the same 40-term series summed by Horner's rule, one
+    # angle at a time; only the order of summation differs
+    rng = np.random.default_rng(4)
+    ts = np.concatenate([rng.uniform(-7, 7, size=300), [1e-12, -3e-8, np.pi / 2, 0.0]])
+    for t in ts:
+        r = t - np.pi * np.round(t / np.pi)
+        ratio = (r / np.pi) ** 2
+        acc = 0.0
+        for c in simplex_mod._LOB_COEFF[::-1]:
+            acc = acc * ratio + c
+        ref = 0.0 if r == 0 else r - r * np.log(abs(2 * r)) + r * ratio * acc
+        assert abs(lobachevsky(t) - ref) <= 1e-15
+    assert np.array_equal(lobachevsky(ts.reshape(4, -1)), lobachevsky(ts).reshape(4, -1))
+
+
 def test_lobachevsky_odd_periodic_zeros():
     assert lobachevsky(0.0) == 0.0
     assert abs(lobachevsky(np.pi / 2)) < 1e-14
@@ -86,6 +103,32 @@ def test_lobachevsky_odd_periodic_zeros():
 
 def test_lobachevsky_pi_six_value():
     assert abs(lobachevsky(np.pi / 6) - 0.5074708) < 1e-6
+
+
+def test_bloch_wigner_against_mpmath():
+    # independent oracle: D(z) = Im Li_2(z) + arg(1 - z) log|z| at 30 digits
+    rng = np.random.default_rng(2)
+    zs = [complex(x, y) for x, y in rng.normal(scale=2.0, size=(40, 2))]
+    zs += [0.5 + 0.8660254037844386j, 1e-6 + 2e-6j, 1 + 1e-7j, -3 + 1e-9j,
+           40 - 25j, 0.3 - 1e-4j, 0.5, -1.0]
+    with mpmath.workdps(30):
+        for z in zs:
+            w = mpmath.mpc(z)
+            ref = mpmath.im(mpmath.polylog(2, w)) + mpmath.arg(1 - w) * mpmath.log(abs(w))
+            assert abs(bloch_wigner(z) - float(ref)) <= 1e-14
+    assert abs(bloch_wigner(0.5 + 0.8660254037844386j) - V3) <= 1e-14
+    assert bloch_wigner(0) == 0.0 and bloch_wigner(1) == 0.0
+
+
+def test_bloch_wigner_symmetries():
+    rng = np.random.default_rng(3)
+    for x, y in rng.normal(size=(30, 2)):
+        z = complex(x, y)
+        d = bloch_wigner(z)
+        for image in (z.conjugate(), 1 / z, 1 - z):
+            assert abs(bloch_wigner(image) + d) <= 1e-14
+        for image in (1 / (1 - z), 1 - 1 / z):
+            assert abs(bloch_wigner(image) - d) <= 1e-14
 
 
 # --- volumes ---------------------------------------------------------------
@@ -114,6 +157,49 @@ def test_regular_ideal_tet_closed_form_and_cubature():
     assert abs(abs(v) - 3 * lobachevsky(np.pi / 3)) < 1e-12
     num = numeric_volume(tet, 1e-8)
     assert abs(num - abs(v)) < 1e-6
+
+
+def _all_ideal_tets(rng, count):
+    """Random all-ideal tetrahedra with pairwise separated vertices:
+    every fifth has a vertex at (1, 0, 0, -1), the point where one spinor
+    chart degenerates, and every third is nearly flat, its vertices
+    within 1e-9 to 1e-3 of a great circle."""
+    tets = []
+    while len(tets) < count:
+        k = len(tets)
+        if k % 3 == 0:
+            a = rng.uniform(0.0, 2 * np.pi, size=4)
+            lift = 10.0 ** rng.uniform(-9, -3) * rng.normal(size=4)
+            pts = np.column_stack([np.cos(a), np.sin(a), lift])
+        else:
+            pts = rng.normal(size=(4, 3))
+        if k % 5 == 0:
+            pts[rng.integers(4)] = [0.0, 0.0, -1.0]
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+        if min(np.linalg.norm(p - q) for p, q in itertools.combinations(pts, 2)) < 0.15:
+            continue
+        tet = GeodesicSimplex([from_klein(p) for p in pts])
+        if not tet.is_degenerate():
+            tets.append(tet)
+    return tets
+
+
+def test_all_ideal_cross_ratio_matches_dihedral_angles(rng, monkeypatch):
+    # second route: Lobachevsky's formula on the dihedral angles at the
+    # three edges through vertex 0, from the facet normals
+    tets = _all_ideal_tets(rng, 200)
+    oracle = []
+    for tet in tets:
+        angles = dihedral_angles(tet)[[2, 1, 1], [3, 3, 2]]
+        sign = 1.0 if tet.orientation_det() > 0 else -1.0
+        oracle.append(sign * float(lobachevsky(angles).sum()))
+
+    def no_normals(_):
+        raise AssertionError("the all-ideal closed form used facet normals")
+
+    monkeypatch.setattr(simplex_mod, "_face_normals", no_normals)
+    for tet, ref in zip(tets, oracle):
+        assert abs(signed_volume(tet) - ref) <= 1e-13
 
 
 def test_numeric_volume_barycentric_additivity(rng):
