@@ -278,6 +278,73 @@ def minkowski_gram_schmidt(A: np.ndarray) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def _form_residuals(A: np.ndarray):
+    """Form residuals max |A^T J A - J| of a stack of matrices (..., m, m)
+    and their scales max(1, max |A|^2): the residual of an exact isometry
+    rounded to floats scales with |A|^2, so tolerances are relative to
+    that."""
+    J = minkowski_matrix(A.shape[-1] - 1)
+    scale = np.maximum(1.0, np.abs(A).max(axis=(-2, -1)) ** 2)
+    resid = np.abs(np.swapaxes(A, -1, -2) @ J @ A - J).max(axis=(-2, -1))
+    return resid, scale
+
+
+def _require_square(A: np.ndarray) -> None:
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 3:
+        raise LorentzError(f"isometry matrix must be square of size >= 3, got {A.shape}")
+
+
+def _check_isometries(A: np.ndarray, resid: np.ndarray, scale: np.ndarray) -> None:
+    """Raise LorentzError for the first matrix of the stack A (k, m, m)
+    that is not in SO(n,1)^+, given its form residual and scale: the form
+    residual is checked first, then the determinant, then the sheet."""
+    det = np.linalg.det(A)
+    bad = (resid > FORM_TOL * scale) | (np.abs(det - 1.0) > FORM_TOL * scale) | (A[:, 0, 0] <= 0)
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    if resid[i] > FORM_TOL * scale[i]:
+        raise LorentzError(
+            f"form residual {resid[i]:.3e} exceeds {FORM_TOL} * {scale[i]:.2e}")
+    if abs(det[i] - 1.0) > FORM_TOL * scale[i]:
+        raise LorentzError(f"determinant {det[i]} != +1")
+    raise LorentzError("A_00 <= 0: does not preserve the upper sheet")
+
+
+def _validated(A: np.ndarray, reproject: bool = True) -> np.ndarray:
+    """The stack A (k, m, m) of candidate SO(n,1)^+ matrices, validated
+    with one form residual per matrix.  With `reproject`, a matrix whose
+    residual is above drift level but still small is first reprojected
+    onto the form-preserving manifold (and its residual taken again).
+    LorentzError names the first matrix refused; A is modified only
+    where it is reprojected."""
+    resid, scale = _form_residuals(A)
+    if reproject:
+        drifted = (0.5 * FORM_TOL * scale < resid) & (resid < 1e-4 * scale)
+        if drifted.any():
+            for i in np.flatnonzero(drifted):
+                A[i] = minkowski_gram_schmidt(A[i])
+            resid, scale = _form_residuals(A)
+    _check_isometries(A, resid, scale)
+    return A
+
+
+def _reproject_drifted(P: np.ndarray) -> np.ndarray:
+    """A matrix (m, m) or stack (k, m, m) of products of isometries, each
+    matrix reprojected onto the form-preserving manifold when its
+    accumulated drift approaches the validation tolerance."""
+    resid, scale = _form_residuals(P)
+    drifted = resid > 0.5 * FORM_TOL * scale
+    if not drifted.any():
+        return P
+    if P.ndim == 2:
+        return minkowski_gram_schmidt(P)
+    P = P.copy()
+    for i in np.flatnonzero(drifted):
+        P[i] = minkowski_gram_schmidt(P[i])
+    return P
+
+
 @dataclass(frozen=True)
 class Isometry:
     """An element of SO(n,1)^+: A^T J A = J, det A = +1, A_00 > 0.
@@ -290,23 +357,9 @@ class Isometry:
     matrix: np.ndarray
 
     def __post_init__(self):
-        A = np.asarray(self.matrix, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 3:
-            raise LorentzError(f"isometry matrix must be square of size >= 3, got {A.shape}")
-        J = minkowski_matrix(A.shape[0] - 1)
-        # the residual of an exact isometry rounded to floats scales with
-        # |A|^2, so the tolerance is relative to that
-        scale = max(1.0, float(np.abs(A).max()) ** 2)
-        resid = np.abs(A.T @ J @ A - J).max()
-        if resid > FORM_TOL * scale:
-            raise LorentzError(
-                f"form residual {resid:.3e} exceeds {FORM_TOL} * {scale:.2e}")
-        d = np.linalg.det(A)
-        if abs(d - 1.0) > FORM_TOL * scale:
-            raise LorentzError(f"determinant {d} != +1")
-        if A[0, 0] <= 0:
-            raise LorentzError("A_00 <= 0: does not preserve the upper sheet")
-        A = A.copy()
+        A = np.array(self.matrix, dtype=float)
+        _require_square(A)
+        _check_isometries(A[None], *_form_residuals(A[None]))
         A.setflags(write=False)
         object.__setattr__(self, "matrix", A)
 
@@ -331,14 +384,11 @@ class Isometry:
     @staticmethod
     def from_matrix(A: np.ndarray, reproject: bool = True) -> "Isometry":
         """Wrap a matrix, reprojecting to the form-preserving manifold
-        first when the residual is above drift level but still small."""
-        A = np.asarray(A, dtype=float)
-        J = minkowski_matrix(A.shape[0] - 1)
-        scale = max(1.0, float(np.abs(A).max()) ** 2)
-        resid = np.abs(A.T @ J @ A - J).max()
-        if reproject and 0.5 * FORM_TOL * scale < resid < 1e-4 * scale:
-            A = minkowski_gram_schmidt(A)
-        return Isometry(A)
+        first when the residual is above drift level but still small;
+        the form residual is computed once (twice when reprojected)."""
+        A = np.array(A, dtype=float)
+        _require_square(A)
+        return Isometry._trusted(_validated(A[None], reproject)[0])
 
     def inverse(self) -> "Isometry":
         """J A^T J, exact in floating point."""
@@ -348,12 +398,7 @@ class Isometry:
     def compose(self, other: "Isometry") -> "Isometry":
         """self o other, reprojected onto the form-preserving manifold
         when accumulated drift approaches the validation tolerance."""
-        P = self.matrix @ other.matrix
-        J = minkowski_matrix(self.n)
-        scale = max(1.0, float(np.abs(P).max()) ** 2)
-        if np.abs(P.T @ J @ P - J).max() > 0.5 * FORM_TOL * scale:
-            P = minkowski_gram_schmidt(P)
-        return Isometry._trusted(P)
+        return Isometry._trusted(_reproject_drifted(self.matrix @ other.matrix))
 
     def __matmul__(self, other):
         if isinstance(other, Isometry):
@@ -556,6 +601,9 @@ def common_fixed_set(gens: Sequence[Isometry], tol: float = 1e-8) -> FixedSet:
     value analysis of the stacked (A_i - I).  Ideal rays fixed with
     eigenvalue != 1 (shared loxodromic endpoints) are recovered from
     per-generator candidates and verified against every generator.
+    Generators are classified in order up to the first loxodromic or
+    parabolic one, whose finite list of ideal fixed rays contains every
+    common fixed ray; no commutativity is assumed.
     """
     if not gens:
         raise LorentzError("need at least one generator")
@@ -579,6 +627,10 @@ def common_fixed_set(gens: Sequence[Isometry], tol: float = 1e-8) -> FixedSet:
                 continue
             for p in cls.ideal_fixed:
                 candidates.append(p.coords)
+            if cls.kind in (IsometryClass.LOXODROMIC, IsometryClass.PARABOLIC):
+                # its ideal fixed set is finite and fully enumerated, so
+                # it holds every common fixed ray
+                break
         verified = []
         for c in candidates:
             c = c / c[0]
@@ -599,36 +651,52 @@ def common_fixed_set(gens: Sequence[Isometry], tol: float = 1e-8) -> FixedSet:
     return FixedSet(interior_pt, ideal, sphere)
 
 
-def _sl2_action_matrix(m: np.ndarray, hermitian: bool) -> np.ndarray:
-    """SO-matrix of X -> m X m^* on Hermitian (n=3) or m X m^T on
-    symmetric (n=2) 2x2 matrices."""
+# Hermitian (n=3) and real symmetric (n=2) 2x2 matrices with coordinates
+# x: x0 I + x1 [[0, 1], [1, 0]] + x2 [[0, i], [-i, 0]] + x3 [[1, 0], [0, -1]],
+# and the same without the x2 term; the form -det is the Minkowski form
+_HERMITIAN_BASIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                             [[0, 1j], [-1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+_SYMMETRIC_BASIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [0, -1]]],
+                            dtype=float)
+
+
+def _sl2_action_matrices(ms: np.ndarray, hermitian: bool) -> np.ndarray:
+    """SO-matrices (k, d, d) of X -> m X m^* on Hermitian (d = 4) or
+    X -> m X m^T on symmetric (d = 3) 2x2 matrices, for a stack ms
+    (k, 2, 2): column i is m B_i m^* for the i-th basis matrix B_i, read
+    back in the basis, all in one stacked product."""
+    adj = np.swapaxes(ms, -1, -2)
+    basis = _HERMITIAN_BASIS if hermitian else _SYMMETRIC_BASIS
     if hermitian:
-        def pack(x):
-            return np.array([[x[0] + x[3], x[1] + 1j * x[2]],
-                             [x[1] - 1j * x[2], x[0] - x[3]]], dtype=complex)
+        adj = adj.conj()
+    P = ms[:, None] @ basis @ adj[:, None]  # (k, d, 2, 2)
+    half_trace = (P[..., 0, 0] + P[..., 1, 1]).real / 2.0
+    half_diff = (P[..., 0, 0] - P[..., 1, 1]).real / 2.0
+    off = P[..., 0, 1]
+    rows = (half_trace, off.real, off.imag, half_diff) if hermitian \
+        else (half_trace, off, half_diff)
+    return np.stack(rows, axis=-2)
 
-        def unpack(X):
-            return np.array([(X[0, 0] + X[1, 1]).real / 2.0,
-                             X[0, 1].real, X[0, 1].imag,
-                             (X[0, 0] - X[1, 1]).real / 2.0])
-        dim = 4
-        adj = m.conj().T
+
+def _lift_stack(ms: np.ndarray, dim: Optional[int] = None) -> np.ndarray:
+    """lift_moebius over a stack ms (k, 2, 2): the validated SO(n,1)^+
+    matrices (k, n+1, n+1), refusing the first matrix lift_moebius
+    refuses, with its message."""
+    det = ms[:, 0, 0] * ms[:, 1, 1] - ms[:, 0, 1] * ms[:, 1, 0]
+    bad = np.abs(det - 1.0) > 1e-10
+    if bad.any():
+        raise LorentzError(f"determinant {det[int(np.argmax(bad))]} is not 1")
+    if dim is None:
+        dim = 3 if np.iscomplexobj(ms) else 2
+    if dim == 3:
+        A = _sl2_action_matrices(np.asarray(ms, dtype=complex), hermitian=True)
+    elif dim == 2:
+        if np.iscomplexobj(ms) and np.abs(ms.imag).max() > 1e-12:
+            raise LorentzError("H^2 lift needs a real matrix")
+        A = _sl2_action_matrices(np.asarray(ms.real, dtype=float), hermitian=False)
     else:
-        def pack(x):
-            return np.array([[x[0] + x[2], x[1]],
-                             [x[1], x[0] - x[2]]], dtype=float)
-
-        def unpack(X):
-            return np.array([(X[0, 0] + X[1, 1]) / 2.0, X[0, 1],
-                             (X[0, 0] - X[1, 1]) / 2.0])
-        dim = 3
-        adj = m.T
-    A = np.zeros((dim, dim))
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        A[:, i] = unpack(m @ pack(e) @ adj)
-    return A
+        raise LorentzError(f"lift target must be dimension 2 or 3, got {dim}")
+    return _validated(A)
 
 
 def lift_moebius(m: np.ndarray, dim: Optional[int] = None) -> Isometry:
@@ -640,20 +708,7 @@ def lift_moebius(m: np.ndarray, dim: Optional[int] = None) -> Isometry:
     m = np.asarray(m)
     if m.shape != (2, 2):
         raise LorentzError(f"expected a 2x2 matrix, got {m.shape}")
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if abs(det - 1.0) > 1e-10:
-        raise LorentzError(f"determinant {det} is not 1")
-    if dim is None:
-        dim = 3 if np.iscomplexobj(m) else 2
-    if dim == 3:
-        A = _sl2_action_matrix(np.asarray(m, dtype=complex), hermitian=True)
-    elif dim == 2:
-        if np.iscomplexobj(m) and np.abs(m.imag).max() > 1e-12:
-            raise LorentzError("H^2 lift needs a real matrix")
-        A = _sl2_action_matrix(np.asarray(m, dtype=float).real, hermitian=False)
-    else:
-        raise LorentzError(f"lift target must be dimension 2 or 3, got {dim}")
-    return Isometry.from_matrix(A)
+    return Isometry._trusted(_lift_stack(m[None], dim)[0])
 
 
 def so_algebra_residual(X: np.ndarray) -> float:

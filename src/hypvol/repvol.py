@@ -17,17 +17,29 @@ from .lorentz import (
     EmptyFixedSetError,
     Isometry,
     IsometryClass,
+    Kind,
     LorentzError,
     LorentzVector,
+    _lift_stack,
+    _project_ideal,
+    _project_material,
+    _reproject_drifted,
     classify_isometry,
     common_fixed_set,
     from_klein,
     lift_moebius,
     minkowski_gram_schmidt,
+    minkowski_matrix,
     so_algebra_residual,
 )
 # perfbench/tracing.py wraps hypvol.repvol.signed_volume by name
-from .simplex import GeodesicSimplex, signed_volume, signed_volumes, tangent_angles  # noqa: F401
+from .simplex import (  # noqa: F401
+    GeodesicSimplex,
+    ideal_tet_volumes,
+    signed_volume,
+    signed_volumes,
+    tangent_angles,
+)
 from .triangulation import (
     CycleReport,
     LabeledTriangulation,
@@ -110,29 +122,71 @@ class Representation:
         return next(iter(self.images.values())).n
 
 
+def _word_matrix(mats: Mapping[str, np.ndarray], tokens, n: int) -> np.ndarray:
+    """Image of a nonempty parsed word under generator matrices, each an
+    (m, m) matrix or an (S, m, m) stack over samples: the raw product
+    taken left to right, inverses as J A^T J, and one drift check (with
+    reprojection where needed) for the whole word, not per product."""
+    J = minkowski_matrix(n)
+    out = None
+    for g, e in tokens:
+        A = mats[g] if e > 0 else J @ np.swapaxes(mats[g], -1, -2) @ J
+        out = A if out is None else out @ A
+    return out if len(tokens) == 1 else _reproject_drifted(out)
+
+
 def evaluate_word(rep: Representation, word) -> Isometry:
     """Image of a word (a string or a sequence of (generator, +-1)
-    tokens), computed once per representation; long products are
-    re-projected onto the form-preserving manifold when drift
-    accumulates."""
+    tokens), computed once per representation; the product is
+    re-projected onto the form-preserving manifold when its drift
+    approaches the validation tolerance, checked once per word."""
     key = word if isinstance(word, str) else tuple((g, e) for g, e in word)
     out = rep._word_images.get(key)
     if out is not None:
         return out
     tokens = rep.presentation.parse(word) if isinstance(word, str) else key
-    for g, e in tokens:
-        img = rep.images[g]
-        img = img if e > 0 else img.inverse()
-        out = img if out is None else out @ img
-    if out is None:
+    if not tokens:
         out = Isometry.identity(rep.n)
+    elif len(tokens) == 1 and tokens[0][1] > 0:
+        out = rep.images[tokens[0][0]]
+    else:
+        mats = {g: rep.images[g].matrix for g, _ in tokens}
+        out = Isometry._trusted(_word_matrix(mats, tokens, rep.n))
     rep._word_images[key] = out
     return out
 
 
+def _check_stack(presentation, images: Sequence[Mapping[str, Isometry]],
+                 tol: float) -> list[Representation]:
+    """check_representation for several generator-image maps of one
+    dimension at once: each relator image is one product of (S, m, m)
+    stacks, each sample's worst residual is checked in sample order, and
+    each representation keeps its relator images memoized."""
+    n = next(iter(images[0].values())).n
+    mats = {g: np.stack([imgs[g].matrix for imgs in images]) for g in presentation.generators}
+    relators = [(r, _word_matrix(mats, presentation.parse(r), n)) for r in presentation.relators]
+    eye = np.eye(n + 1)
+    resids = [np.abs(R - eye).max(axis=(-2, -1)).tolist() for _, R in relators]
+    reps = []
+    for k, imgs in enumerate(images):
+        worst, worst_r = 0.0, None
+        for (r, _), resid in zip(relators, resids):
+            if resid[k] > worst:
+                worst, worst_r = resid[k], r
+        if worst > tol:
+            raise RelatorResidualError(
+                f"relator {worst_r!r} has residual {worst:.3e} > {tol}", worst_r, worst)
+        rep = Representation(presentation, imgs, worst)
+        for r, R in relators:
+            rep._word_images[r] = Isometry._trusted(R[k])
+        reps.append(rep)
+    return reps
+
+
 def check_representation(presentation, images, tol: float = RELATOR_TOL) -> Representation:
     """Validate generator images against the relators; accepts iff the
-    worst relator residual (max-abs of rho(r) - I) is at most tol.
+    worst relator residual (max-abs of rho(r) - I) is at most tol.  The
+    relator images stay memoized on the representation returned.
 
     2x2 matrices are auto-lifted (complex ones act on H^3, real on H^2).
     """
@@ -144,17 +198,7 @@ def check_representation(presentation, images, tol: float = RELATOR_TOL) -> Repr
     dims = {im.n for im in imgs.values()}
     if len(dims) != 1:
         raise RepvolError(f"generator images of mixed dimension: {dims}")
-    rep = Representation(presentation, imgs, 0.0)
-    worst, worst_r = 0.0, None
-    n = rep.n
-    for r in presentation.relators:
-        resid = float(np.abs(evaluate_word(rep, r).matrix - np.eye(n + 1)).max())
-        if resid > worst:
-            worst, worst_r = resid, r
-    if worst > tol:
-        raise RelatorResidualError(
-            f"relator {worst_r!r} has residual {worst:.3e} > {tol}", worst_r, worst)
-    return Representation(presentation, imgs, worst)
+    return _check_stack(presentation, [imgs], tol)[0]
 
 
 class PeripheralKind(enum.Enum):
@@ -224,24 +268,71 @@ class DevelopingAssignment:
         return evaluate_word(rho, word).apply(self.points[vid])
 
 
+def _check_preference(boundary_preference: str) -> None:
+    if boundary_preference not in ("prefer_ideal", "prefer_interior"):
+        raise RepvolError(f"unknown boundary preference {boundary_preference!r}")
+
+
 # |det| of the Klein-homogeneous vertex matrix below which
 # build_developing_assignment resamples a developed simplex's vertices
 _MIN_DET = 1e-8
+
+
+def _develop_slots(tri: LabeledTriangulation, points: Mapping[str, Sequence[LorentzVector]],
+                   word_matrix: Callable[[str], np.ndarray]) -> dict:
+    """The developed points, an (S, m) array per distinct slot (v, w) of
+    the triangulation, for S samples at once: points[v] holds the S
+    values of orbit vertex v, word_matrix(w) the (S, m, m) images of w.
+    Each slot is developed once, as Isometry.apply would develop it."""
+    developed = {}
+    for s in tri.simplices:
+        for slot in s.slots:
+            if slot not in developed:
+                v, w = slot
+                X = np.stack([x.coords for x in points[v]])
+                Y = (word_matrix(w) @ X[:, :, None])[:, :, 0]
+                developed[slot] = np.stack([
+                    _project_ideal(y) if x.kind is Kind.IDEAL else _project_material(y)
+                    for x, y in zip(points[v], Y)])
+    return developed
+
+
+def _developed_simplices(simplices, developed: Mapping, points: Mapping,
+                         k: int) -> list[GeodesicSimplex]:
+    """The labeled simplices as developed in sample k, with one vertex
+    object per distinct slot."""
+    vertices = {}
+    for s in simplices:
+        for v, w in s.slots:
+            if (v, w) not in vertices:
+                vertices[v, w] = LorentzVector._trusted(developed[v, w][k], points[v][k].kind)
+    return [GeodesicSimplex([vertices[slot] for slot in s.slots]) for s in simplices]
 
 
 def _develop(rho: Representation, tri: LabeledTriangulation, points, seed: int,
              classes) -> DevelopingAssignment:
     """The assignment of `points` with every simplex of `tri` developed;
     each distinct slot (v, w) is developed once and shared."""
-    developed = {}
-    for s in tri.simplices:
-        for slot in s.slots:
-            if slot not in developed:
-                v, w = slot
-                developed[slot] = evaluate_word(rho, w).apply(points[v])
-    simplices = tuple(GeodesicSimplex([developed[slot] for slot in s.slots])
-                      for s in tri.simplices)
+    stacked = {v: [x] for v, x in points.items()}
+    developed = _develop_slots(tri, stacked, lambda w: evaluate_word(rho, w).matrix[None])
+    simplices = tuple(_developed_simplices(tri.simplices, developed, stacked, 0))
     return DevelopingAssignment(points, seed, classes, simplices)
+
+
+def _point_sampler(seed: int, n: int) -> Callable[[], LorentzVector]:
+    """Draws of material developing values from a generator seeded with
+    `seed`: uniform in Klein coordinates within unit hyperbolic radius of
+    the origin."""
+    rng = np.random.default_rng(seed)
+    klein_radius = np.tanh(1.0)
+
+    def sample_point():
+        while True:
+            k = rng.uniform(-klein_radius, klein_radius, size=n)
+            if np.linalg.norm(k) < klein_radius:
+                return from_klein(k)
+
+    return sample_point
 
 
 def build_developing_assignment(rho: Representation, tri: LabeledTriangulation,
@@ -254,8 +345,7 @@ def build_developing_assignment(rho: Representation, tri: LabeledTriangulation,
     unit-radius ball around the origin (uniform in Klein coordinates)
     and rejection-resampled until every developed simplex is
     nondegenerate."""
-    if boundary_preference not in ("prefer_ideal", "prefer_interior"):
-        raise RepvolError(f"unknown boundary preference {boundary_preference!r}")
+    _check_preference(boundary_preference)
     classes = {c.id: classify_peripheral(rho, tri, c.id) for c in tri.cusps}
     n = rho.n
     fixed = {}
@@ -266,15 +356,7 @@ def build_developing_assignment(rho: Representation, tri: LabeledTriangulation,
         else:
             material_ids.append(v.id)
 
-    rng = np.random.default_rng(seed)
-    klein_radius = np.tanh(1.0)
-
-    def sample_point():
-        while True:
-            k = rng.uniform(-klein_radius, klein_radius, size=n)
-            if np.linalg.norm(k) < klein_radius:
-                return from_klein(k)
-
+    sample_point = _point_sampler(seed, n)
     material_set = set(material_ids)
     for restart in range(max_restarts):
         points = dict(fixed)
@@ -304,42 +386,58 @@ _CYCLE_TOL = 1e-6
 
 
 def _max_abs_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(len(a), len(b)) matrix of max-abs distances between the rows."""
-    return np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)
+    """(..., k, l) max-abs distances between the rows of stacks a
+    (..., k, m) and b (..., l, m)."""
+    return np.abs(a[..., :, None, :] - b[..., None, :, :]).max(axis=-1)
 
 
-def _developed_cycle(rho: Representation, tri: LabeledTriangulation,
-                     simplices: Sequence[GeodesicSimplex]) -> CycleReport:
-    """Relaxed cycle check of a triangulation with face pairings: each
-    pairing word must carry the developed points of the source face onto
-    those of the target face with canceling orientation.  Simplices and
-    faces whose developed points collide are degenerate chains and drop
-    out, matching the degenerate-tolerant volume convention."""
-    rows = [dev.vertex_matrix() for dev in simplices]
-    need = set()
-    for i, pts in enumerate(rows):
-        upper = np.triu_indices(len(pts), 1)
-        if (_max_abs_distances(pts, pts)[upper] > _CYCLE_TOL).all():
-            need.update((i, f) for f in range(len(pts)))
+def _developed_cycles(rows: np.ndarray, tri: LabeledTriangulation,
+                      word_matrix: Callable[[str], np.ndarray]) -> list[CycleReport]:
+    """Relaxed cycle check of a triangulation with face pairings, for S
+    developings at once: rows (S, N, m, m) holds the x_0 = 1 vertex rows
+    of the N developed simplices of each sample, and word_matrix gives
+    the (S, m, m) images of a pairing word.  Each pairing word must carry
+    the developed points of the source face onto those of the target
+    face with canceling orientation.  Simplices and faces whose
+    developed points collide are degenerate chains and drop out,
+    matching the degenerate-tolerant volume convention."""
+    v = rows.shape[-2]
+    # the distance matrix has a zero diagonal, so all off-diagonal
+    # entries are above the tolerance when v (v - 1) entries are
+    apart = ((_max_abs_distances(rows, rows) > _CYCLE_TOL).sum(axis=(-2, -1))
+             == v * (v - 1)).tolist()
+    close = []  # per pairing: (S, m - 1, m - 1) lists, moved source against target points
+    for p in tri.pairings:
+        moved = np.delete(rows[:, p.src] @ np.swapaxes(word_matrix(p.word), -1, -2),
+                          p.src_face, axis=-2)
+        dst_pts = np.delete(rows[:, p.dst], p.dst_face, axis=-2)
+        close.append((_max_abs_distances(moved / moved[..., :1], dst_pts) <= _CYCLE_TOL).tolist())
+    return [_matched_pairings(tri, v, apart_k, [c[k] for c in close])
+            for k, apart_k in enumerate(apart)]
+
+
+def _matched_pairings(tri: LabeledTriangulation, v: int, apart: Sequence[bool],
+                      close: Sequence) -> CycleReport:
+    """The cycle report of one developing of simplices with v vertices,
+    from whether each simplex has distinct developed points and, per
+    pairing, which moved source point meets which target point."""
+    need = {(i, f) for i, ok in enumerate(apart) if ok for f in range(v)}
     used = set()
     failures = []
-    for p in tri.pairings:
+    for p, hits_by_point in zip(tri.pairings, close):
         src_key, dst_key = (p.src, p.src_face), (p.dst, p.dst_face)
         if src_key not in need or dst_key not in need:
             continue  # pairing on a degenerate simplex: nothing to cancel
         if src_key in used or dst_key in used:
             failures.append(f"face reused by pairing {p}")
             continue
-        moved = np.delete(rows[p.src] @ evaluate_word(rho, p.word).matrix.T, p.src_face, axis=0)
-        dst_pts = np.delete(rows[p.dst], p.dst_face, axis=0)
-        close = (_max_abs_distances(moved / moved[:, :1], dst_pts) <= _CYCLE_TOL).tolist()
-        perm = []  # dst_pts index of each moved source point
-        for hits in close:
+        perm = []  # target point index of each moved source point
+        for hits in hits_by_point:
             hit = next((j for j, ok in enumerate(hits) if ok and j not in perm), None)
             if hit is None:
                 break
             perm.append(hit)
-        if len(perm) < len(dst_pts):
+        if len(perm) < len(hits_by_point):
             failures.append(f"pairing {p}: word does not carry the source "
                             "face onto the target face at tolerance")
             continue
@@ -359,6 +457,13 @@ def _developed_cycle(rho: Representation, tri: LabeledTriangulation,
     return CycleReport(is_cycle=not unmatched, unmatched=unmatched)
 
 
+def _developed_cycle(rho: Representation, tri: LabeledTriangulation,
+                     simplices: Sequence[GeodesicSimplex]) -> CycleReport:
+    """_developed_cycles for one representation's developed simplices."""
+    rows = np.stack([dev.vertex_matrix() for dev in simplices])[None]
+    return _developed_cycles(rows, tri, lambda w: evaluate_word(rho, w).matrix[None])[0]
+
+
 def _validate_cycle(rho: Representation, tri: LabeledTriangulation,
                     assignment: DevelopingAssignment):
     """Raise unless the triangulation is a cycle: through its face
@@ -372,6 +477,10 @@ def _validate_cycle(rho: Representation, tri: LabeledTriangulation,
         report = _developed_cycle(rho, tri, assignment.simplices)
     else:
         report = check_cycle(tri)
+    _require_cycle(report)
+
+
+def _require_cycle(report: CycleReport) -> None:
     if not report.is_cycle:
         raise TriangulationError(
             f"triangulation is not a cycle: {len(report.unmatched)} unmatched faces")
@@ -425,15 +534,24 @@ def milnor_wood_margin(vol: float, reference_vol: float) -> float:
 
 @dataclass
 class DeformationPath:
-    """C^1 family t in [0,1] -> Representation."""
+    """C^1 family t in [0,1] -> Representation.  A path kind that can
+    evaluate several parameters together more cheaply than one at a
+    time supplies `_eval_many`."""
 
     kind: str
     base: Representation
     _eval: Callable[[float], Representation]
     meta: dict = field(default_factory=dict)
+    _eval_many: Optional[Callable[[list], list]] = None
 
     def evaluate(self, t: float) -> Representation:
         return self._eval(float(t))
+
+    def evaluate_many(self, ts: Sequence[float]) -> list[Representation]:
+        """[evaluate(t) for t in ts], with the same representations."""
+        if self._eval_many is None:
+            return [self.evaluate(t) for t in ts]
+        return self._eval_many([float(t) for t in ts])
 
 
 def _conjugation_path(base: Representation, direction: np.ndarray) -> DeformationPath:
@@ -561,6 +679,11 @@ def scan_path(path: DeformationPath, tri: LabeledTriangulation, n_samples: int,
     Dehn continuation) and the interior one otherwise.  The volume does
     not depend on the choice; the per-sample classifications let a
     caller spot crossings.
+
+    The representations come from one path.evaluate_many call, and the
+    samples go through one stacked pass (_scan_volumes) that gives each
+    the volume build_developing_assignment and representation_volume
+    give it.
     """
     if n_samples < 3:
         raise RepvolError("need at least 3 samples")
@@ -568,16 +691,11 @@ def scan_path(path: DeformationPath, tri: LabeledTriangulation, n_samples: int,
         boundary_preference = ("prefer_ideal" if path.kind in ("twist2d", "dehn3d")
                                else "prefer_interior")
     ts = np.linspace(0.0, 1.0, n_samples)
+    reps = path.evaluate_many(ts)
     samples = []
     vols = []
     margin_min = None
-    for t in ts:
-        rep = path.evaluate(t)
-        assignment = build_developing_assignment(
-            rep, tri, seed=seed, boundary_preference=boundary_preference)
-        vol = representation_volume(rep, tri, assignment)
-        classes = {c: assignment.classifications[c].kind.value
-                   for c in assignment.classifications}
+    for t, (vol, classes) in zip(ts, _scan_volumes(reps, tri, seed, boundary_preference)):
         samples.append((float(t), vol, classes))
         vols.append(vol)
         if reference_vol is not None:
@@ -589,6 +707,82 @@ def scan_path(path: DeformationPath, tri: LabeledTriangulation, n_samples: int,
     dev = float(np.max(np.abs(vols - vols[0])))
     verdict = "Constant" if dev <= tol else "NonConstant"
     return PathScanReport(tuple(samples), verdict, dev, margin_min, tol)
+
+
+def _scan_volumes(reps: Sequence[Representation], tri: LabeledTriangulation, seed: int,
+                  boundary_preference: str) -> list[tuple[float, dict]]:
+    """(Vol(rho), {cusp: classification kind}) for each representation,
+    as build_developing_assignment with this seed and
+    representation_volume give them one at a time, computed over a
+    leading sample axis: word images are (S, m, m) products, and the
+    developing, its degeneracy and cycle checks and the all-ideal
+    3-simplex volumes are stacked.  Peripheral classification stays per
+    sample, on the stacked word images.  A sample whose first developing
+    attempt degenerates goes through build_developing_assignment and its
+    resampling on its own.  A failing check raises at its stage, so when
+    several samples fail, the error of the earliest stage is raised."""
+    _check_preference(boundary_preference)
+    pres, n, count = reps[0].presentation, reps[0].n, len(reps)
+    mats = {g: np.stack([rep.images[g].matrix for rep in reps]) for g in pres.generators}
+    words: dict = {}
+
+    def word_matrix(word: str) -> np.ndarray:
+        W = words.get(word)
+        if W is None:
+            tokens = pres.parse(word)
+            W = words[word] = (_word_matrix(mats, tokens, n) if tokens else
+                               np.broadcast_to(np.eye(n + 1), (count, n + 1, n + 1)))
+        return W
+
+    for c in tri.cusps:
+        for w in peripheral_words(tri, c.id):
+            for rep, A in zip(reps, word_matrix(w)):
+                rep._word_images.setdefault(w, Isometry._trusted(A))
+    classes = [{c.id: classify_peripheral(rep, tri, c.id) for c in tri.cusps} for rep in reps]
+
+    # the first developing attempt: cusp cone points at fixed points, and
+    # the same first draws for the material vertices in every sample
+    sample_point = _point_sampler(seed, n)
+    points = {v.id: [cl[v.cusp].fixed_point(boundary_preference) for cl in classes]
+              for v in tri.orbit_vertices if v.kind == "ideal"}
+    points.update({v.id: [sample_point()] * count
+                   for v in tri.orbit_vertices if v.kind != "ideal"})
+    developed = _develop_slots(tri, points, word_matrix)
+    rows = np.stack([np.stack([developed[slot] / developed[slot][:, :1] for slot in s.slots],
+                              axis=1) for s in tri.simplices], axis=1)  # (S, N, m, m)
+    resample = (np.abs(np.linalg.det(rows)) < _MIN_DET).any(axis=1).tolist()
+
+    if tri.pairings is None:
+        _require_cycle(check_cycle(tri))
+    else:
+        for report, again in zip(_developed_cycles(rows, tri, word_matrix), resample):
+            if not again:
+                _require_cycle(report)
+
+    # all-ideal 3-simplices in every sample take the stacked closed form;
+    # the rest go through signed_volumes per sample
+    ideal3 = [i for i, s in enumerate(tri.simplices) if tri.dim == 3 and all(
+        x.kind is Kind.IDEAL for v, _ in s.slots for x in points[v])]
+    others = sorted(set(range(len(tri.simplices))) - set(ideal3))
+    vols = np.zeros(rows.shape[:2])
+    live = [k for k, again in enumerate(resample) if not again]
+    if ideal3 and live:
+        vols[np.ix_(live, ideal3)] = ideal_tet_volumes(rows[live][:, ideal3])
+    out = []
+    for k, rep in enumerate(reps):
+        if resample[k]:
+            assignment = build_developing_assignment(
+                rep, tri, seed=seed, boundary_preference=boundary_preference)
+            total = representation_volume(rep, tri, assignment)
+        else:
+            if others:
+                vols[k, others] = signed_volumes(_developed_simplices(
+                    [tri.simplices[i] for i in others], developed, points, k))
+            total = 0.0
+            for s, vol in zip(tri.simplices, vols[k].tolist()):
+                total += s.sign * vol
+        out.append((total, {c: cl.kind.value for c, cl in classes[k].items()}))
+    return out
 
 
 # --- gluing equations (two-ideal-tetrahedron fixtures) -----------------
@@ -749,13 +943,16 @@ def _solve_shapes(x0: Sequence[complex], target, tol: float, max_iter: int, logs
     return (z1, z2), size(res), hol
 
 
-def _gluing_solution(tri: LabeledTriangulation, shapes, residual: float,
-                     logs) -> GluingSolution:
-    """Reconstruct the generators from solved shapes and relator-check
-    the representation."""
-    a, b = _fig8_generators(*shapes)
-    rep = check_representation(tri.presentation, {"a": a, "b": b})
-    return GluingSolution(shapes, rep, residual, logs)
+def _gluing_solutions(tri: LabeledTriangulation, solved) -> list[GluingSolution]:
+    """Reconstruct the generators from each solved (shapes, residual,
+    log holonomies) and relator-check the representations, with the
+    lifts and the relator products stacked over the solutions."""
+    gens = [_fig8_generators(*shapes) for shapes, _, _ in solved]
+    a, b = (_lift_stack(np.array([g[i] for g in gens])) for i in (0, 1))
+    images = [{"a": Isometry._trusted(x), "b": Isometry._trusted(y)} for x, y in zip(a, b)]
+    reps = _check_stack(tri.presentation, images, RELATOR_TOL)
+    return [GluingSolution(shapes, rep, residual, logs)
+            for (shapes, residual, logs), rep in zip(solved, reps)]
 
 
 def solve_gluing_equations(tri: LabeledTriangulation, filling,
@@ -793,7 +990,7 @@ def solve_gluing_equations(tri: LabeledTriangulation, filling,
     else:
         p, q = filling
         target = (float(p), float(q), 2j * np.pi)
-    return _gluing_solution(tri, *_solve_shapes((z1, z2), target, tol, max_iter, None))
+    return _gluing_solutions(tri, [_solve_shapes((z1, z2), target, tol, max_iter, None)])[0]
 
 
 def _dehn3d_path(tri: LabeledTriangulation, filling, steps: int) -> DeformationPath:
@@ -802,7 +999,9 @@ def _dehn3d_path(tri: LabeledTriangulation, filling, steps: int) -> DeformationP
 
     Every continuation step's (shapes, residual, log holonomies) is
     kept; a relator-checked GluingSolution is built only for the
-    parameters asked for."""
+    parameters asked for.  evaluate_many walks the continuation through
+    its parameters in order once and builds their solutions in one
+    stacked lift and relator check."""
     if steps < 1:
         raise RepvolError(f"a dehn3d path needs at least one step, not {steps}")
     p, q = filling
@@ -811,23 +1010,34 @@ def _dehn3d_path(tri: LabeledTriangulation, filling, steps: int) -> DeformationP
     walked = {0.0: (base_sol.shapes, base_sol.residual, base_sol.log_holonomies)}
     solutions = {0.0: base_sol}
 
-    def solve_at(t: float) -> GluingSolution:
-        sol = solutions.get(t)
-        if sol is not None:
-            return sol
+    def walk(t: float):
         # walk from the last step at or below t, tracking branches
         s = max(k for k in walked if k <= t + 1e-12)
-        shapes, residual, logs = walked[s]
+        state = walked[s]
         while s < t - 1e-12:
             s = min(t, s + 1.0 / steps)
-            shapes, residual, logs = _solve_shapes(
-                shapes, (p, q, s * 2j * np.pi), 1e-11, 60, logs)
-            walked[s] = (shapes, residual, logs)
-        sol = solutions[t] = _gluing_solution(tri, shapes, residual, logs)
-        return sol
+            state = walked[s] = _solve_shapes(
+                state[0], (p, q, s * 2j * np.pi), 1e-11, 60, state[2])
+        return state
+
+    def solve_many(ts: Sequence[float]) -> list[GluingSolution]:
+        # walk in the order asked, then build the new solutions together
+        pending = {}
+        for t in ts:
+            if t not in solutions and t not in pending:
+                pending[t] = walk(t)
+        if pending:
+            solutions.update(zip(pending, _gluing_solutions(tri, list(pending.values()))))
+        return [solutions[t] for t in ts]
+
+    def solve_at(t: float) -> GluingSolution:
+        return solve_many([t])[0]
 
     def ev(t: float) -> Representation:
         return solve_at(float(t)).representation
 
+    def ev_many(ts: list) -> list:
+        return [sol.representation for sol in solve_many(ts)]
+
     return DeformationPath("dehn3d", base_sol.representation, ev,
-                           {"filling": (p, q), "solver": solve_at})
+                           {"filling": (p, q), "solver": solve_at}, ev_many)

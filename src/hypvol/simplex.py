@@ -45,6 +45,7 @@ __all__ = [
     "lobachevsky",
     "bloch_wigner",
     "ideal_tet_volume",
+    "ideal_tet_volumes",
     "dihedral_angle",
     "dihedral_angles",
     "tangent_angles",
@@ -120,10 +121,7 @@ class GeodesicSimplex:
 
     @functools.cached_property
     def _degeneracy_scale(self) -> float:
-        """The determinant of the Klein-homogeneous vertex matrix scales
-        like diameter^n; degeneracy must be judged relative to that."""
-        K = self.klein()
-        return float(np.max(np.linalg.norm(K - K.mean(axis=0), axis=1)))
+        return float(_degeneracy_scales(self.klein()))
 
     def vertex_matrix(self) -> np.ndarray:
         """Rows are x_0 = 1 representatives (Klein-homogeneous); built
@@ -137,6 +135,7 @@ class GeodesicSimplex:
         return self._det
 
     def is_degenerate(self, threshold: float = DEGENERACY_THRESHOLD) -> bool:
+        """_is_degenerate of this simplex, in scalar arithmetic."""
         scale = max(self._degeneracy_scale, 1e-30)
         return abs(self._det) < threshold * scale ** self.dim
 
@@ -145,6 +144,22 @@ class GeodesicSimplex:
 
     def subsimplex(self, indices: Sequence[int]) -> tuple[LorentzVector, ...]:
         return tuple(self.vertices[i] for i in indices)
+
+
+def _degeneracy_scales(klein: np.ndarray) -> np.ndarray:
+    """The determinant of the Klein-homogeneous vertex matrix scales like
+    diameter^n, so degeneracy is judged relative to the largest distance
+    of a vertex from the centroid; over a stack (..., n+1, n) of Klein
+    vertex rows."""
+    centred = klein - klein.mean(axis=-2, keepdims=True)
+    return np.linalg.norm(centred, axis=-1).max(axis=-1)
+
+
+def _is_degenerate(det, scale, dim: int, threshold: float = DEGENERACY_THRESHOLD):
+    """|det| below threshold * scale^dim, elementwise over stacks of
+    determinants and degeneracy scales (GeodesicSimplex.is_degenerate
+    for one simplex)."""
+    return np.abs(det) < threshold * np.maximum(scale, 1e-30) ** dim
 
 
 def _zeta_even(count: int) -> np.ndarray:
@@ -197,12 +212,16 @@ def bloch_wigner(z: complex) -> float:
     angles of the ideal tetrahedron of shape z and D(z) its volume;
     D(conj z) = -D(z), and D vanishes on the real line, 0 and 1
     included."""
-    z = complex(z)
-    if z == 0 or z == 1:
-        return 0.0
-    angles = np.array([cmath.phase(z), -cmath.phase(1.0 - z),
-                       cmath.phase(z - 1.0) - cmath.phase(z)])
-    return float(lobachevsky(angles).sum())
+    return float(_bloch_wigner_many([complex(z)])[0])
+
+
+def _bloch_wigner_many(zs: Sequence[complex]) -> np.ndarray:
+    """bloch_wigner of each complex number in zs, through one Lobachevsky
+    evaluation of their (len(zs), 3) angles."""
+    angles = np.array([(0.0, 0.0, 0.0) if z == 0 or z == 1 else
+                       (cmath.phase(z), -cmath.phase(1.0 - z),
+                        cmath.phase(z - 1.0) - cmath.phase(z)) for z in zs]).reshape(-1, 3)
+    return lobachevsky(angles).sum(axis=-1)
 
 
 def ideal_tet_volume(alpha: float, beta: float, gamma: float) -> float:
@@ -392,16 +411,38 @@ def _closed_form_volume(simplex: GeodesicSimplex) -> Optional[float]:
     return None
 
 
+def ideal_tet_volumes(rows: np.ndarray) -> np.ndarray:
+    """Signed volumes of all-ideal 3-simplices given as a stack (..., 4, 4)
+    of their x_0 = 1 vertex rows, each as signed_volume gives it: 0 when
+    degenerate, else the Bloch-Wigner dilogarithm of the cross-ratio
+    with the orientation's sign.  One determinant call and one
+    Lobachevsky evaluation serve the whole stack."""
+    rows = np.asarray(rows, dtype=float)
+    det = np.linalg.det(rows)
+    live = ~_is_degenerate(det, _degeneracy_scales(rows[..., 1:]), 3)
+    vols = np.abs(_bloch_wigner_many([_ideal_cross_ratio(r) for r in rows[live]]))
+    out = np.zeros(det.shape)
+    out[live] = np.where(det[live] > 0, vols, -vols)
+    return out
+
+
 def signed_volumes(simplices: Sequence[GeodesicSimplex], tol: float = 1e-9) -> list[float]:
     """Signed volumes of a list of simplices, each as signed_volume gives
-    it: degenerate simplices give 0 and closed forms apply per simplex,
-    but every other simplex is integrated in one build_rules batch per
-    dimension rather than one rule at a time.  An IntegrationError names
+    it: degenerate simplices give 0 and closed forms apply, all-ideal
+    3-simplices together through ideal_tet_volumes, and every other
+    simplex is integrated in one build_rules batch per dimension rather
+    than one rule at a time.  An IntegrationError names
     the failing simplex's index in `simplices`."""
     out = [0.0] * len(simplices)
     pending: dict[int, list[int]] = {}
+    ideal3 = [i for i, s in enumerate(simplices) if s.dim == 3 and all(s.ideal_mask())]
+    if ideal3:
+        vols = ideal_tet_volumes([simplices[i].vertex_matrix() for i in ideal3])
+        for i, vol in zip(ideal3, vols.tolist()):
+            out[i] = vol
+    done = set(ideal3)
     for i, s in enumerate(simplices):
-        if s.is_degenerate():
+        if i in done or s.is_degenerate():
             continue
         vol = _closed_form_volume(s)
         if vol is None:

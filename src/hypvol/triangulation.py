@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 __all__ = [
@@ -98,10 +98,12 @@ def format_word(tokens: Sequence[Token]) -> str:
 
 @dataclass(frozen=True)
 class GroupPresentation:
-    """Finite presentation; relators are stored freely reduced."""
+    """Finite presentation; relators are stored freely reduced.  Parsed
+    words are memoized per presentation."""
 
     generators: tuple[str, ...]
     relators: tuple[str, ...] = ()
+    _parsed: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.generators:
@@ -125,7 +127,13 @@ class GroupPresentation:
         object.__setattr__(self, "relators", tuple(reduced))
 
     def parse(self, word: str) -> tuple[Token, ...]:
-        return parse_word(word, self.generators)
+        """parse_word over this presentation's generators, computed once
+        per word; a word that does not parse is not memoized, so it
+        raises TriangulationError on every call."""
+        tokens = self._parsed.get(word)
+        if tokens is None:
+            tokens = self._parsed[word] = parse_word(word, self.generators)
+        return tokens
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from hypvol import lorentz as lorentz_mod
 from hypvol.lorentz import (
     AmbiguousClassificationError,
     EmptyFixedSetError,
@@ -242,6 +243,70 @@ def test_common_fixed_set_empty():
         common_fixed_set([g1, g2])
 
 
+INFINITY = [1, 0, 0, 1]  # the ideal point of z = infinity, fixed by upper triangular m
+ZERO = [1, 0, 0, -1]
+
+
+def _lift(m):
+    return lift_moebius(np.array(m, dtype=complex))
+
+
+def _unit_rays(fs):
+    return sorted(tuple(np.round(p.unit().coords, 9)) for p in fs.ideal)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_common_fixed_set_loxodromic_and_parabolic_share_one_endpoint(order):
+    lox = _lift([[2, 0], [0, 0.5]])       # axis from 0 to infinity
+    par = _lift([[1, 1], [0, 1]])         # fixes infinity
+    gens = [lox, par] if order == 0 else [par, lox]
+    fs = common_fixed_set(gens)
+    assert fs.interior is None and not fs.sphere
+    assert len(fs.ideal) == 1
+    assert np.allclose(fs.ideal[0].unit().coords, INFINITY, atol=1e-9)
+
+
+def test_common_fixed_set_commuting_loxodromics_give_both_endpoints():
+    g1 = _lift([[2, 0], [0, 0.5]])
+    rot = np.exp(0.3 + 0.5j)             # a loxodromic with a rotational part
+    g2 = _lift([[rot, 0], [0, 1 / rot]])
+    fs = common_fixed_set([g1, g2])
+    assert fs.interior is None
+    assert _unit_rays(fs) == sorted([tuple(map(float, ZERO)), tuple(map(float, INFINITY))])
+
+
+def test_common_fixed_set_elliptic_then_loxodromic_along_its_axis():
+    # a rotation about the geodesic from 0 to infinity fixes that axis
+    # pointwise; the boost along it fixes only the two endpoints
+    phase = np.exp(0.5j * 1.1)
+    ell = _lift([[phase, 0], [0, 1 / phase]])
+    assert classify_isometry(ell).kind is IsometryClass.ELLIPTIC
+    lox = _lift([[2, 0], [0, 0.5]])
+    fs = common_fixed_set([ell, lox])
+    assert fs.interior is None and not fs.sphere
+    assert _unit_rays(fs) == sorted([tuple(map(float, ZERO)), tuple(map(float, INFINITY))])
+
+
+def test_common_fixed_set_unrelated_parabolic_and_loxodromic_fix_nothing():
+    par = _lift([[1, 1], [0, 1]])                   # fixes infinity
+    lox = _lift([[np.cosh(1.0), np.sinh(1.0)],
+                 [np.sinh(1.0), np.cosh(1.0)]])     # axis from -1 to 1
+    for gens in ([par, lox], [lox, par]):
+        with pytest.raises(EmptyFixedSetError):
+            common_fixed_set(gens)
+
+
+def test_common_fixed_set_classifies_up_to_first_loxodromic_or_parabolic(monkeypatch):
+    calls = []
+    classify = lorentz_mod.classify_isometry
+    monkeypatch.setattr(lorentz_mod, "classify_isometry",
+                        lambda iso, tol=1e-8: calls.append(iso) or classify(iso, tol))
+    par = _lift([[1, 1], [0, 1]])
+    fs = common_fixed_set([par, _lift([[1, 1j], [0, 1]]), _lift([[2, 1], [0, 0.5]])])
+    assert calls == [par]
+    assert len(fs.ideal) == 1 and np.allclose(fs.ideal[0].unit().coords, INFINITY, atol=1e-9)
+
+
 def test_common_fixed_set_singleton_matches_classification():
     rng = np.random.default_rng(13)
     for m in ([[2, 0], [0, 0.5]], [[1, 1], [0, 1]]):
@@ -288,6 +353,64 @@ def test_lift_trace_relation():
 def test_lift_rejects_bad_determinant():
     with pytest.raises(LorentzError):
         lift_moebius(np.array([[2, 0], [0, 1]], dtype=complex))
+
+
+def _hermitian(x):
+    return np.array([[x[0] + x[3], x[1] + 1j * x[2]], [x[1] - 1j * x[2], x[0] - x[3]]])
+
+
+def _symmetric(x):
+    return np.array([[x[0] + x[2], x[1]], [x[1], x[0] - x[2]]])
+
+
+def test_lift_matches_the_action_on_hermitian_and_symmetric_matrices():
+    # the closed-form lift against X -> m X m^* (H^3) and X -> m X m^T
+    # (H^2), applied to random coordinate vectors
+    rng = np.random.default_rng(29)
+    for _ in range(50):
+        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        m = m / np.sqrt(np.linalg.det(m))
+        x = rng.normal(size=4)
+        image = m @ _hermitian(x) @ m.conj().T
+        want = np.array([(image[0, 0] + image[1, 1]).real / 2, image[0, 1].real,
+                         image[0, 1].imag, (image[0, 0] - image[1, 1]).real / 2])
+        got = lift_moebius(m).matrix @ x
+        assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
+        r = rng.normal(size=(2, 2))
+        r[1] *= np.sign(np.linalg.det(r))
+        r = r / np.sqrt(np.linalg.det(r))
+        y = rng.normal(size=3)
+        image = r @ _symmetric(y) @ r.T
+        want = np.array([(image[0, 0] + image[1, 1]) / 2, image[0, 1],
+                         (image[0, 0] - image[1, 1]) / 2])
+        got = lift_moebius(r).matrix @ y
+        assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
+
+def test_lift_and_from_matrix_refusals():
+    with pytest.raises(LorentzError, match="determinant"):
+        lift_moebius(np.array([[1.0, 1.0], [0.0, 1.5]]))
+    with pytest.raises(LorentzError, match="expected a 2x2"):
+        lift_moebius(np.eye(3))
+    with pytest.raises(LorentzError, match="H\\^2 lift needs a real matrix"):
+        lift_moebius(np.array([[1, 1j], [0, 1]]), dim=2)
+    with pytest.raises(LorentzError, match="dimension 2 or 3"):
+        lift_moebius(np.eye(2), dim=4)
+    with pytest.raises(LorentzError, match="form residual"):
+        Isometry.from_matrix(np.diag([1.0, 2.0, 1.0, 1.0]))
+    with pytest.raises(LorentzError, match="determinant"):
+        Isometry.from_matrix(np.diag([1.0, -1.0, 1.0, 1.0]))
+    with pytest.raises(LorentzError, match="A_00"):
+        Isometry.from_matrix(np.diag([-1.0, -1.0, 1.0, 1.0]))
+    with pytest.raises(LorentzError, match="square"):
+        Isometry.from_matrix(np.eye(2))
+    # a drifted isometry is reprojected and accepted, and only then
+    g = lift_moebius(np.array([[2, 1], [0, 0.5]], dtype=complex)).matrix
+    drifted = g + 1e-9
+    assert Isometry.from_matrix(drifted).matrix is not drifted
+    with pytest.raises(LorentzError, match="form residual"):
+        Isometry.from_matrix(drifted, reproject=False)
 
 
 def test_gram_schmidt_reprojects():

@@ -34,6 +34,7 @@ from hypvol.repvol import (
     solve_gluing_equations,
     toledo_number,
 )
+from hypvol import repvol as repvol_mod
 from hypvol import triangulation
 from hypvol.repvol import _develop, _fig8_generators, _fig8_log_equations
 from hypvol.simplex import GeodesicSimplex, bloch_wigner, signed_volume, signed_volumes
@@ -148,6 +149,34 @@ def test_representations_never_share_word_images(fig8):
         tri.presentation, {g: evaluate_word(r1, "b") @ im @ evaluate_word(r1, "B")
                            for g, im in r1.images.items()})
     assert not np.allclose(evaluate_word(conj, "a b A").matrix, a1.matrix)
+
+
+def test_check_representation_keeps_relator_images(fig8, monkeypatch):
+    """The relator products computed by the check stay memoized on the
+    representation it returns."""
+    tri, _ = fig8
+    rep = check_representation(tri.presentation, figure_eight_geometric_images())
+    (relator,) = tri.presentation.relators
+    assert relator in rep._word_images
+
+    def no_product(*_):
+        raise AssertionError("the relator image was multiplied out again")
+
+    monkeypatch.setattr(repvol_mod, "_word_matrix", no_product)
+    assert evaluate_word(rep, relator) is rep._word_images[relator]
+
+
+def test_evaluate_many_matches_evaluate(fig8):
+    tri, _ = fig8
+    ts = [0.0, 0.4, 0.2, 0.4, 1.0]
+    many = generate_path("dehn3d", {"triangulation": tri, "filling": (3, 2)}).evaluate_many(ts)
+    one = generate_path("dehn3d", {"triangulation": tri, "filling": (3, 2)})
+    assert many[1] is many[3]
+    for t, rep in zip(ts, many):
+        ref = one.evaluate(t)
+        assert rep.relator_residual == ref.relator_residual
+        for g in ("a", "b"):
+            assert np.array_equal(rep.images[g].matrix, ref.images[g].matrix)
 
 
 # --- peripheral classification ------------------------------------------------
@@ -279,32 +308,84 @@ def test_volume_rejects_assignment_of_another_triangulation(fig8):
 
 def test_scan_sample_develops_each_slot_once(fig8, monkeypatch):
     """Developing, the cycle check and Vol(rho) share one developed
-    simplex list, and a slot (v, w) shared by simplices is developed
-    once: a scan applies one isometry per distinct slot and sample."""
+    simplex stack, and a slot (v, w) shared by simplices is developed
+    once: a scan projects one developed point per distinct slot and
+    sample onto the light cone."""
     tri, _ = fig8
     path = generate_path("dehn3d", {"triangulation": tri, "filling": (5, 1), "steps": 8})
-    applies = []
-    apply = Isometry.apply
-    monkeypatch.setattr(Isometry, "apply", lambda g, x: applies.append(x) or apply(g, x))
+    projected = []
+    project = repvol_mod._project_ideal
+    monkeypatch.setattr(repvol_mod, "_project_ideal", lambda y: projected.append(y) or project(y))
     scan_path(path, tri, 3)
     distinct = {slot for s in tri.simplices for slot in s.slots}
     assert len(distinct) == 5
-    assert len(applies) == 3 * len(distinct)
+    assert len(projected) == 3 * len(distinct)
+
+
+def _scan_case(case, fig8, ptorus):
+    tri, rho = fig8
+    if case == "dehn3d":
+        return tri, lambda: generate_path("dehn3d", {"triangulation": tri, "filling": (5, 1),
+                                                     "steps": 8})
+    if case == "conjugation, material vertex":
+        X = np.zeros((4, 4))
+        X[0, 1] = X[1, 0] = 0.3
+        X[2, 3], X[3, 2] = 0.2, -0.2
+        return (subdivide_at_material_vertex(tri, 0),
+                lambda: generate_path("conjugation", {"base": rho, "direction": X}))
+    tri, rho = ptorus
+    return tri, lambda: generate_path("twist2d", {"base": rho, "generator": "a",
+                                                  "direction": "b",
+                                                  "boundary_words": ["a b A B"]})
+
+
+@pytest.mark.parametrize("case", ["dehn3d", "conjugation, material vertex", "twist2d"])
+def test_scan_matches_one_sample_at_a_time(fig8, ptorus, case):
+    """The stacked scan gives every sample exactly the volume and the
+    classifications that build_developing_assignment and
+    representation_volume give that sample on its own."""
+    tri, make_path = _scan_case(case, fig8, ptorus)
+    report = scan_path(make_path(), tri, 3, seed=4)
+    path = make_path()
+    pref = "prefer_interior" if path.kind == "conjugation" else "prefer_ideal"
+    for t, vol, classes in report.samples:
+        rep = path.evaluate(t)
+        asg = build_developing_assignment(rep, tri, seed=4, boundary_preference=pref)
+        assert vol == representation_volume(rep, tri, asg)
+        assert classes == {c: cl.kind.value for c, cl in asg.classifications.items()}
+
+
+def test_scan_resamples_a_degenerate_sample_on_its_own(fig8, monkeypatch):
+    # with every developed simplex judged degenerate, each sample goes
+    # through build_developing_assignment, which has no material vertex
+    # to resample and refuses
+    tri, _ = fig8
+    path = generate_path("dehn3d", {"triangulation": tri, "filling": (5, 1), "steps": 8})
+    monkeypatch.setattr(repvol_mod, "_MIN_DET", 1e9)
+    calls = []
+    build = repvol_mod.build_developing_assignment
+    monkeypatch.setattr(repvol_mod, "build_developing_assignment",
+                        lambda *a, **k: calls.append(a) or build(*a, **k))
+    with pytest.raises(DegenerateDevelopingError):
+        scan_path(path, tri, 3)
+    assert len(calls) == 1
 
 
 def test_suspension4_develops_each_slot_once(suspension4_rho, monkeypatch):
     """The 324 simplices of the 4-D suspension hold 1620 slots but only
-    29 distinct ones; developing applies 29 isometries, and every
+    29 distinct ones; developing projects 29 developed points, and every
     developed vertex equals its slot developed on its own."""
     tri = suspension_4d()
     asg = build_developing_assignment(suspension4_rho, tri, seed=0)
     distinct = {slot for s in tri.simplices for slot in s.slots}
     assert len(distinct) == 29
-    applies = []
-    apply = Isometry.apply
-    monkeypatch.setattr(Isometry, "apply", lambda g, x: applies.append(x) or apply(g, x))
+    projected = []
+    for name in ("_project_ideal", "_project_material"):
+        project = getattr(repvol_mod, name)
+        monkeypatch.setattr(repvol_mod, name,
+                            lambda y, project=project: projected.append(y) or project(y))
     again = _develop(suspension4_rho, tri, asg.points, 0, asg.classifications)
-    assert len(applies) == len(distinct)
+    assert len(projected) == len(distinct)
     monkeypatch.undo()
     for s, dev in zip(tri.simplices, again.simplices, strict=True):
         for (v, w), vertex in zip(s.slots, dev.vertices):
@@ -625,6 +706,26 @@ def test_dehn_volume_is_bloch_wigner_sum_of_shapes(fig8, filling):
     report = scan_path(path, tri, 11)
     for t, vol, _ in report.samples:
         assert abs(vol - sum(bloch_wigner(z) for z in solve(t).shapes)) <= 1e-10
+
+
+@pytest.mark.parametrize("filling", [(5, 1), (-5, 1)])
+def test_dehn_volume_slope_at_the_complete_structure_is_neumann_zagier(fig8, filling):
+    # Neumann-Zagier: as t -> 0, dVol/dt = -2 pi^2 t / Q(p, q) (1 + O(t^2))
+    # with Q(p, q) = |p + q 2 sqrt(3) i|^2 / (2 sqrt(3)) for the cusp shape
+    # 2 sqrt(3) i of the figure-eight; the relative residual must fall by
+    # a factor near 4 when t halves
+    tri, _ = fig8
+    p, q = filling
+    Q = abs(p + q * 2 * np.sqrt(3) * 1j) ** 2 / (2 * np.sqrt(3))
+    path = generate_path("dehn3d", {"triangulation": tri, "filling": filling})
+    h = 1e-3
+
+    def relative_residual(t):
+        dvol = (_dehn_volume(tri, path, t + h) - _dehn_volume(tri, path, t - h)) / (2 * h)
+        return dvol / (-2 * np.pi ** 2 * t / Q) - 1.0
+
+    ratio = relative_residual(0.1) / relative_residual(0.05)
+    assert 3.8 <= ratio <= 4.2
 
 
 @pytest.mark.parametrize("filling, dual", [((5, 1), (-1, 0)), ((-5, 1), (-1, 0)),

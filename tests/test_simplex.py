@@ -23,6 +23,7 @@ from hypvol.simplex import (
     dihedral_angles,
     face_measure,
     ideal_tet_volume,
+    ideal_tet_volumes,
     lobachevsky,
     numeric_volume,
     signed_volume,
@@ -200,6 +201,21 @@ def test_all_ideal_cross_ratio_matches_dihedral_angles(rng, monkeypatch):
     monkeypatch.setattr(simplex_mod, "_face_normals", no_normals)
     for tet, ref in zip(tets, oracle):
         assert abs(signed_volume(tet) - ref) <= 1e-13
+
+
+def test_stacked_ideal_tet_volumes_equal_signed_volume(rng):
+    # the stacked closed form against the one-simplex route, exactly,
+    # with a degenerate (coplanar) tetrahedron among them
+    tets = _all_ideal_tets(rng, 60)
+    flat = GeodesicSimplex([from_klein(np.array([np.cos(a), np.sin(a), 0.0]))
+                            for a in (0.1, 1.7, 3.0, 4.4)])
+    assert flat.is_degenerate()
+    tets.append(flat)
+    rows = np.array([t.vertex_matrix() for t in tets]).reshape(61, 1, 4, 4)
+    stacked = ideal_tet_volumes(rows)
+    assert stacked.shape == (61, 1)
+    assert stacked[:, 0].tolist() == [signed_volume(t) for t in tets]
+    assert stacked[60, 0] == 0.0
 
 
 def test_numeric_volume_barycentric_additivity(rng):

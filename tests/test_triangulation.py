@@ -106,6 +106,19 @@ def test_presentation_validation():
     assert p.relators == ("a b A B",)
 
 
+def test_presentation_parses_each_word_once():
+    p = GroupPresentation(("a", "b"), ("a b A B",))
+    tokens = p.parse("a b B A a")
+    assert tokens == (("a", 1),)
+    assert p.parse("a b B A a") is tokens
+    # the memo takes no part in equality or hashing
+    fresh = GroupPresentation(("a", "b"), ("a b A B",))
+    assert fresh == p and hash(fresh) == hash(p)
+    for _ in range(2):  # a bad word is refused on every call, not memoized
+        with pytest.raises(TriangulationError, match="unknown generator"):
+            p.parse("a c")
+
+
 # --- validation ---------------------------------------------------------------
 
 def test_validate_shipped_fixtures():
