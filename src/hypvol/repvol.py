@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
@@ -35,9 +36,9 @@ from .lorentz import (
 # perfbench/tracing.py wraps hypvol.repvol.signed_volume by name
 from .simplex import (  # noqa: F401
     GeodesicSimplex,
-    ideal_tet_volumes,
+    _stack_volumes,
+    _VertexStack,
     signed_volume,
-    signed_volumes,
     tangent_angles,
 )
 from .triangulation import (
@@ -256,16 +257,31 @@ def classify_peripheral(rho: Representation, tri: LabeledTriangulation,
 @dataclass(frozen=True)
 class DevelopingAssignment:
     """Values of the equivariant map on orbit vertices: slot (v, w)
-    develops to rho(w) applied to points[v].  `simplices` holds the
-    triangulation's simplices developed once, in its order."""
+    develops to rho(w) applied to points[v].  `stack` holds the vertex
+    rows, determinants and degeneracy scales of the triangulation's
+    simplices developed once, in its order, as one _VertexStack (built
+    from `slots`, each simplex's slots, and `vertices`, the developed
+    point of each distinct slot)."""
 
     points: Mapping[str, LorentzVector]
     seed: int
     classifications: Mapping[str, PeripheralClassification]
-    simplices: tuple[GeodesicSimplex, ...]
+    stack: _VertexStack = field(compare=False, repr=False)
+    slots: tuple = field(compare=False, repr=False)
+    vertices: Mapping[tuple, LorentzVector] = field(compare=False, repr=False)
 
     def develop(self, rho: Representation, vid: str, word) -> LorentzVector:
         return evaluate_word(rho, word).apply(self.points[vid])
+
+    @functools.cached_property
+    def simplices(self) -> tuple[GeodesicSimplex, ...]:
+        """The developed simplices, built on first use; each shares its
+        row of the stack, and its determinant and degeneracy scale."""
+        stack = self.stack
+        return tuple(
+            GeodesicSimplex._stacked([self.vertices[slot] for slot in slots], row, det, scale)
+            for slots, row, det, scale in zip(self.slots, stack.rows, stack.dets.tolist(),
+                                              stack.scales.tolist()))
 
 
 def _check_preference(boundary_preference: str) -> None:
@@ -297,26 +313,32 @@ def _develop_slots(tri: LabeledTriangulation, points: Mapping[str, Sequence[Lore
     return developed
 
 
-def _developed_simplices(simplices, developed: Mapping, points: Mapping,
-                         k: int) -> list[GeodesicSimplex]:
-    """The labeled simplices as developed in sample k, with one vertex
-    object per distinct slot."""
-    vertices = {}
-    for s in simplices:
-        for v, w in s.slots:
-            if (v, w) not in vertices:
-                vertices[v, w] = LorentzVector._trusted(developed[v, w][k], points[v][k].kind)
-    return [GeodesicSimplex([vertices[slot] for slot in s.slots]) for s in simplices]
+def _developed_stack(simplices, developed: Mapping, points: Mapping) -> _VertexStack:
+    """The (S, N) _VertexStack of the N labeled simplices as developed in
+    each of S samples: every distinct slot's points are scaled to
+    x_0 = 1 once, and each simplex gathers its rows by slot index."""
+    slots = list(developed)
+    index = {slot: k for k, slot in enumerate(slots)}
+    gather = [[index[slot] for slot in s.slots] for s in simplices]
+    points_x0 = np.stack([developed[slot] / developed[slot][:, :1] for slot in slots], axis=1)
+    ideal = np.array([[x.kind is Kind.IDEAL for x in points[v]] for v, _ in slots]).T
+    rows = points_x0[:, gather]
+    rows.setflags(write=False)
+    return _VertexStack.of(rows, ideal[:, gather])
 
 
 def _develop(rho: Representation, tri: LabeledTriangulation, points, seed: int,
              classes) -> DevelopingAssignment:
     """The assignment of `points` with every simplex of `tri` developed;
-    each distinct slot (v, w) is developed once and shared."""
+    each distinct slot (v, w) is developed once and shared, and the
+    simplices' geometry is computed once for their stack."""
     stacked = {v: [x] for v, x in points.items()}
     developed = _develop_slots(tri, stacked, lambda w: evaluate_word(rho, w).matrix[None])
-    simplices = tuple(_developed_simplices(tri.simplices, developed, stacked, 0))
-    return DevelopingAssignment(points, seed, classes, simplices)
+    stack = _developed_stack(tri.simplices, developed, stacked)[0]
+    vertices = {(v, w): LorentzVector._trusted(y[0], points[v].kind)
+                for (v, w), y in developed.items()}
+    return DevelopingAssignment(points, seed, classes, stack,
+                                tuple(s.slots for s in tri.simplices), vertices)
 
 
 def _point_sampler(seed: int, n: int) -> Callable[[], LorentzVector]:
@@ -364,8 +386,8 @@ def build_developing_assignment(rho: Representation, tri: LabeledTriangulation,
             points[vid] = sample_point()
         for attempt in range(max_retries):
             assignment = _develop(rho, tri, points, seed, classes)
-            bad = [s for s, dev in zip(tri.simplices, assignment.simplices)
-                   if abs(dev.orientation_det()) < _MIN_DET]
+            bad = [s for s, det in zip(tri.simplices, assignment.stack.dets.tolist())
+                   if abs(det) < _MIN_DET]
             if not bad:
                 return assignment
             bad_vertices = {v for s in bad for v, _ in s.slots if v in material_set}
@@ -458,10 +480,10 @@ def _matched_pairings(tri: LabeledTriangulation, v: int, apart: Sequence[bool],
 
 
 def _developed_cycle(rho: Representation, tri: LabeledTriangulation,
-                     simplices: Sequence[GeodesicSimplex]) -> CycleReport:
-    """_developed_cycles for one representation's developed simplices."""
-    rows = np.stack([dev.vertex_matrix() for dev in simplices])[None]
-    return _developed_cycles(rows, tri, lambda w: evaluate_word(rho, w).matrix[None])[0]
+                     rows: np.ndarray) -> CycleReport:
+    """_developed_cycles for the (N, m, m) vertex rows of one
+    representation's developed simplices."""
+    return _developed_cycles(rows[None], tri, lambda w: evaluate_word(rho, w).matrix[None])[0]
 
 
 def _validate_cycle(rho: Representation, tri: LabeledTriangulation,
@@ -469,12 +491,12 @@ def _validate_cycle(rho: Representation, tri: LabeledTriangulation,
     """Raise unless the triangulation is a cycle: through its face
     pairings on the developed simplices when it has them, by check_cycle
     otherwise."""
-    if len(assignment.simplices) != len(tri.simplices):
+    if len(assignment.slots) != len(tri.simplices):
         raise RepvolError(
-            f"the assignment develops {len(assignment.simplices)} simplices, "
+            f"the assignment develops {len(assignment.slots)} simplices, "
             f"the triangulation has {len(tri.simplices)}")
     if tri.pairings is not None:
-        report = _developed_cycle(rho, tri, assignment.simplices)
+        report = _developed_cycle(rho, tri, assignment.stack.rows)
     else:
         report = check_cycle(tri)
     _require_cycle(report)
@@ -492,14 +514,15 @@ def representation_volume(rho: Representation, tri: LabeledTriangulation,
     """Sum of signed volumes of the developed simplices weighted by
     their cycle signs; degenerate developed simplices contribute zero.
 
-    The volumes come from one signed_volumes call: closed forms per
-    simplex, and every simplex that needs cubature in one batched
-    build_rules ladder per dimension.  The value does not depend on the
-    seed or fixed-point choices of the assignment (tested, not assumed).
+    The volumes come from one _stack_volumes call on the assignment's
+    stack: its determinants and degeneracy scales, closed forms
+    evaluated together, and every simplex that needs cubature in one
+    batched build_rules ladder.  The value does not depend on the seed
+    or fixed-point choices of the assignment (tested, not assumed).
     """
     _validate_cycle(rho, tri, assignment)
     total = 0.0
-    for s, vol in zip(tri.simplices, signed_volumes(assignment.simplices, tol)):
+    for s, vol in zip(tri.simplices, _stack_volumes(assignment.stack, tol).tolist()):
         total += s.sign * vol
     return total
 
@@ -514,11 +537,13 @@ def toledo_number(rho: Representation, tri: LabeledTriangulation,
     if tri.dim != 2:
         raise RepvolError("Toledo numbers are 2-dimensional")
     _validate_cycle(rho, tri, assignment)
+    stack = assignment.stack
     total = 0.0
-    for s, dev in zip(tri.simplices, assignment.simplices):
-        if dev.is_degenerate():
+    for s, dev, degenerate, det in zip(tri.simplices, assignment.simplices,
+                                       stack.degenerate().tolist(), stack.dets.tolist()):
+        if degenerate:
             continue
-        eps = 1.0 if dev.orientation_det() > 0 else -1.0
+        eps = 1.0 if det > 0 else -1.0
         angle_sum = float(tangent_angles(dev, [0, 1, 2], [1, 0, 0], [2, 2, 1]).sum())
         total += s.sign * eps * (np.pi - angle_sum)
     return total
@@ -714,10 +739,11 @@ def _scan_volumes(reps: Sequence[Representation], tri: LabeledTriangulation, see
     """(Vol(rho), {cusp: classification kind}) for each representation,
     as build_developing_assignment with this seed and
     representation_volume give them one at a time, computed over a
-    leading sample axis: word images are (S, m, m) products, and the
-    developing, its degeneracy and cycle checks and the all-ideal
-    3-simplex volumes are stacked.  Peripheral classification stays per
-    sample, on the stacked word images.  A sample whose first developing
+    leading sample axis: word images are (S, m, m) products, the
+    developing is one (S, N) _VertexStack read by the degeneracy and
+    cycle checks, and the volumes are _stack_volumes calls on it.
+    Peripheral classification stays per sample, on the stacked word
+    images.  A sample whose first developing
     attempt degenerates goes through build_developing_assignment and its
     resampling on its own.  A failing check raises at its stage, so when
     several samples fail, the error of the earliest stage is raised."""
@@ -748,26 +774,24 @@ def _scan_volumes(reps: Sequence[Representation], tri: LabeledTriangulation, see
     points.update({v.id: [sample_point()] * count
                    for v in tri.orbit_vertices if v.kind != "ideal"})
     developed = _develop_slots(tri, points, word_matrix)
-    rows = np.stack([np.stack([developed[slot] / developed[slot][:, :1] for slot in s.slots],
-                              axis=1) for s in tri.simplices], axis=1)  # (S, N, m, m)
-    resample = (np.abs(np.linalg.det(rows)) < _MIN_DET).any(axis=1).tolist()
+    stack = _developed_stack(tri.simplices, developed, points)  # (S, N)
+    resample = (np.abs(stack.dets) < _MIN_DET).any(axis=1).tolist()
 
     if tri.pairings is None:
         _require_cycle(check_cycle(tri))
     else:
-        for report, again in zip(_developed_cycles(rows, tri, word_matrix), resample):
+        for report, again in zip(_developed_cycles(stack.rows, tri, word_matrix), resample):
             if not again:
                 _require_cycle(report)
 
-    # all-ideal 3-simplices in every sample take the stacked closed form;
-    # the rest go through signed_volumes per sample
-    ideal3 = [i for i, s in enumerate(tri.simplices) if tri.dim == 3 and all(
-        x.kind is Kind.IDEAL for v, _ in s.slots for x in points[v])]
-    others = sorted(set(range(len(tri.simplices))) - set(ideal3))
-    vols = np.zeros(rows.shape[:2])
+    # simplices that are all-ideal 3-simplices in every sample take their
+    # volumes in one call over the samples; the rest in one call per sample
+    all_ideal = stack.ideal.all(axis=(0, 2)) & (tri.dim == 3)
+    ideal3, others = np.flatnonzero(all_ideal).tolist(), np.flatnonzero(~all_ideal).tolist()
+    vols = np.zeros(stack.dets.shape)
     live = [k for k, again in enumerate(resample) if not again]
     if ideal3 and live:
-        vols[np.ix_(live, ideal3)] = ideal_tet_volumes(rows[live][:, ideal3])
+        vols[np.ix_(live, ideal3)] = _stack_volumes(stack[np.ix_(live, ideal3)])
     out = []
     for k, rep in enumerate(reps):
         if resample[k]:
@@ -776,8 +800,7 @@ def _scan_volumes(reps: Sequence[Representation], tri: LabeledTriangulation, see
             total = representation_volume(rep, tri, assignment)
         else:
             if others:
-                vols[k, others] = signed_volumes(_developed_simplices(
-                    [tri.simplices[i] for i in others], developed, points, k))
+                vols[k, others] = _stack_volumes(stack[k, others])
             total = 0.0
             for s, vol in zip(tri.simplices, vols[k].tolist()):
                 total += s.sign * vol

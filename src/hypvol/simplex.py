@@ -9,7 +9,10 @@ dihedral angles from those normals in one pass (`dihedral_angles`).  The
 triangular faces of a 4-simplex are measured together by Gauss-Bonnet
 from the angles between side tangents (`triangle_areas`).  An all-ideal
 3-simplex takes its volume from the cross-ratio of its vertices through
-the Bloch-Wigner dilogarithm (`bloch_wigner`), with no facet normals."""
+the Bloch-Wigner dilogarithm (`bloch_wigner`), with no facet normals.
+Many simplices are measured as one stack of their vertex rows
+(`_VertexStack`): one determinant call, one degeneracy-scale call and
+one `_stack_volumes` call serve the whole stack."""
 
 from __future__ import annotations
 
@@ -101,6 +104,16 @@ class GeodesicSimplex:
                 raise SimplexError("vertices of mixed ambient dimension")
         object.__setattr__(self, "vertices", vs)
 
+    @classmethod
+    def _stacked(cls, vertices: Sequence[LorentzVector], row: np.ndarray, det: float,
+                 scale: float) -> "GeodesicSimplex":
+        """A simplex built through __init__ whose vertex matrix is one
+        read-only row of a _VertexStack, with that stack's determinant
+        and degeneracy scale preset in the caches."""
+        simplex = cls(vertices)
+        simplex.__dict__.update(_vertex_matrix=row, _det=det, _degeneracy_scale=scale)
+        return simplex
+
     @property
     def dim(self) -> int:
         return len(self.vertices) - 1
@@ -160,6 +173,32 @@ def _is_degenerate(det, scale, dim: int, threshold: float = DEGENERACY_THRESHOLD
     determinants and degeneracy scales (GeodesicSimplex.is_degenerate
     for one simplex)."""
     return np.abs(det) < threshold * np.maximum(scale, 1e-30) ** dim
+
+
+@dataclass(frozen=True, eq=False)
+class _VertexStack:
+    """A stack (..., n+1, n+1) of simplices' x_0 = 1 vertex rows with their
+    ideal-vertex masks (..., n+1), and the per-simplex geometry computed
+    once for the whole stack: determinants (orientation, and the
+    absolute resampling test of developings) and degeneracy scales (the
+    relative is_degenerate test).  Indexing over the leading axes gives
+    the stack of the selected simplices."""
+
+    rows: np.ndarray
+    ideal: np.ndarray
+    dets: np.ndarray
+    scales: np.ndarray
+
+    @classmethod
+    def of(cls, rows: np.ndarray, ideal: np.ndarray) -> "_VertexStack":
+        return cls(rows, ideal, np.linalg.det(rows), _degeneracy_scales(rows[..., 1:]))
+
+    def __getitem__(self, index) -> "_VertexStack":
+        return _VertexStack(self.rows[index], self.ideal[index], self.dets[index],
+                            self.scales[index])
+
+    def degenerate(self) -> np.ndarray:
+        return _is_degenerate(self.dets, self.scales, self.rows.shape[-1] - 1)
 
 
 def _zeta_even(count: int) -> np.ndarray:
@@ -259,25 +298,46 @@ def _facet_rows(n: int) -> np.ndarray:
     return rows
 
 
-def _face_normals(simplex: GeodesicSimplex) -> np.ndarray:
-    """Outward spacelike unit Minkowski normals of all facets, as rows:
-    row k is the normal of the hyperplane spanned by every vertex except
-    k, which sits on its negative side.
+def _stacked_face_normals(M: np.ndarray) -> np.ndarray:
+    """Outward spacelike unit Minkowski normals of all facets of each
+    simplex in a stack M (..., n+1, n+1) of x_0 = 1 vertex rows: row k of
+    a simplex's normals is the normal of the hyperplane spanned by every
+    vertex except k, which sits on its negative side.
 
-    One batched SVD over the stacked (n+1, n, n+1) facet rows; the
+    One batched SVD over the stacked (..., n+1, n, n+1) facet rows; the
     normal is the null vector of each stack entry.  A facet of a
     nondegenerate simplex always spans a hyperplane, so the caller
-    checks is_degenerate first."""
-    M = simplex.vertex_matrix()
-    jd = np.diag(minkowski_matrix(simplex.dim))
-    _, _, vt = np.linalg.svd(M[_facet_rows(simplex.dim)] * jd)
-    m = vt[:, -1, :]
+    checks degeneracy first."""
+    n = M.shape[-1] - 1
+    jd = np.diag(minkowski_matrix(n))
+    _, _, vt = np.linalg.svd(M[..., _facet_rows(n), :] * jd)
+    m = vt[..., -1, :]
     q = _minkowski(m, m)
     if np.any(q <= 0):
         raise DegenerateSimplexError("face normal is not spacelike")
-    m = m / np.sqrt(q)[:, None]
+    m = m / np.sqrt(q)[..., None]
     m[_minkowski(m, M) > 0] *= -1.0
     return m
+
+
+def _face_normals(simplex: GeodesicSimplex) -> np.ndarray:
+    """_stacked_face_normals of one simplex."""
+    return _stacked_face_normals(simplex.vertex_matrix())
+
+
+def _angles_from_normals(m: np.ndarray, ideal: np.ndarray) -> np.ndarray:
+    """Dihedral angle matrices (..., n+1, n+1) from the outward unit facet
+    normals (..., n+1, n+1) and ideal-vertex masks (..., n+1) of a stack
+    of simplices; see dihedral_angles."""
+    # cos(theta) = -<mi, mj>, so theta = angle between mi and -mj
+    theta = _half_angle_atan2(m[..., :, None, :], -m[..., None, :, :])
+    diagonal = np.arange(m.shape[-1])
+    theta[..., diagonal, diagonal] = 0.0
+    if m.shape[-1] == 3:
+        for k in range(3):
+            i, j = (k + 1) % 3, (k + 2) % 3
+            theta[..., i, j] = theta[..., j, i] = np.where(ideal[..., k], 0.0, theta[..., i, j])
+    return theta
 
 
 def dihedral_angles(simplex: GeodesicSimplex) -> np.ndarray:
@@ -291,16 +351,7 @@ def dihedral_angles(simplex: GeodesicSimplex) -> np.ndarray:
     at an ideal vertex (tangent sides) is exactly 0."""
     if simplex.is_degenerate():
         raise DegenerateSimplexError("dihedral angle of a degenerate simplex")
-    m = _face_normals(simplex)
-    # cos(theta) = -<mi, mj>, so theta = angle between mi and -mj
-    theta = _half_angle_atan2(m[:, None, :], -m[None, :, :])
-    np.fill_diagonal(theta, 0.0)
-    if simplex.dim == 2:
-        for k, ideal in enumerate(simplex.ideal_mask()):
-            if ideal:
-                i, j = (k + 1) % 3, (k + 2) % 3
-                theta[i, j] = theta[j, i] = 0.0
-    return theta
+    return _angles_from_normals(_face_normals(simplex), np.array(simplex.ideal_mask()))
 
 
 def dihedral_angle(simplex: GeodesicSimplex, face: tuple[int, int]) -> float:
@@ -403,12 +454,48 @@ def _closed_form_volume(simplex: GeodesicSimplex) -> Optional[float]:
     Lobachevsky's formula is its independent check); None elsewhere."""
     n = simplex.dim
     if n == 2:
-        # angle defect; the angles at vertices 0, 1, 2 (0 at ideal ones)
-        angles = dihedral_angles(simplex)[[1, 0, 0], [2, 2, 1]]
-        return float(np.pi - angles.sum())
+        return float(_angle_defects(dihedral_angles(simplex)))
     if n == 3 and all(simplex.ideal_mask()):
         return abs(bloch_wigner(_ideal_cross_ratio(simplex.vertex_matrix())))
     return None
+
+
+def _angle_defects(theta: np.ndarray) -> np.ndarray:
+    """pi minus the angles at vertices 0, 1, 2 (0 at ideal ones), from
+    dihedral angle matrices (..., 3, 3) of 2-simplices."""
+    return np.pi - theta[..., [1, 0, 0], [2, 2, 1]].sum(axis=-1)
+
+
+def _stack_volumes(stack: _VertexStack, tol: float = 1e-9) -> np.ndarray:
+    """Signed volumes of a stack of same-dimension simplices, shaped like
+    its leading axes, each as signed_volume gives it: degenerate
+    simplices give 0, all-ideal 3-simplices take the Bloch-Wigner
+    dilogarithm of their cross-ratios (one Lobachevsky evaluation),
+    2-simplices the angle defect from one batched facet-normal pass, and
+    every other simplex is integrated in one build_rules batch.  The
+    signs are the stack's orientations.  An IntegrationError names the
+    failing simplex's index in the flattened stack."""
+    n = stack.rows.shape[-1] - 1
+    rows = stack.rows.reshape(-1, n + 1, n + 1)
+    ideal = stack.ideal.reshape(-1, n + 1)
+    dets = stack.dets.reshape(-1)
+    live = ~stack.degenerate().reshape(-1)
+    vols = np.zeros(len(dets))
+    closed = live if n == 2 else live & ideal.all(axis=-1) if n == 3 else np.zeros_like(live)
+    if n == 2 and closed.any():
+        vols[closed] = _angle_defects(
+            _angles_from_normals(_stacked_face_normals(rows[closed]), ideal[closed]))
+    elif closed.any():
+        vols[closed] = np.abs(_bloch_wigner_many([_ideal_cross_ratio(r) for r in rows[closed]]))
+    cubed = live & ~closed
+    if cubed.any():
+        try:
+            rules = build_rules(rows[cubed][..., 1:], ideal[cubed].tolist(), tol)
+        except IntegrationError as exc:
+            raise IntegrationError(exc.reason, exc.best, exc.bound,
+                                   int(np.flatnonzero(cubed)[exc.simplex])) from exc
+        vols[cubed] = [rule.value for rule in rules]
+    return np.where(live & (dets <= 0), -vols, vols).reshape(stack.dets.shape)
 
 
 def ideal_tet_volumes(rows: np.ndarray) -> np.ndarray:
@@ -418,46 +505,35 @@ def ideal_tet_volumes(rows: np.ndarray) -> np.ndarray:
     with the orientation's sign.  One determinant call and one
     Lobachevsky evaluation serve the whole stack."""
     rows = np.asarray(rows, dtype=float)
-    det = np.linalg.det(rows)
-    live = ~_is_degenerate(det, _degeneracy_scales(rows[..., 1:]), 3)
-    vols = np.abs(_bloch_wigner_many([_ideal_cross_ratio(r) for r in rows[live]]))
-    out = np.zeros(det.shape)
-    out[live] = np.where(det[live] > 0, vols, -vols)
-    return out
+    return _stack_volumes(_VertexStack.of(rows, np.ones(rows.shape[:-1], dtype=bool)))
 
 
 def signed_volumes(simplices: Sequence[GeodesicSimplex], tol: float = 1e-9) -> list[float]:
     """Signed volumes of a list of simplices, each as signed_volume gives
-    it: degenerate simplices give 0 and closed forms apply, all-ideal
-    3-simplices together through ideal_tet_volumes, and every other
-    simplex is integrated in one build_rules batch per dimension rather
-    than one rule at a time.  An IntegrationError names
-    the failing simplex's index in `simplices`."""
+    it: the simplices of each dimension are stacked and go through one
+    _stack_volumes call, so closed forms are evaluated together and every
+    other simplex is integrated in one build_rules batch per dimension
+    rather than one rule at a time.  An IntegrationError names the
+    failing simplex's index in `simplices`, the lowest one when
+    simplices of several dimensions fail."""
     out = [0.0] * len(simplices)
-    pending: dict[int, list[int]] = {}
-    ideal3 = [i for i, s in enumerate(simplices) if s.dim == 3 and all(s.ideal_mask())]
-    if ideal3:
-        vols = ideal_tet_volumes([simplices[i].vertex_matrix() for i in ideal3])
-        for i, vol in zip(ideal3, vols.tolist()):
-            out[i] = vol
-    done = set(ideal3)
+    by_dim: dict[int, list[int]] = {}
     for i, s in enumerate(simplices):
-        if i in done or s.is_degenerate():
-            continue
-        vol = _closed_form_volume(s)
-        if vol is None:
-            pending.setdefault(s.dim, []).append(i)
-        else:
-            out[i] = vol if s.orientation_det() > 0 else -vol
-    for idx in pending.values():
+        by_dim.setdefault(s.dim, []).append(i)
+    failures = []
+    for idx in by_dim.values():
+        stack = _VertexStack.of(np.array([simplices[i].vertex_matrix() for i in idx]),
+                                np.array([simplices[i].ideal_mask() for i in idx]))
         try:
-            rules = build_rules([simplices[i].klein() for i in idx],
-                                [simplices[i].ideal_mask() for i in idx], tol)
+            vols = _stack_volumes(stack, tol)
         except IntegrationError as exc:
-            raise IntegrationError(exc.reason, exc.best, exc.bound,
-                                   idx[exc.simplex]) from exc
-        for i, rule in zip(idx, rules):
-            out[i] = rule.value if simplices[i].orientation_det() > 0 else -rule.value
+            failures.append((idx[exc.simplex], exc))
+            continue
+        for i, vol in zip(idx, vols.tolist()):
+            out[i] = vol
+    if failures:
+        i, exc = min(failures, key=lambda failure: failure[0])
+        raise IntegrationError(exc.reason, exc.best, exc.bound, i) from exc
     return out
 
 

@@ -37,7 +37,13 @@ from hypvol.repvol import (
 from hypvol import repvol as repvol_mod
 from hypvol import triangulation
 from hypvol.repvol import _develop, _fig8_generators, _fig8_log_equations
-from hypvol.simplex import GeodesicSimplex, bloch_wigner, signed_volume, signed_volumes
+from hypvol.simplex import (
+    GeodesicSimplex,
+    _degeneracy_scales,
+    bloch_wigner,
+    signed_volume,
+    signed_volumes,
+)
 from hypvol.triangulation import LabeledSimplex, LabeledTriangulation
 
 V3 = 1.0149416064096535
@@ -404,6 +410,42 @@ def test_suspension4_batched_volumes_match_per_simplex(suspension4_rho, seed):
         assert vol == pytest.approx(signed_volume(dev, 1e-9), rel=1e-14, abs=0.0)
     total = sum(s.sign * v for s, v in zip(tri.simplices, together))
     assert total == representation_volume(suspension4_rho, tri, asg)
+
+
+def test_stack_reproduces_per_simplex_predicates(suspension4_rho, fig8):
+    """On the suspension's developing seeds 0-3 and on the subdivided
+    figure-eight of criterion 6, each stacked determinant and degeneracy
+    scale equals that of the developed simplex computed on its own, so
+    the absolute _MIN_DET resampling test and the relative is_degenerate
+    test decide as they do per simplex."""
+    tri, rho = fig8
+    sub = subdivide_at_material_vertex(tri, 0)
+    cases = ([(suspension4_rho, suspension_4d(), seed) for seed in range(4)]
+             + [(rho, sub, seed) for seed in range(5)])
+    for rho, tri, seed in cases:
+        asg = build_developing_assignment(rho, tri, seed=seed)
+        stack = asg.stack
+        assert stack.rows.shape == (len(tri.simplices), tri.dim + 1, tri.dim + 1)
+        degenerate = stack.degenerate()
+        for k, dev in enumerate(asg.simplices):
+            alone = GeodesicSimplex(dev.vertices)
+            det = np.linalg.det(alone.vertex_matrix())
+            scale = _degeneracy_scales(alone.klein())
+            assert np.array_equal(stack.rows[k], alone.vertex_matrix())
+            assert stack.dets[k] == det and dev.orientation_det() == det
+            assert stack.scales[k] == scale
+            assert (abs(stack.dets[k]) < repvol_mod._MIN_DET) == (abs(det) < repvol_mod._MIN_DET)
+            assert degenerate[k] == alone.is_degenerate() == dev.is_degenerate()
+            assert stack.ideal[k].tolist() == list(alone.ideal_mask())
+
+
+def test_developed_simplices_share_the_stack(suspension4_rho):
+    """Every developed simplex reads its vertex matrix as a read-only view
+    of its row of the assignment's stack."""
+    asg = build_developing_assignment(suspension4_rho, suspension_4d(), seed=0)
+    assert not asg.stack.rows.flags.writeable
+    for k, dev in enumerate(asg.simplices):
+        assert np.shares_memory(dev.vertex_matrix(), asg.stack.rows[k])
 
 
 def test_combinatorial_cycle_checked_once_per_triangulation(suspension4_rho, monkeypatch):

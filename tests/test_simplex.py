@@ -218,6 +218,20 @@ def test_stacked_ideal_tet_volumes_equal_signed_volume(rng):
     assert stacked[60, 0] == 0.0
 
 
+def test_stacked_angle_defects_equal_signed_volume(rng):
+    # the stacked angle defect of 2-simplices against the one-simplex
+    # route, exactly, with ideal vertices and a degenerate triangle
+    tris = [random_simplex(rng, 2, k % 4) for k in range(40)] + [ideal_triangle()]
+    flat = GeodesicSimplex([from_klein(np.array([x, 0.5 * x])) for x in (-0.4, 0.1, 0.6)])
+    assert flat.is_degenerate()
+    tris.append(flat)
+    stack = simplex_mod._VertexStack.of(np.array([t.vertex_matrix() for t in tris]),
+                                        np.array([t.ideal_mask() for t in tris]))
+    stacked = simplex_mod._stack_volumes(stack)
+    assert stacked.tolist() == [signed_volume(t) for t in tris]
+    assert stacked[-1] == 0.0
+
+
 def test_numeric_volume_barycentric_additivity(rng):
     pts = random_point_tuple(rng, 3, 4, ideal_prob=0.4)
     s = GeodesicSimplex(pts)
