@@ -289,17 +289,14 @@ def _check_preference(boundary_preference: str) -> None:
         raise RepvolError(f"unknown boundary preference {boundary_preference!r}")
 
 
-# |det| of the Klein-homogeneous vertex matrix below which
-# build_developing_assignment resamples a developed simplex's vertices
-_MIN_DET = 1e-8
-
-
-def _develop_slots(tri: LabeledTriangulation, points: Mapping[str, Sequence[LorentzVector]],
-                   word_matrix: Callable[[str], np.ndarray]) -> dict:
-    """The developed points, an (S, m) array per distinct slot (v, w) of
-    the triangulation, for S samples at once: points[v] holds the S
-    values of orbit vertex v, word_matrix(w) the (S, m, m) images of w.
-    Each slot is developed once, as Isometry.apply would develop it."""
+def _develop_points(tri: LabeledTriangulation, points: Mapping[str, Sequence[LorentzVector]],
+                    word_matrix: Callable[[str], np.ndarray]) -> tuple[dict, _VertexStack]:
+    """The developed points of S samples at once, an (S, m) array per
+    distinct slot (v, w) of the triangulation, and the (S, N) _VertexStack
+    of its N labeled simplices: points[v] holds the S values of orbit
+    vertex v, word_matrix(w) the (S, m, m) images of w.  Each slot is
+    developed once, as Isometry.apply would develop it, and scaled to
+    x_0 = 1 once; each simplex gathers its rows by slot index."""
     developed = {}
     for s in tri.simplices:
         for slot in s.slots:
@@ -310,35 +307,33 @@ def _develop_slots(tri: LabeledTriangulation, points: Mapping[str, Sequence[Lore
                 developed[slot] = np.stack([
                     _project_ideal(y) if x.kind is Kind.IDEAL else _project_material(y)
                     for x, y in zip(points[v], Y)])
-    return developed
-
-
-def _developed_stack(simplices, developed: Mapping, points: Mapping) -> _VertexStack:
-    """The (S, N) _VertexStack of the N labeled simplices as developed in
-    each of S samples: every distinct slot's points are scaled to
-    x_0 = 1 once, and each simplex gathers its rows by slot index."""
     slots = list(developed)
     index = {slot: k for k, slot in enumerate(slots)}
-    gather = [[index[slot] for slot in s.slots] for s in simplices]
+    gather = [[index[slot] for slot in s.slots] for s in tri.simplices]
     points_x0 = np.stack([developed[slot] / developed[slot][:, :1] for slot in slots], axis=1)
     ideal = np.array([[x.kind is Kind.IDEAL for x in points[v]] for v, _ in slots]).T
     rows = points_x0[:, gather]
     rows.setflags(write=False)
-    return _VertexStack.of(rows, ideal[:, gather])
+    return developed, _VertexStack.of(rows, ideal[:, gather])
+
+
+def _assignment(tri: LabeledTriangulation, points, seed: int, classes, developed: Mapping,
+                stack: _VertexStack) -> DevelopingAssignment:
+    """The DevelopingAssignment of the developing values `points` from
+    their one-sample developing (`developed`, `stack`)."""
+    vertices = {(v, w): LorentzVector._trusted(y[0], points[v].kind)
+                for (v, w), y in developed.items()}
+    return DevelopingAssignment(points, seed, classes, stack[0],
+                                tuple(s.slots for s in tri.simplices), vertices)
 
 
 def _develop(rho: Representation, tri: LabeledTriangulation, points, seed: int,
              classes) -> DevelopingAssignment:
-    """The assignment of `points` with every simplex of `tri` developed;
-    each distinct slot (v, w) is developed once and shared, and the
-    simplices' geometry is computed once for their stack."""
-    stacked = {v: [x] for v, x in points.items()}
-    developed = _develop_slots(tri, stacked, lambda w: evaluate_word(rho, w).matrix[None])
-    stack = _developed_stack(tri.simplices, developed, stacked)[0]
-    vertices = {(v, w): LorentzVector._trusted(y[0], points[v].kind)
-                for (v, w), y in developed.items()}
-    return DevelopingAssignment(points, seed, classes, stack,
-                                tuple(s.slots for s in tri.simplices), vertices)
+    """The assignment of the given developing values `points`, as they
+    are, with every simplex of `tri` developed."""
+    developed, stack = _develop_points(tri, {v: [x] for v, x in points.items()},
+                                       lambda w: evaluate_word(rho, w).matrix[None])
+    return _assignment(tri, points, seed, classes, developed, stack)
 
 
 def _point_sampler(seed: int, n: int) -> Callable[[], LorentzVector]:
@@ -357,6 +352,86 @@ def _point_sampler(seed: int, n: int) -> Callable[[], LorentzVector]:
     return sample_point
 
 
+def _develop_samples(reps: Sequence[Representation], tri: LabeledTriangulation, seed: int,
+                     boundary_preference: str, max_retries: int = 200, max_restarts: int = 20):
+    """Developing values for S representations of one presentation, each
+    as if chosen on its own, over a leading sample axis: word images are
+    (S, m, m) products, and every sample is developed in one
+    _develop_points pass.
+
+    Cusp cone points go to fixed points of the peripheral images (the
+    classification stays per sample, on the stacked word images).  Each
+    sample draws its material values from its own _point_sampler(seed, n)
+    and is redeveloped, alone among the samples, until none of its
+    simplices is degenerate (_VertexStack.degenerate, the predicate that
+    zeroes volumes): a retry redraws the material vertices of its
+    degenerate simplices in orbit-vertex order, and after max_retries
+    retries a restart redraws them all.
+
+    Returns (classes, points, developed, stack, word_matrix): per sample
+    {cusp id: PeripheralClassification}, the S values of each orbit
+    vertex, the (S, m) developed points of each slot, their (S, N)
+    _VertexStack, and the function giving a word's (S, m, m) images."""
+    _check_preference(boundary_preference)
+    pres, n, count = reps[0].presentation, reps[0].n, len(reps)
+    mats = {g: np.stack([rep.images[g].matrix for rep in reps]) for g in pres.generators}
+    words: dict = {}
+
+    def word_matrix(word: str) -> np.ndarray:
+        W = words.get(word)
+        if W is None:
+            tokens = pres.parse(word)
+            W = words[word] = (_word_matrix(mats, tokens, n) if tokens else
+                               np.broadcast_to(np.eye(n + 1), (count, n + 1, n + 1)))
+        return W
+
+    for c in tri.cusps:
+        for w in peripheral_words(tri, c.id):
+            for rep, A in zip(reps, word_matrix(w)):
+                rep._word_images.setdefault(w, Isometry._trusted(A))
+    classes = [{c.id: classify_peripheral(rep, tri, c.id) for c in tri.cusps} for rep in reps]
+
+    points = {v.id: [cl[v.cusp].fixed_point(boundary_preference) for cl in classes]
+              for v in tri.orbit_vertices if v.kind == "ideal"}
+    material = [v.id for v in tri.orbit_vertices if v.kind != "ideal"]
+    draws = [_point_sampler(seed, n) for _ in reps] if material else []
+    for vid in material:
+        points[vid] = [draw() for draw in draws]
+    retries, restarts = [0] * count, [0] * count
+
+    def resample(samples: Sequence[int], stack: _VertexStack) -> list[int]:
+        # the samples with a degenerate simplex, their material vertices redrawn
+        again = []
+        for k, bad in zip(samples, stack.degenerate().tolist()):
+            if not any(bad):
+                continue
+            in_bad = {v for s, b in zip(tri.simplices, bad) if b for v, _ in s.slots}
+            redraw = [vid for vid in material if vid in in_bad]
+            retries[k] += 1
+            if redraw and retries[k] >= max_retries:
+                retries[k], restarts[k], redraw = 0, restarts[k] + 1, material
+            # with nothing to redraw, the degeneracy is intrinsic
+            if not redraw or restarts[k] >= max_restarts:
+                raise DegenerateDevelopingError(
+                    "could not reach a nondegenerate developing assignment within the "
+                    "retry budget; the representation may collapse every simplex "
+                    "(its volume is then 0 in tolerant mode)")
+            for vid in redraw:
+                points[vid][k] = draws[k]()
+            again.append(k)
+        return again
+
+    developed, stack = _develop_points(tri, points, word_matrix)
+    todo = resample(range(count), stack)
+    if todo:
+        while todo:
+            part = {v: [xs[k] for k in todo] for v, xs in points.items()}
+            todo = resample(todo, _develop_points(
+                tri, part, lambda w: word_matrix(w)[todo])[1])
+        developed, stack = _develop_points(tri, points, word_matrix)
+    return classes, points, developed, stack, word_matrix
+
+
 def build_developing_assignment(rho: Representation, tri: LabeledTriangulation,
                                 seed: int = 0,
                                 boundary_preference: str = "prefer_ideal",
@@ -365,45 +440,15 @@ def build_developing_assignment(rho: Representation, tri: LabeledTriangulation,
     """Choose developing values: cusp cone points go to fixed points of
     the peripheral images, material orbit vertices are sampled in the
     unit-radius ball around the origin (uniform in Klein coordinates)
-    and rejection-resampled until every developed simplex is
-    nondegenerate."""
-    _check_preference(boundary_preference)
-    classes = {c.id: classify_peripheral(rho, tri, c.id) for c in tri.cusps}
-    n = rho.n
-    fixed = {}
-    material_ids = []
-    for v in tri.orbit_vertices:
-        if v.kind == "ideal":
-            fixed[v.id] = classes[v.cusp].fixed_point(boundary_preference)
-        else:
-            material_ids.append(v.id)
-
-    sample_point = _point_sampler(seed, n)
-    material_set = set(material_ids)
-    for restart in range(max_restarts):
-        points = dict(fixed)
-        for vid in material_ids:
-            points[vid] = sample_point()
-        for attempt in range(max_retries):
-            assignment = _develop(rho, tri, points, seed, classes)
-            bad = [s for s, det in zip(tri.simplices, assignment.stack.dets.tolist())
-                   if abs(det) < _MIN_DET]
-            if not bad:
-                return assignment
-            bad_vertices = {v for s in bad for v, _ in s.slots if v in material_set}
-            if not bad_vertices:
-                break  # nothing to resample: the degeneracy is intrinsic
-            for vid in bad_vertices:
-                points[vid] = sample_point()
-        if not material_ids:
-            break
-    raise DegenerateDevelopingError(
-        "could not reach a nondegenerate developing assignment within the "
-        "retry budget; the representation may collapse every simplex "
-        "(its volume is then 0 in tolerant mode)")
+    and rejection-resampled until no developed simplex is degenerate;
+    _develop_samples with one sample."""
+    classes, points, developed, stack, _ = _develop_samples(
+        [rho], tri, seed, boundary_preference, max_retries, max_restarts)
+    return _assignment(tri, {v: xs[0] for v, xs in points.items()}, seed, classes[0],
+                       developed, stack)
 
 
-# max-abs distance between x_0 = 1 rows at which developed points coincide
+# max-abs distance between x_0 = 1 rows at which a paired point meets its target
 _CYCLE_TOL = 1e-6
 
 
@@ -413,21 +458,19 @@ def _max_abs_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(a[..., :, None, :] - b[..., None, :, :]).max(axis=-1)
 
 
-def _developed_cycles(rows: np.ndarray, tri: LabeledTriangulation,
+def _developed_cycles(stack: _VertexStack, tri: LabeledTriangulation,
                       word_matrix: Callable[[str], np.ndarray]) -> list[CycleReport]:
     """Relaxed cycle check of a triangulation with face pairings, for S
-    developings at once: rows (S, N, m, m) holds the x_0 = 1 vertex rows
-    of the N developed simplices of each sample, and word_matrix gives
-    the (S, m, m) images of a pairing word.  Each pairing word must carry
-    the developed points of the source face onto those of the target
-    face with canceling orientation.  Simplices and faces whose
-    developed points collide are degenerate chains and drop out,
-    matching the degenerate-tolerant volume convention."""
+    developings at once: stack (S, N) holds the N developed simplices of
+    each sample, and word_matrix gives the (S, m, m) images of a pairing
+    word.  Each pairing word must carry the developed points of the
+    source face onto those of the target face with canceling
+    orientation.  Degenerate simplices (_VertexStack.degenerate) are
+    degenerate chains and drop out, matching the degenerate-tolerant
+    volume convention."""
+    rows = stack.rows
     v = rows.shape[-2]
-    # the distance matrix has a zero diagonal, so all off-diagonal
-    # entries are above the tolerance when v (v - 1) entries are
-    apart = ((_max_abs_distances(rows, rows) > _CYCLE_TOL).sum(axis=(-2, -1))
-             == v * (v - 1)).tolist()
+    apart = (~stack.degenerate()).tolist()
     close = []  # per pairing: (S, m - 1, m - 1) lists, moved source against target points
     for p in tri.pairings:
         moved = np.delete(rows[:, p.src] @ np.swapaxes(word_matrix(p.word), -1, -2),
@@ -479,33 +522,30 @@ def _matched_pairings(tri: LabeledTriangulation, v: int, apart: Sequence[bool],
     return CycleReport(is_cycle=not unmatched, unmatched=unmatched)
 
 
-def _developed_cycle(rho: Representation, tri: LabeledTriangulation,
-                     rows: np.ndarray) -> CycleReport:
-    """_developed_cycles for the (N, m, m) vertex rows of one
-    representation's developed simplices."""
-    return _developed_cycles(rows[None], tri, lambda w: evaluate_word(rho, w).matrix[None])[0]
-
-
 def _validate_cycle(rho: Representation, tri: LabeledTriangulation,
                     assignment: DevelopingAssignment):
-    """Raise unless the triangulation is a cycle: through its face
-    pairings on the developed simplices when it has them, by check_cycle
-    otherwise."""
+    """Raise unless the triangulation is a cycle on the assignment's
+    developed simplices (_require_cycles)."""
     if len(assignment.slots) != len(tri.simplices):
         raise RepvolError(
             f"the assignment develops {len(assignment.slots)} simplices, "
             f"the triangulation has {len(tri.simplices)}")
-    if tri.pairings is not None:
-        report = _developed_cycle(rho, tri, assignment.stack.rows)
-    else:
-        report = check_cycle(tri)
-    _require_cycle(report)
+    _require_cycles(tri, assignment.stack[None],
+                    lambda w: evaluate_word(rho, w).matrix[None])
 
 
-def _require_cycle(report: CycleReport) -> None:
-    if not report.is_cycle:
-        raise TriangulationError(
-            f"triangulation is not a cycle: {len(report.unmatched)} unmatched faces")
+def _require_cycles(tri: LabeledTriangulation, stack: _VertexStack,
+                    word_matrix: Callable[[str], np.ndarray]) -> None:
+    """Raise unless the triangulation is a cycle in each of S developings
+    (stack and word_matrix as for _developed_cycles): through its face
+    pairings on the developed simplices when it has them, by check_cycle
+    otherwise."""
+    reports = ([check_cycle(tri)] if tri.pairings is None
+               else _developed_cycles(stack, tri, word_matrix))
+    for report in reports:
+        if not report.is_cycle:
+            raise TriangulationError(
+                f"triangulation is not a cycle: {len(report.unmatched)} unmatched faces")
 
 
 def representation_volume(rho: Representation, tri: LabeledTriangulation,
@@ -521,8 +561,14 @@ def representation_volume(rho: Representation, tri: LabeledTriangulation,
     or fixed-point choices of the assignment (tested, not assumed).
     """
     _validate_cycle(rho, tri, assignment)
+    return _signed_sum(tri, _stack_volumes(assignment.stack, tol).tolist())
+
+
+def _signed_sum(tri: LabeledTriangulation, vols: Sequence[float]) -> float:
+    """The simplices' volumes weighted by their cycle signs, summed in
+    simplex order."""
     total = 0.0
-    for s, vol in zip(tri.simplices, _stack_volumes(assignment.stack, tol).tolist()):
+    for s, vol in zip(tri.simplices, vols):
         total += s.sign * vol
     return total
 
@@ -705,10 +751,14 @@ def scan_path(path: DeformationPath, tri: LabeledTriangulation, n_samples: int,
     not depend on the choice; the per-sample classifications let a
     caller spot crossings.
 
-    The representations come from one path.evaluate_many call, and the
-    samples go through one stacked pass (_scan_volumes) that gives each
-    the volume build_developing_assignment and representation_volume
-    give it.
+    The representations come from one path.evaluate_many call.  They are
+    developed together (_develop_samples, with the developing retries of
+    build_developing_assignment per sample), cycle-checked in one
+    _developed_cycles pass and measured in one _stack_volumes call, so
+    each sample gets the volume build_developing_assignment and
+    representation_volume give it.  A failing check raises at its stage,
+    so when several samples fail, the error of the earliest stage is
+    raised.
     """
     if n_samples < 3:
         raise RepvolError("need at least 3 samples")
@@ -716,12 +766,15 @@ def scan_path(path: DeformationPath, tri: LabeledTriangulation, n_samples: int,
         boundary_preference = ("prefer_ideal" if path.kind in ("twist2d", "dehn3d")
                                else "prefer_interior")
     ts = np.linspace(0.0, 1.0, n_samples)
-    reps = path.evaluate_many(ts)
+    classes, _, _, stack, word_matrix = _develop_samples(
+        path.evaluate_many(ts), tri, seed, boundary_preference)
+    _require_cycles(tri, stack, word_matrix)
     samples = []
     vols = []
     margin_min = None
-    for t, (vol, classes) in zip(ts, _scan_volumes(reps, tri, seed, boundary_preference)):
-        samples.append((float(t), vol, classes))
+    for t, row, cl in zip(ts, _stack_volumes(stack).tolist(), classes):
+        vol = _signed_sum(tri, row)
+        samples.append((float(t), vol, {c: k.kind.value for c, k in cl.items()}))
         vols.append(vol)
         if reference_vol is not None:
             m = milnor_wood_margin(vol, reference_vol)
@@ -732,80 +785,6 @@ def scan_path(path: DeformationPath, tri: LabeledTriangulation, n_samples: int,
     dev = float(np.max(np.abs(vols - vols[0])))
     verdict = "Constant" if dev <= tol else "NonConstant"
     return PathScanReport(tuple(samples), verdict, dev, margin_min, tol)
-
-
-def _scan_volumes(reps: Sequence[Representation], tri: LabeledTriangulation, seed: int,
-                  boundary_preference: str) -> list[tuple[float, dict]]:
-    """(Vol(rho), {cusp: classification kind}) for each representation,
-    as build_developing_assignment with this seed and
-    representation_volume give them one at a time, computed over a
-    leading sample axis: word images are (S, m, m) products, the
-    developing is one (S, N) _VertexStack read by the degeneracy and
-    cycle checks, and the volumes are _stack_volumes calls on it.
-    Peripheral classification stays per sample, on the stacked word
-    images.  A sample whose first developing
-    attempt degenerates goes through build_developing_assignment and its
-    resampling on its own.  A failing check raises at its stage, so when
-    several samples fail, the error of the earliest stage is raised."""
-    _check_preference(boundary_preference)
-    pres, n, count = reps[0].presentation, reps[0].n, len(reps)
-    mats = {g: np.stack([rep.images[g].matrix for rep in reps]) for g in pres.generators}
-    words: dict = {}
-
-    def word_matrix(word: str) -> np.ndarray:
-        W = words.get(word)
-        if W is None:
-            tokens = pres.parse(word)
-            W = words[word] = (_word_matrix(mats, tokens, n) if tokens else
-                               np.broadcast_to(np.eye(n + 1), (count, n + 1, n + 1)))
-        return W
-
-    for c in tri.cusps:
-        for w in peripheral_words(tri, c.id):
-            for rep, A in zip(reps, word_matrix(w)):
-                rep._word_images.setdefault(w, Isometry._trusted(A))
-    classes = [{c.id: classify_peripheral(rep, tri, c.id) for c in tri.cusps} for rep in reps]
-
-    # the first developing attempt: cusp cone points at fixed points, and
-    # the same first draws for the material vertices in every sample
-    sample_point = _point_sampler(seed, n)
-    points = {v.id: [cl[v.cusp].fixed_point(boundary_preference) for cl in classes]
-              for v in tri.orbit_vertices if v.kind == "ideal"}
-    points.update({v.id: [sample_point()] * count
-                   for v in tri.orbit_vertices if v.kind != "ideal"})
-    developed = _develop_slots(tri, points, word_matrix)
-    stack = _developed_stack(tri.simplices, developed, points)  # (S, N)
-    resample = (np.abs(stack.dets) < _MIN_DET).any(axis=1).tolist()
-
-    if tri.pairings is None:
-        _require_cycle(check_cycle(tri))
-    else:
-        for report, again in zip(_developed_cycles(stack.rows, tri, word_matrix), resample):
-            if not again:
-                _require_cycle(report)
-
-    # simplices that are all-ideal 3-simplices in every sample take their
-    # volumes in one call over the samples; the rest in one call per sample
-    all_ideal = stack.ideal.all(axis=(0, 2)) & (tri.dim == 3)
-    ideal3, others = np.flatnonzero(all_ideal).tolist(), np.flatnonzero(~all_ideal).tolist()
-    vols = np.zeros(stack.dets.shape)
-    live = [k for k, again in enumerate(resample) if not again]
-    if ideal3 and live:
-        vols[np.ix_(live, ideal3)] = _stack_volumes(stack[np.ix_(live, ideal3)])
-    out = []
-    for k, rep in enumerate(reps):
-        if resample[k]:
-            assignment = build_developing_assignment(
-                rep, tri, seed=seed, boundary_preference=boundary_preference)
-            total = representation_volume(rep, tri, assignment)
-        else:
-            if others:
-                vols[k, others] = _stack_volumes(stack[k, others])
-            total = 0.0
-            for s, vol in zip(tri.simplices, vols[k].tolist()):
-                total += s.sign * vol
-        out.append((total, {c: cl.kind.value for c, cl in classes[k].items()}))
-    return out
 
 
 # --- gluing equations (two-ideal-tetrahedron fixtures) -----------------

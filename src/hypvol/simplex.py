@@ -48,7 +48,6 @@ __all__ = [
     "lobachevsky",
     "bloch_wigner",
     "ideal_tet_volume",
-    "ideal_tet_volumes",
     "dihedral_angle",
     "dihedral_angles",
     "tangent_angles",
@@ -179,10 +178,10 @@ def _is_degenerate(det, scale, dim: int, threshold: float = DEGENERACY_THRESHOLD
 class _VertexStack:
     """A stack (..., n+1, n+1) of simplices' x_0 = 1 vertex rows with their
     ideal-vertex masks (..., n+1), and the per-simplex geometry computed
-    once for the whole stack: determinants (orientation, and the
-    absolute resampling test of developings) and degeneracy scales (the
-    relative is_degenerate test).  Indexing over the leading axes gives
-    the stack of the selected simplices."""
+    once for the whole stack: determinants (orientation) and degeneracy
+    scales, which degenerate() reads for the relative is_degenerate test.
+    Indexing over the leading axes gives the stack of the selected
+    simplices."""
 
     rows: np.ndarray
     ideal: np.ndarray
@@ -496,16 +495,6 @@ def _stack_volumes(stack: _VertexStack, tol: float = 1e-9) -> np.ndarray:
                                    int(np.flatnonzero(cubed)[exc.simplex])) from exc
         vols[cubed] = [rule.value for rule in rules]
     return np.where(live & (dets <= 0), -vols, vols).reshape(stack.dets.shape)
-
-
-def ideal_tet_volumes(rows: np.ndarray) -> np.ndarray:
-    """Signed volumes of all-ideal 3-simplices given as a stack (..., 4, 4)
-    of their x_0 = 1 vertex rows, each as signed_volume gives it: 0 when
-    degenerate, else the Bloch-Wigner dilogarithm of the cross-ratio
-    with the orientation's sign.  One determinant call and one
-    Lobachevsky evaluation serve the whole stack."""
-    rows = np.asarray(rows, dtype=float)
-    return _stack_volumes(_VertexStack.of(rows, np.ones(rows.shape[:-1], dtype=bool)))
 
 
 def signed_volumes(simplices: Sequence[GeodesicSimplex], tol: float = 1e-9) -> list[float]:

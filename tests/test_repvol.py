@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +40,7 @@ from hypvol.repvol import (
     toledo_number,
 )
 from hypvol import repvol as repvol_mod
+from hypvol import simplex as simplex_mod
 from hypvol import triangulation
 from hypvol.repvol import _develop, _fig8_generators, _fig8_log_equations
 from hypvol.simplex import (
@@ -362,19 +368,89 @@ def test_scan_matches_one_sample_at_a_time(fig8, ptorus, case):
 
 
 def test_scan_resamples_a_degenerate_sample_on_its_own(fig8, monkeypatch):
-    # with every developed simplex judged degenerate, each sample goes
-    # through build_developing_assignment, which has no material vertex
-    # to resample and refuses
-    tri, _ = fig8
-    path = generate_path("dehn3d", {"triangulation": tri, "filling": (5, 1), "steps": 8})
-    monkeypatch.setattr(repvol_mod, "_MIN_DET", 1e9)
-    calls = []
-    build = repvol_mod.build_developing_assignment
-    monkeypatch.setattr(repvol_mod, "build_developing_assignment",
-                        lambda *a, **k: calls.append(a) or build(*a, **k))
+    """A scan sample whose first developing degenerates redraws its
+    material vertex within the stacked scan, the other samples keep
+    their first draw, and every sample gets exactly the volume that
+    build_developing_assignment and representation_volume give it.  An
+    undevelopable scan refuses."""
+    tri, rho = fig8
+    sub, make_path = _scan_case("conjugation, material vertex", fig8, None)
+    # judged degenerate below a tenth of scale^3, seed 0's first draw
+    # degenerates a simplex of the first sample only
+    is_degenerate = simplex_mod._is_degenerate
+    monkeypatch.setattr(simplex_mod, "_is_degenerate",
+                        lambda det, scale, dim: is_degenerate(det, scale, dim, 0.1))
+    draws = []
+    point_sampler = repvol_mod._point_sampler
+
+    def counted_sampler(seed, n):
+        draw = point_sampler(seed, n)
+        draws.append(0)
+        k = len(draws) - 1
+
+        def counted():
+            draws[k] += 1
+            return draw()
+
+        return counted
+
+    monkeypatch.setattr(repvol_mod, "_point_sampler", counted_sampler)
+    report = scan_path(make_path(), sub, 3, seed=0)
+    assert draws[0] > 1 and draws[1:] == [1, 1]
+    path = make_path()
+    for t, vol, _ in report.samples:
+        rep = path.evaluate(t)
+        asg = build_developing_assignment(rep, sub, seed=0, boundary_preference="prefer_interior")
+        assert vol == representation_volume(rep, sub, asg)
+        assert abs(vol - FIG8_VOL) < 1e-6
+    monkeypatch.undo()
+    trivial = check_representation(
+        tri.presentation, {"a": Isometry.identity(3), "b": Isometry.identity(3)})
+    direction = np.zeros((4, 4))
+    direction[0, 1] = direction[1, 0] = 0.3
     with pytest.raises(DegenerateDevelopingError):
-        scan_path(path, tri, 3)
-    assert len(calls) == 1
+        scan_path(generate_path("conjugation", {"base": trivial, "direction": direction}), tri, 3)
+
+
+_HASH_SEED_SCRIPT = """
+import numpy as np
+from hypvol import repvol, simplex
+from hypvol.fixtures import suspension_4d
+
+is_degenerate = simplex._is_degenerate
+simplex._is_degenerate = lambda det, scale, dim: is_degenerate(det, scale, dim, 1e-3)
+rounds = []
+develop_points = repvol._develop_points
+repvol._develop_points = lambda tri, points, word_matrix: (
+    rounds.append({v: [x.coords.tolist() for x in xs] for v, xs in points.items()})
+    or develop_points(tri, points, word_matrix))
+tri = suspension_4d()
+X = np.zeros((5, 5))
+X[0, 2:] = X[1, 2:] = X[2:, 0] = [0.3, -0.5, 0.4]
+X[2:, 1] = [-0.3, 0.5, -0.4]
+rho = repvol.check_representation(tri.presentation, {"x": np.eye(5) + X + X @ X / 2.0})
+asg = repvol.build_developing_assignment(rho, tri, seed=0)
+print(max(sum(a[v] != b[v] for v in a) for a, b in zip(rounds, rounds[1:])))
+print(repr({v: x.coords.tolist() for v, x in asg.points.items()}))
+"""
+
+
+def test_resampling_does_not_depend_on_string_hashing():
+    """A retry that redraws several material vertices at once draws them
+    in orbit-vertex order, so processes with different string hashing
+    reach the same developing values."""
+    src = str(Path(repvol_mod.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", _HASH_SEED_SCRIPT],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    redrawn_at_once = int(outputs[0].split()[0])
+    assert redrawn_at_once >= 2
+    assert outputs[0] == outputs[1]
 
 
 def test_suspension4_develops_each_slot_once(suspension4_rho, monkeypatch):
@@ -416,8 +492,8 @@ def test_stack_reproduces_per_simplex_predicates(suspension4_rho, fig8):
     """On the suspension's developing seeds 0-3 and on the subdivided
     figure-eight of criterion 6, each stacked determinant and degeneracy
     scale equals that of the developed simplex computed on its own, so
-    the absolute _MIN_DET resampling test and the relative is_degenerate
-    test decide as they do per simplex."""
+    the relative is_degenerate test, which developing, the cycle check
+    and the volumes share, decides as it does per simplex."""
     tri, rho = fig8
     sub = subdivide_at_material_vertex(tri, 0)
     cases = ([(suspension4_rho, suspension_4d(), seed) for seed in range(4)]
@@ -434,7 +510,6 @@ def test_stack_reproduces_per_simplex_predicates(suspension4_rho, fig8):
             assert np.array_equal(stack.rows[k], alone.vertex_matrix())
             assert stack.dets[k] == det and dev.orientation_det() == det
             assert stack.scales[k] == scale
-            assert (abs(stack.dets[k]) < repvol_mod._MIN_DET) == (abs(det) < repvol_mod._MIN_DET)
             assert degenerate[k] == alone.is_degenerate() == dev.is_degenerate()
             assert stack.ideal[k].tolist() == list(alone.ideal_mask())
 

@@ -23,7 +23,6 @@ from hypvol.simplex import (
     dihedral_angles,
     face_measure,
     ideal_tet_volume,
-    ideal_tet_volumes,
     lobachevsky,
     numeric_volume,
     signed_volume,
@@ -212,7 +211,8 @@ def test_stacked_ideal_tet_volumes_equal_signed_volume(rng):
     assert flat.is_degenerate()
     tets.append(flat)
     rows = np.array([t.vertex_matrix() for t in tets]).reshape(61, 1, 4, 4)
-    stacked = ideal_tet_volumes(rows)
+    stack = simplex_mod._VertexStack.of(rows, np.ones((61, 1, 4), dtype=bool))
+    stacked = simplex_mod._stack_volumes(stack)
     assert stacked.shape == (61, 1)
     assert stacked[:, 0].tolist() == [signed_volume(t) for t in tets]
     assert stacked[60, 0] == 0.0
