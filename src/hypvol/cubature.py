@@ -33,7 +33,9 @@ A cell that exhausts the ladder bisects into the next generation with
 half its budget.  Each simplex's final cells are kept in depth-first
 split order (sorted on their split path), so its rule is what building
 it alone gives; `build_rule` is `build_rules` on one simplex.  A frozen
-rule re-evaluates its cells grouped by degree through the same kernel.
+rule re-evaluates its cells grouped by degree through the same kernel,
+on one simplex or on a stack of simplices (one kernel call per degree
+for the whole stack).
 
 Split kernel.  With M = 1 - W W^T over a cell's Klein vertices W (corner
 first) and the face barycentrics split as a top axis u toward W1 times
@@ -317,7 +319,8 @@ def _simplex_matrices(kleins: np.ndarray, skip: np.ndarray):
     ms = 1.0 - kleins @ kleins.swapaxes(-1, -2)
     flat = ms.reshape(*ms.shape[:-2], -1)
     if not (flat + skip).min() > 0.0:
-        *s, i, j = np.argwhere(~(ms > 0.0) & (skip == 0.0).reshape(ms.shape))[0]
+        required = np.broadcast_to(skip == 0.0, flat.shape).reshape(ms.shape)
+        *s, i, j = np.argwhere(~(ms > 0.0) & required)[0]
         simplex = int(s[0]) if s else None
         if i == j:
             radius = math.sqrt(float(kleins[(*s, i)] @ kleins[(*s, i)]))
@@ -334,13 +337,16 @@ def _cell_frames(mixes: np.ndarray, ms: np.ndarray, material_corner: np.ndarray,
                  vols: np.ndarray):
     """What the kernel needs of stacked cells besides the Gauss degree,
     computed once for every degree: from each cell's M = mix ms mix^T
-    (ms from _simplex_matrices, per cell or shared) its (_ROWS, L)
+    (ms from _simplex_matrices, per cell or shared; or (S, 1, n+1, n+1)
+    for a stack of S simplices, which makes S x C cells, simplex-major,
+    from C mixes) its (_ROWS, L)
     sub-face coefficients (see _split_rule and _frame_map) and the
     square root of the kernel's a = M00 (0 at an ideal corner, where
-    material_corner, a (C, 1) column of 1s and 0s, is 0); and the cells'
-    volumes `vols`, their shares of the simplex's |det|."""
-    rows, cols, taken, L = _frame_map(mixes.shape[1] - 1)
-    coef = (mixes @ ms @ mixes.swapaxes(1, 2))[:, rows, cols] * taken
+    material_corner, a column of 1s and 0s per cell, is 0); and the
+    cells' volumes `vols`, their shares of the simplex's |det|."""
+    rows, cols, taken, L = _frame_map(mixes.shape[-1] - 1)
+    coef = (mixes @ ms @ mixes.swapaxes(-1, -2)).reshape(-1, *mixes.shape[-2:])
+    coef = coef[:, rows, cols] * taken
     return (coef[:, :-1].reshape(len(coef), _ROWS, L), np.sqrt(coef[:, -1:] * material_corner),
             vols)
 
@@ -457,15 +463,23 @@ class VolumeRule:
                            np.abs(np.linalg.det(mixes))))
         return groups, _diagonal_skip(self.ideal)
 
-    def evaluate(self, klein: np.ndarray) -> float:
+    def evaluate(self, klein: np.ndarray):
+        """The rule's value on a Klein simplex (n+1, n), or an array of
+        its values on each simplex of a stack (S, n+1, n).  A simplex is
+        a stack of one: per degree, the cells of every simplex go
+        through one kernel call, and each simplex's value is the sum of
+        its cell values in cell order."""
         klein = np.asarray(klein, dtype=float)
         groups, skip = self._plan
         ms, det = _simplex_matrices(klein, skip)
-        vals = np.empty(len(self.cells))
+        ms, det = ms.reshape(-1, *ms.shape[-2:]), det.reshape(-1, 1)
+        vals = np.empty((len(ms), len(self.cells)))
         for g, idx, mixes, material, shares in groups:
-            frames = _cell_frames(mixes, ms, material, shares * det)
-            vals[idx] = _face_sums(frames, klein.shape[1], (g,))[0]
-        return sum(vals.tolist())
+            frames = _cell_frames(mixes, ms[:, None], np.tile(material, (len(ms), 1)),
+                                  (shares * det).ravel())
+            vals[:, idx] = _face_sums(frames, klein.shape[-1], (g,))[0].reshape(len(ms), -1)
+        sums = [sum(row) for row in vals.tolist()]
+        return sums[0] if klein.ndim == 2 else np.array(sums)
 
 
 def _ladder(n: int):

@@ -41,6 +41,7 @@ __all__ = [
 FORM_TOL = 1e-10
 MATERIAL_TOL = 1e-12
 IDEAL_EQ_TOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 
 class LorentzError(ValueError):
@@ -81,11 +82,20 @@ def _inner(u: np.ndarray, v: np.ndarray) -> float:
     return float(-u[0] * v[0] + u[1:] @ v[1:])
 
 
+def _finite_form(c: np.ndarray) -> float:
+    """<c, c>, refusing coordinates that are not all finite (a NaN or an
+    infinity makes the form NaN or infinite)."""
+    q = _inner(c, c)
+    if not math.isfinite(q):
+        raise LorentzError(f"coordinates are not finite: {c.tolist()}")
+    return q
+
+
 def _project_material(coords: Sequence[float]) -> np.ndarray:
     """A fresh array on the upper hyperboloid sheet, rescaled from a
     future-pointing timelike vector (refused otherwise)."""
     c = np.asarray(coords, dtype=float)
-    q = _inner(c, c)
+    q = _finite_form(c)
     if q >= 0 or c[0] <= 0:
         raise LorentzError(f"not timelike future-pointing: <x,x>={q}")
     return c / np.sqrt(-q)
@@ -96,12 +106,12 @@ def _project_ideal(coords: Sequence[float]) -> np.ndarray:
     representative within 0.1% of the cone is reset to the length of
     its space part (refused otherwise)."""
     c = np.asarray(coords, dtype=float)
+    q = _finite_form(c)
     if c[0] <= 0:
         raise LorentzError("ideal representative must have x0 > 0")
     s = math.sqrt(c[1:] @ c[1:])
     if s == 0:
         raise LorentzError("zero space part cannot be lightlike")
-    q = _inner(c, c)
     if abs(q) > 1e-3 * float(c @ c):
         raise LorentzError(f"representative too far from the light cone: <x,x>={q}")
     return np.concatenate(([s], c[1:]))
@@ -127,12 +137,14 @@ class LorentzVector:
         c = c.copy()
         c.setflags(write=False)
         object.__setattr__(self, "coords", c)
-        q = _inner(c, c)
+        q = _finite_form(c)
+        scale = float(c @ c)
         if self.kind is Kind.MATERIAL:
-            if abs(q + 1.0) > 1e-9 or c[0] <= 0:
+            # <x,x> of a rounded point carries rounding of up to about
+            # (n+1) eps (c . c), which grows like x0^2 near the sphere
+            if abs(q + 1.0) > 1e-9 + _EPS * len(c) * scale or c[0] <= 0:
                 raise LorentzError(f"not a material point: <x,x>={q}, x0={c[0]}")
         elif self.kind is Kind.IDEAL:
-            scale = float(c @ c)
             if scale == 0.0 or abs(q) > 1e-9 * scale or c[0] <= 0:
                 raise LorentzError(f"not an ideal point: <x,x>={q}, x0={c[0]}")
 
@@ -240,14 +252,27 @@ def model_convert(x: LorentzVector, target: str):
 
 def from_klein(k: np.ndarray, boundary_tol: float = 1e-12) -> LorentzVector:
     """Lift a Klein-model point to the hyperboloid (or the light cone if
-    it lies on the unit sphere within boundary_tol)."""
+    it lies on the unit sphere within boundary_tol).
+
+    The ball check is the whole validation: the lift of a finite point
+    of the closed ball is a point of its kind by construction, so it is
+    wrapped without the constructor's second check.  An ideal lift's
+    time coordinate is the length of its space part, as
+    LorentzVector.ideal sets it."""
     k = np.asarray(k, dtype=float)
+    if k.ndim != 1 or k.shape[0] < 2:
+        raise LorentzError(f"need at least 2 Klein coordinates (n >= 2), got shape {k.shape}")
     r2 = float(k @ k)
+    if not math.isfinite(r2):
+        raise LorentzError(f"Klein coordinates are not finite: {k.tolist()}")
     if r2 > 1.0 + boundary_tol:
         raise LorentzError(f"Klein point outside the closed ball: |k|^2={r2}")
     if r2 >= 1.0 - boundary_tol:
-        return LorentzVector.ideal(np.concatenate(([1.0], k / np.sqrt(r2))))
-    return LorentzVector(np.concatenate(([1.0], k)) / np.sqrt(1.0 - r2), Kind.MATERIAL)
+        c = np.concatenate(([1.0], k / np.sqrt(r2)))
+        c[0] = math.sqrt(c[1:] @ c[1:])
+        return LorentzVector._trusted(c, Kind.IDEAL)
+    return LorentzVector._trusted(np.concatenate(([1.0], k)) / np.sqrt(1.0 - r2),
+                                  Kind.MATERIAL)
 
 
 def minkowski_gram_schmidt(A: np.ndarray) -> np.ndarray:

@@ -18,13 +18,14 @@ from .simplex import (
     InfiniteFaceMeasureError,
     SimplexError,
     SimplexFamily,
+    _frozen_volumes,
+    _stack_dihedral_angles,
+    _VertexStack,
     default_horoballs,
     dihedral_angle,
-    dihedral_angles,
     face_measure,
     triangle_areas,
     truncated_edge_length,
-    volume_evaluator,
 )
 
 __all__ = [
@@ -84,29 +85,35 @@ def family_derivatives(fam: SimplexFamily, t: float, h: float = 1e-4,
     """Central finite differences of the volume and of every dihedral
     angle of the family at time t, plus face measures at t.
 
-    The volume at the stencil points is computed with one integration
-    rule frozen at the center, so the difference quotient is free of
-    rule-switching noise; the reported error estimate compares the h and
-    h/2 derivative estimates.
+    The four stencil simplices (t -+ h, t -+ h/2) form one vertex stack,
+    which gives their orientations and degeneracy.  Their volumes come
+    from one evaluation of the integration rule frozen at the center
+    (built once per tol and kept on the center simplex), so the
+    difference quotient is free of rule-switching noise; the reported
+    error estimate compares the h and h/2 derivative estimates.  The
+    dihedral angles of both t -+ h sides come from one batched normal
+    computation.  A SimplexFamily keeps the simplices of recent times,
+    so a second call at h/2 re-evaluates only the two new times.
     """
     if h <= 0:
         raise SimplexError("step must be positive")
     if t - h < 0.0 or t + h > 1.0:
         raise SimplexError("stencil leaves the parameter interval [0,1]")
     center = fam(t)
-    stencil = {dt: fam(t + dt) for dt in (-h, -h / 2, h / 2, h)}
-    _check_same_type(fam, [center, *stencil.values()], t)
+    stencil = [fam(t + dt) for dt in (-h, -h / 2, h / 2, h)]
+    _check_same_type(fam, [center, *stencil], t)
+    stack = _VertexStack.of_simplices(stencil)
 
     # dvol differentiates the unsigned polyhedron volume: the orientation
     # is constant along a nondegenerate family, so strip it at the center.
     sign = 1.0 if center.orientation_det() > 0 else -1.0
-    vol = volume_evaluator(center, tol)
-    dvol = sign * (vol(stencil[h]) - vol(stencil[-h])) / (2 * h)
-    dvol_half = sign * (vol(stencil[h / 2]) - vol(stencil[-h / 2])) / h
+    v_minus, v_minus_half, v_plus_half, v_plus = _frozen_volumes(center, stack, tol).tolist()
+    dvol = sign * (v_plus - v_minus) / (2 * h)
+    dvol_half = sign * (v_plus_half - v_minus_half) / h
     err = abs(dvol - dvol_half) * (4.0 / 3.0)
 
     faces = _faces(center.dim)
-    plus, minus = dihedral_angles(stencil[h]), dihedral_angles(stencil[-h])
+    minus, plus = _stack_dihedral_angles(stack[[0, 3]])
     dtheta = {face: float(plus[face] - minus[face]) / (2 * h) for face in faces}
     if center.dim == 4:
         measures = dict(zip(faces, triangle_areas(center, faces).tolist()))

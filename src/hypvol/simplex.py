@@ -19,13 +19,14 @@ from __future__ import annotations
 import cmath
 import decimal
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .cubature import IntegrationError, build_rule, build_rules, integrate_simplex
+from .cubature import IntegrationError, VolumeRule, build_rule, build_rules, integrate_simplex
 from .lorentz import (
     Kind,
     LorentzVector,
@@ -135,6 +136,31 @@ class GeodesicSimplex:
     def _degeneracy_scale(self) -> float:
         return float(_degeneracy_scales(self.klein()))
 
+    @functools.cached_property
+    def _rules(self) -> dict:
+        return {}
+
+    def _frozen_rule(self, tol: float) -> Optional[VolumeRule]:
+        """None where a closed form gives the volume (n = 2, all-ideal
+        n = 3); otherwise the cubature rule built on this simplex at tol,
+        built once per tol and kept on the simplex like its
+        determinant."""
+        if self.dim == 2 or (self.dim == 3 and all(self.ideal_mask())):
+            return None
+        if tol not in self._rules:
+            self._rules[tol] = build_rule(self.klein(), self.ideal_mask(), tol)
+        return self._rules[tol]
+
+    @functools.cached_property
+    def _triangle_areas(self) -> dict:
+        """Area of every triangular face of a 4-simplex, keyed by the
+        sorted pair of omitted vertices; see triangle_areas."""
+        faces = list(itertools.combinations(range(5), 2))
+        tri = np.array([[k for k in range(5) if k not in face] for face in faces])
+        corners = [tri[:, [0, 1, 2]], tri[:, [1, 0, 0]], tri[:, [2, 2, 1]]]
+        angles = tangent_angles(self, *(c.ravel() for c in corners))
+        return dict(zip(faces, np.pi - angles.reshape(-1, 3).sum(axis=1)))
+
     def vertex_matrix(self) -> np.ndarray:
         """Rows are x_0 = 1 representatives (Klein-homogeneous); built
         once per simplex and shared read-only."""
@@ -191,6 +217,12 @@ class _VertexStack:
     @classmethod
     def of(cls, rows: np.ndarray, ideal: np.ndarray) -> "_VertexStack":
         return cls(rows, ideal, np.linalg.det(rows), _degeneracy_scales(rows[..., 1:]))
+
+    @classmethod
+    def of_simplices(cls, simplices: Sequence[GeodesicSimplex]) -> "_VertexStack":
+        """The (S,) stack of same-dimension simplices, in their order."""
+        return cls.of(np.array([s.vertex_matrix() for s in simplices]),
+                      np.array([s.ideal_mask() for s in simplices]))
 
     def __getitem__(self, index) -> "_VertexStack":
         return _VertexStack(self.rows[index], self.ideal[index], self.dets[index],
@@ -339,6 +371,15 @@ def _angles_from_normals(m: np.ndarray, ideal: np.ndarray) -> np.ndarray:
     return theta
 
 
+def _stack_dihedral_angles(stack: _VertexStack) -> np.ndarray:
+    """dihedral_angles of every simplex of a stack, (..., n+1, n+1), from
+    one _stacked_face_normals call; DegenerateSimplexError when any
+    simplex of the stack is degenerate."""
+    if stack.degenerate().any():
+        raise DegenerateSimplexError("dihedral angle of a degenerate simplex")
+    return _angles_from_normals(_stacked_face_normals(stack.rows), stack.ideal)
+
+
 def dihedral_angles(simplex: GeodesicSimplex) -> np.ndarray:
     """Symmetric (n+1) x (n+1) matrix of interior dihedral angles: entry
     (i, j) is the angle at the codimension-2 face spanned by the
@@ -401,14 +442,16 @@ def tangent_angles(simplex: GeodesicSimplex, at, toward_u, toward_w) -> np.ndarr
 def triangle_areas(simplex: GeodesicSimplex, faces: Sequence[tuple[int, int]]) -> np.ndarray:
     """Areas of the triangular codimension-2 faces of a 4-simplex, one
     per omitted vertex pair in `faces`: pi minus the angles at the
-    triangle's material vertices (Gauss-Bonnet), all from one
-    tangent_angles call."""
+    triangle's material vertices (Gauss-Bonnet).  The areas of all ten
+    faces come from one tangent_angles call, made once per simplex and
+    kept on it."""
     if simplex.dim != 4:
         raise SimplexError("triangle faces are codimension 2 only in a 4-simplex")
-    tri = np.array([[k for k in range(5) if k not in face] for face in faces])
-    corners = [tri[:, [0, 1, 2]], tri[:, [1, 0, 0]], tri[:, [2, 2, 1]]]
-    angles = tangent_angles(simplex, *(c.ravel() for c in corners))
-    return np.pi - angles.reshape(-1, 3).sum(axis=1)
+    areas = simplex._triangle_areas
+    try:
+        return np.array([areas[tuple(sorted(face))] for face in faces])
+    except KeyError as exc:
+        raise SimplexError(f"not a pair of distinct vertex indices in 0..4: {exc}") from None
 
 
 def numeric_volume(simplex: GeodesicSimplex, tol: float = 1e-9) -> float:
@@ -511,8 +554,7 @@ def signed_volumes(simplices: Sequence[GeodesicSimplex], tol: float = 1e-9) -> l
         by_dim.setdefault(s.dim, []).append(i)
     failures = []
     for idx in by_dim.values():
-        stack = _VertexStack.of(np.array([simplices[i].vertex_matrix() for i in idx]),
-                                np.array([simplices[i].ideal_mask() for i in idx]))
+        stack = _VertexStack.of_simplices([simplices[i] for i in idx])
         try:
             vols = _stack_volumes(stack, tol)
         except IntegrationError as exc:
@@ -542,27 +584,40 @@ def signed_volume(simplex: GeodesicSimplex, tol: float = 1e-9) -> float:
     return vol if simplex.orientation_det() > 0 else -vol
 
 
-def volume_evaluator(simplex: GeodesicSimplex, tol: float = 1e-9) -> Callable[[GeodesicSimplex], float]:
-    """Signed-volume evaluator frozen on the shape of `simplex`.
+def _frozen_volumes(simplex: GeodesicSimplex, stack: _VertexStack, tol: float) -> np.ndarray:
+    """Signed volumes of a stack of simplices of the same dimension and
+    vertex kinds as `simplex`, frozen on its shape.  Closed-form
+    dimensions go through _stack_volumes.  Otherwise the cubature rule
+    built on `simplex` (cached on it per tol) is re-applied to the whole
+    stack in one evaluation, so the values vary analytically along
+    vertex paths.  Degenerate simplices give 0; the signs are the
+    stack's orientations."""
+    rule = simplex._frozen_rule(tol)
+    if rule is None:
+        return _stack_volumes(stack, tol)
+    live = ~stack.degenerate()
+    vols = np.zeros(live.shape)
+    if live.any():
+        vols[live] = rule.evaluate(stack.rows[live][..., 1:])
+    return np.where(live & (stack.dets <= 0), -vols, vols)
 
-    For closed-form dimensions this is just signed_volume; otherwise the
-    cubature rule (cells and degree) is fixed here and re-applied, so the
-    result varies analytically along a vertex path.  Used for finite
-    differencing of volumes along families.
+
+def volume_evaluator(simplex: GeodesicSimplex, tol: float = 1e-9) -> Callable[[GeodesicSimplex], float]:
+    """Signed-volume evaluator frozen on the shape of `simplex`: each
+    call is _frozen_volumes on a stack of one.
+
+    For closed-form dimensions the value is signed_volume's; otherwise
+    the cubature rule (cells and degree) is fixed here and re-applied,
+    so the result varies analytically along a vertex path.  Used for
+    finite differencing of volumes along families.
     """
-    n = simplex.dim
-    if n == 2 or (n == 3 and all(simplex.ideal_mask())):
-        return lambda s: signed_volume(s, tol)
-    rule = build_rule(simplex.klein(), simplex.ideal_mask(), tol)
     mask = simplex.ideal_mask()
+    simplex._frozen_rule(tol)  # the rule is built here, once
 
     def evaluate(s: GeodesicSimplex) -> float:
         if s.ideal_mask() != mask:
             raise SimplexError("simplex type changed under a frozen volume rule")
-        if s.is_degenerate():
-            return 0.0
-        det = s.orientation_det()
-        return (1.0 if det > 0 else -1.0) * rule.evaluate(s.klein())
+        return float(_frozen_volumes(simplex, _VertexStack.of_simplices([s]), tol)[0])
 
     return evaluate
 
@@ -717,20 +772,36 @@ def truncated_edge_length(simplex: GeodesicSimplex, edge: tuple[int, int],
 
 class SimplexFamily:
     """A one-parameter family t in [0,1] -> GeodesicSimplex whose vertex
-    kinds are constant in t (checked on every evaluation)."""
+    kinds are constant in t (checked on every evaluation).
+
+    The simplices of the last _MEMO_SIZE distinct times are kept, so that
+    stencils sharing times (a Schlafli residual at h and then at h/2)
+    evaluate the function once per time and share each simplex's cached
+    geometry and frozen rules.  A time whose simplex is refused is not
+    kept: it raises again on every call."""
+
+    _MEMO_SIZE = 16
 
     def __init__(self, fn: Callable[[float], GeodesicSimplex],
                  kinds: Optional[tuple[Kind, ...]] = None):
         self._fn = fn
+        self._memo: dict[float, GeodesicSimplex] = {}
         self.kinds = kinds if kinds is not None else fn(0.0).kinds
 
     def __call__(self, t: float) -> GeodesicSimplex:
-        s = self._fn(float(t))
+        t = float(t)
+        s = self._memo.get(t)
+        if s is not None:
+            return s
+        s = self._fn(t)
         if s.kinds != self.kinds:
             bad = next(k for k, (a, b) in enumerate(zip(s.kinds, self.kinds)) if a != b)
             raise SimplexError(
                 f"vertex slot {bad} changed kind at t={t} "
                 f"({self.kinds[bad].value} -> {s.kinds[bad].value})")
+        if len(self._memo) >= self._MEMO_SIZE:
+            del self._memo[next(iter(self._memo))]
+        self._memo[t] = s
         return s
 
     @staticmethod

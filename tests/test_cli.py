@@ -259,8 +259,12 @@ MATERIAL_TET = [[1.0, 0.0, 0.0, 0.0], [1.5, 1.118033988749895, 0.0, 0.0],
      ("--tol", "1e-20")),
     ({"vertices": 5}, ()),
     ({"vertices": [{"kind": "material", "coords": None}]}, ()),
+    ({"vertices": [{"kind": "ideal", "coords": [float("nan"), 0, 1]}]
+      + [{"kind": "ideal", "coords": [1, -0.5, s * 0.8660254037844386]} for s in (1, -1)]}, ()),
+    ({"vertices": [{"kind": "material", "coords": [float("nan"), 0, 0]}]
+      + [{"kind": "ideal", "coords": [1, -0.5, s * 0.8660254037844386]} for s in (1, -1)]}, ()),
 ], ids=["unknown-kind", "missing-vertices", "unreachable-tol", "vertices-not-list",
-        "coords-not-list"])
+        "coords-not-list", "ideal-nan-x0", "material-nan-x0"])
 def test_simplex_vol_bad_input_exit_2(fixdir, monkeypatch, capsys, simplex, extra):
     monkeypatch.setenv("HYPVOL_FIXTURES", str(fixdir))
     (fixdir / "bad_simplex.json").write_text(json.dumps(simplex))

@@ -167,7 +167,8 @@ def test_radial_kernel_matches_mpmath(n):
 def test_vertex_outside_ball_escapes(n):
     """A material vertex on or outside the sphere is refused at once, by
     the rule builder and by a frozen rule, whether it is the collapse
-    corner (1e-3 outside) or not (1e-6 outside)."""
+    corner (1e-3 outside) or not (1e-6 outside); a frozen rule on a
+    stack names the simplex that escaped."""
     klein = _klein_simplex(np.random.default_rng(n), n, 0, 0.2, 0.8)
     material = [False] * (n + 1)
     rule = build_rule(klein, material, 1e-9)
@@ -180,6 +181,9 @@ def test_vertex_outside_ball_escapes(n):
             build_rule(outside, material, 1e-9)
         with pytest.raises(IntegrationError, match="escaped the open ball"):
             rule.evaluate(outside)
+        with pytest.raises(IntegrationError, match="^simplex 1: .*escaped the open ball") as exc:
+            rule.evaluate(np.array([klein, outside]))
+        assert exc.value.simplex == 1
 
 
 def _seeded_simplices():

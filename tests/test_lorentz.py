@@ -437,3 +437,53 @@ def test_ideal_scaling_projective_equality():
     q = LorentzVector.ideal([5, 5, 0, 0])
     assert p.same_point(q)
     assert not p.same_point(LorentzVector.ideal([1, 0, 1, 0]))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LorentzVector.material([NAN, 0.0, 0.0]),
+    lambda: LorentzVector.material([1.0, NAN, 0.0]),
+    lambda: LorentzVector.ideal([NAN, 0.0, 1.0]),
+    lambda: LorentzVector.ideal([1.0, INF, 0.0]),
+    lambda: LorentzVector(np.array([NAN, 0.0, 0.0]), lorentz_mod.Kind.MATERIAL),
+    lambda: LorentzVector(np.array([1.0, 1.0, NAN]), lorentz_mod.Kind.IDEAL),
+    lambda: LorentzVector.raw([0.0, INF, 0.0]),
+    lambda: from_klein([NAN, 0.0]),
+    lambda: from_klein([0.1, 0.2, NAN]),
+], ids=["material-x0", "material-space", "ideal-x0", "ideal-space", "post-init-material",
+        "post-init-ideal", "raw", "klein-nan", "klein-nan-3d"])
+def test_non_finite_coordinates_are_refused(make):
+    with pytest.raises(LorentzError, match="not finite"):
+        make()
+
+
+@pytest.mark.parametrize("gap", [1e-8, 1e-10, 1e-11])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_material_points_close_to_the_sphere_lift(n, gap):
+    """A Klein point with 1 - |k|^2 = gap lifts to x0 ~ gap^(-1/2), where
+    <x,x> rounds by about eps x0^2: every direction lifts, the lift
+    passes LorentzVector.material and the constructor again, and its
+    Klein coordinates come back."""
+    rng = np.random.default_rng(int(n / gap) % 2**32)
+    for _ in range(200):
+        d = rng.normal(size=n)
+        k = d / np.linalg.norm(d) * np.sqrt(1.0 - gap)
+        x = from_klein(k)
+        assert x.kind is lorentz_mod.Kind.MATERIAL
+        again = LorentzVector.material(x.coords)
+        LorentzVector(x.coords, lorentz_mod.Kind.MATERIAL)
+        for y in (x, again):
+            assert np.max(np.abs(model_convert(y, "klein") - k)) <= 4e-16
+
+
+def test_from_klein_keeps_the_ideal_time_coordinate():
+    """An ideal lift's x0 is the length of its space part, as
+    LorentzVector.ideal resets it, not 1."""
+    k = np.array([0.8961636735304289, 0.31601577070862796, -0.29289787320811606,
+                  -0.10599782439956573])  # |k / |k|| rounds to 1 - eps/2
+    x = from_klein(k)
+    assert x.kind is lorentz_mod.Kind.IDEAL
+    assert x.coords[0] == 0.9999999999999999
+    assert np.array_equal(x.coords, LorentzVector.ideal(np.concatenate(([1.0], k / np.sqrt(k @ k)))).coords)

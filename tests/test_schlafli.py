@@ -1,3 +1,6 @@
+import copy
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,9 +14,13 @@ from hypvol.simplex import (
     SimplexError,
     SimplexFamily,
     default_horoballs,
+    dihedral_angles,
+    face_measure,
     lobachevsky,
+    volume_evaluator,
 )
 from hypvol.schlafli import (
+    FamilyDerivativeReport,
     NonIntegralDegreeError,
     family_derivatives,
     schlafli_residual,
@@ -105,7 +112,7 @@ def test_type_change_in_stencil_detected():
 
     # a raw callable bypasses SimplexFamily's own per-call guard, so the
     # stencil check must name the offending vertex slot itself
-    with pytest.raises(SimplexError, match="slot 0"):
+    with pytest.raises(SimplexError, match="slot 0 changes kind within the stencil"):
         family_derivatives(fn, 0.5, 0.2)
 
 
@@ -132,19 +139,102 @@ def test_schlafli_residual_n4_one_ideal(rng):
 
 
 def test_family_derivatives_batches_angles_and_areas(rng, monkeypatch):
-    """An n=4 family's derivatives take all dihedral angles of a stencil
-    side from one batched normal computation, and all face areas from
-    side tangents, never from a span basis."""
+    """An n=4 family's derivatives take the dihedral angles of both
+    stencil sides (t -+ h) from one batched normal computation, and all
+    face areas from side tangents, never from a span basis."""
     fam = trig_family(rng, 4, n_ideal=1)
     normals, spans = [], []
-    face_normals, span_basis = simplex_mod._face_normals, simplex_mod._span_basis
-    monkeypatch.setattr(simplex_mod, "_face_normals",
-                        lambda s: normals.append(s) or face_normals(s))
+    stacked, span_basis = simplex_mod._stacked_face_normals, simplex_mod._span_basis
+    monkeypatch.setattr(simplex_mod, "_stacked_face_normals",
+                        lambda M: normals.append(M.shape) or stacked(M))
     monkeypatch.setattr(simplex_mod, "_span_basis",
                         lambda verts: spans.append(verts) or span_basis(verts))
     rep = family_derivatives(fam, 0.5, 1e-4)
-    assert len(normals) == 2 and len(spans) == 0
+    assert normals == [(2, 5, 5)] and spans == []
     assert len(rep.dtheta) == len(rep.face_measures) == 10
+
+
+def _per_simplex_derivatives(fn, t, h, tol=1e-10):
+    """family_derivatives rebuilt one simplex at a time: volume_evaluator
+    on each stencil simplex, dihedral_angles on each side and
+    face_measure on each face of the center."""
+    center = fn(t)
+    stencil = {dt: fn(t + dt) for dt in (-h, -h / 2, h / 2, h)}
+    sign = 1.0 if center.orientation_det() > 0 else -1.0
+    vol = volume_evaluator(center, tol)
+    dvol = sign * (vol(stencil[h]) - vol(stencil[-h])) / (2 * h)
+    dvol_half = sign * (vol(stencil[h / 2]) - vol(stencil[-h / 2])) / h
+    plus, minus = dihedral_angles(stencil[h]), dihedral_angles(stencil[-h])
+    faces = list(itertools.combinations(range(center.dim + 1), 2))
+    measures = {}
+    for face in faces:
+        try:
+            measures[face] = face_measure(center, face)
+        except InfiniteFaceMeasureError:
+            pass
+    return FamilyDerivativeReport(
+        t=t, h=h, dvol=dvol,
+        dtheta={face: float(plus[face] - minus[face]) / (2 * h) for face in faces},
+        face_measures=measures, error_estimate=abs(dvol - dvol_half) * (4.0 / 3.0))
+
+
+@pytest.mark.parametrize("n, n_ideal", [(2, 0), (2, 1), (3, 4), (3, 1), (3, 2), (4, 0), (4, 1)],
+                         ids=["n2", "n2-ideal", "n3-all-ideal", "n3-truncated-1",
+                              "n3-truncated-2", "n4", "n4-ideal"])
+def test_family_derivatives_equal_per_simplex_reference(rng, n, n_ideal):
+    """The stacked stencil (one vertex stack, one frozen-rule evaluation,
+    one batched normal computation) gives exactly the numbers of the
+    one-simplex-at-a-time route, at h and again at h/2 from the memo."""
+    for _ in range(2):
+        twin = copy.deepcopy(rng)
+        fam, same = trig_family(rng, n, n_ideal=n_ideal), trig_family(twin, n, n_ideal=n_ideal)
+        for h in (1e-4, 5e-5):
+            assert family_derivatives(fam, 0.5, h) == _per_simplex_derivatives(same, 0.5, h)
+
+
+def test_residual_pair_evaluates_seven_times_with_one_rule(rng, monkeypatch):
+    """A Schlafli residual at h and then at h/2 shares the center and the
+    t -+ h/2 simplices through the family's memo, and the center's
+    frozen rule with them: 7 distinct times and one rule, not 12 and 2."""
+    twins = [copy.deepcopy(rng) for _ in range(2)]
+    base = trig_family(rng, 4, n_ideal=1)
+    times, rules = [], []
+    fam = SimplexFamily(lambda t: times.append(t) or base(t), base.kinds)
+    build_rule = simplex_mod.build_rule
+    monkeypatch.setattr(simplex_mod, "build_rule",
+                        lambda *args, **kwargs: rules.append(args) or build_rule(*args, **kwargs))
+    r1 = schlafli_residual(fam, 0.5, 1e-4)
+    r2 = schlafli_residual(fam, 0.5, 5e-5)
+    assert len(times) == len(set(times)) == 7
+    assert len(rules) == 1
+    # the shared work changes no number: each residual on its own
+    assert r1 == schlafli_residual(trig_family(twins[0], 4, n_ideal=1), 0.5, 1e-4)
+    assert r2 == schlafli_residual(trig_family(twins[1], 4, n_ideal=1), 0.5, 5e-5)
+
+
+def test_family_memo_refuses_a_kind_change_every_time():
+    """A time whose simplex changes kind is not kept: each call there
+    raises again, naming the slot, through the family and through
+    family_derivatives alike."""
+    def fn(t):
+        first = [0.1, 0.2] if t < 0.6 else [1.0, 0.0]  # vertex 0 ideal from 0.6 on
+        return GeodesicSimplex([from_klein(first), from_klein([0.4, 0]), from_klein([0, 0.4])])
+
+    fam = SimplexFamily(fn)
+    for _ in range(3):
+        with pytest.raises(SimplexError, match="slot 0 changed kind"):
+            fam(0.7)
+        with pytest.raises(SimplexError, match="slot 0 changed kind"):
+            family_derivatives(fam, 0.5, 0.2)
+    assert fam(0.5) is fam(0.5)
+
+
+def test_family_memo_stays_within_its_bound(rng):
+    fam = trig_family(rng, 3, n_ideal=1)
+    for t in np.linspace(0.0, 1.0, 100):
+        fam(t)
+        assert len(fam._memo) <= SimplexFamily._MEMO_SIZE
+    assert fam(1.0) is fam(1.0)
 
 
 def test_schlafli_residual_constant_zero(rng):
