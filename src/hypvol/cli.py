@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -301,6 +302,15 @@ def _cmd_path_scan(args) -> int:
     return 0
 
 
+def _positive(text: str) -> float:
+    """An argparse type for tolerances and steps: a positive finite
+    number, or a usage error (exit 2) naming the flag."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hypvol")
     ap.add_argument("--format", choices=["json", "csv"], default="json")
@@ -312,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     ssub = sp.add_subparsers(dest="cmd", required=True)
     v = ssub.add_parser("vol")
     v.add_argument("--simplex", required=True)
-    v.add_argument("--tol", type=float, default=1e-9)
+    v.add_argument("--tol", type=_positive, default=1e-9)
     v.set_defaults(fn=_cmd_simplex_vol)
     a = ssub.add_parser("angle")
     a.add_argument("--simplex", required=True)
@@ -321,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = ssub.add_parser("schlafli")
     s.add_argument("--family", required=True)
     s.add_argument("--samples", type=int, default=5)
-    s.add_argument("--h", type=float, default=1e-4)
-    s.add_argument("--tol", type=float, default=1e-5)
+    s.add_argument("--h", type=_positive, default=1e-4)
+    s.add_argument("--tol", type=_positive, default=1e-5)
     s.add_argument("--truncated", action="store_true")
     s.set_defaults(fn=_cmd_simplex_schlafli)
 
@@ -335,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     ts.add_argument("--tri", required=True)
     ts.add_argument("--filling", default="complete", help="complete or p,q")
     ts.add_argument("--shapes", default=None, help="initial shapes, e.g. '0.5+0.8j;0.5+0.8j'")
-    ts.add_argument("--tol", type=float, default=1e-11)
+    ts.add_argument("--tol", type=_positive, default=1e-11)
     ts.set_defaults(fn=_cmd_tri_solve)
 
     rp = sub.add_parser("rep")
@@ -347,13 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
     rk = rsub.add_parser("classify")
     rk.add_argument("--tri", required=True)
     rk.add_argument("--rep", required=True)
-    rk.add_argument("--tol", type=float, default=1e-8)
+    rk.add_argument("--tol", type=_positive, default=1e-8)
     rk.set_defaults(fn=_cmd_rep_classify)
     rv = rsub.add_parser("vol")
     rv.add_argument("--tri", required=True)
     rv.add_argument("--rep", required=True)
     rv.add_argument("--seed", type=int, default=0)
-    rv.add_argument("--tol", type=float, default=1e-9)
+    rv.add_argument("--tol", type=_positive, default=1e-9)
     rv.add_argument("--reference-vol", type=float, default=None)
     rv.set_defaults(fn=_cmd_rep_vol)
     rt = rsub.add_parser("toledo")
@@ -369,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--tri", required=True)
     ps.add_argument("--samples", type=int, default=11)
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--tol", type=float, default=None)
+    ps.add_argument("--tol", type=_positive, default=None)
     ps.add_argument("--reference-vol", type=float, default=None)
     ps.add_argument("--expect-constant", action="store_true")
     ps.add_argument("--expect-nonconstant", action="store_true")

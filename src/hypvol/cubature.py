@@ -72,8 +72,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["IntegrationError", "VolumeRule", "integrate_simplex", "build_rule",
-           "build_rules"]
+__all__ = ["IntegrationError", "VolumeRule", "build_rule", "build_rules"]
 
 _G_LADDERS = {
     2: (8, 12, 17, 24, 34, 48),
@@ -424,15 +423,6 @@ def _face_sums(frames, n: int, degrees: tuple) -> np.ndarray:
     return out
 
 
-def _eval_cell(mix, has_ideal, klein: np.ndarray, g: int) -> float:
-    """One cell's value at degree g (the kernel on a batch of one)."""
-    mix = np.asarray(mix)[None]
-    vol = abs(np.linalg.det(mix[0]) * np.linalg.det(klein[1:] - klein[0]))
-    frames = _cell_frames(mix, 1.0 - klein @ klein.T, np.array([[0.0 if has_ideal else 1.0]]),
-                          np.array([vol]))
-    return float(_face_sums(frames, klein.shape[1], (g,))[0, 0])
-
-
 @dataclass(frozen=True)
 class VolumeRule:
     """A frozen integration rule for one simplex shape: barycentric cells
@@ -608,9 +598,3 @@ def build_rule(klein: np.ndarray, ideal: Sequence[bool], tol: float) -> VolumeRu
     re-evaluation on nearby vertex configurations."""
     return build_rules([klein], [ideal], tol)[0]
 
-
-def integrate_simplex(klein: np.ndarray, ideal: Sequence[bool], tol: float) -> tuple[float, float]:
-    """Hyperbolic volume magnitude of the Klein simplex with the given
-    ideal-vertex mask; returns (value, error_estimate)."""
-    rule = build_rule(klein, ideal, tol)
-    return rule.value, rule.error_estimate

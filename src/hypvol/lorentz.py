@@ -336,20 +336,19 @@ def _check_isometries(A: np.ndarray, resid: np.ndarray, scale: np.ndarray) -> No
     raise LorentzError("A_00 <= 0: does not preserve the upper sheet")
 
 
-def _validated(A: np.ndarray, reproject: bool = True) -> np.ndarray:
+def _validated(A: np.ndarray) -> np.ndarray:
     """The stack A (k, m, m) of candidate SO(n,1)^+ matrices, validated
-    with one form residual per matrix.  With `reproject`, a matrix whose
-    residual is above drift level but still small is first reprojected
-    onto the form-preserving manifold (and its residual taken again).
+    with one form residual per matrix.  A matrix whose residual is above
+    drift level but still small is first reprojected onto the
+    form-preserving manifold (and its residual taken again).
     LorentzError names the first matrix refused; A is modified only
     where it is reprojected."""
     resid, scale = _form_residuals(A)
-    if reproject:
-        drifted = (0.5 * FORM_TOL * scale < resid) & (resid < 1e-4 * scale)
-        if drifted.any():
-            for i in np.flatnonzero(drifted):
-                A[i] = minkowski_gram_schmidt(A[i])
-            resid, scale = _form_residuals(A)
+    drifted = (0.5 * FORM_TOL * scale < resid) & (resid < 1e-4 * scale)
+    if drifted.any():
+        for i in np.flatnonzero(drifted):
+            A[i] = minkowski_gram_schmidt(A[i])
+        resid, scale = _form_residuals(A)
     _check_isometries(A, resid, scale)
     return A
 
@@ -407,13 +406,14 @@ class Isometry:
         return Isometry(np.eye(n + 1))
 
     @staticmethod
-    def from_matrix(A: np.ndarray, reproject: bool = True) -> "Isometry":
+    def from_matrix(A: np.ndarray) -> "Isometry":
         """Wrap a matrix, reprojecting to the form-preserving manifold
         first when the residual is above drift level but still small;
-        the form residual is computed once (twice when reprojected)."""
+        the form residual is computed once (twice when reprojected).
+        Isometry(A) validates without reprojecting."""
         A = np.array(A, dtype=float)
         _require_square(A)
-        return Isometry._trusted(_validated(A[None], reproject)[0])
+        return Isometry._trusted(_validated(A[None])[0])
 
     def inverse(self) -> "Isometry":
         """J A^T J, exact in floating point."""

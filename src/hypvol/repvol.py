@@ -275,13 +275,11 @@ class DevelopingAssignment:
 
     @functools.cached_property
     def simplices(self) -> tuple[GeodesicSimplex, ...]:
-        """The developed simplices, built on first use; each shares its
-        row of the stack, and its determinant and degeneracy scale."""
-        stack = self.stack
-        return tuple(
-            GeodesicSimplex._stacked([self.vertices[slot] for slot in slots], row, det, scale)
-            for slots, row, det, scale in zip(self.slots, stack.rows, stack.dets.tolist(),
-                                              stack.scales.tolist()))
+        """The developed simplices, built on first use; each one's stack
+        of one is its slice of the assignment's stack."""
+        return tuple(GeodesicSimplex._stacked([self.vertices[slot] for slot in slots],
+                                              self.stack[i:i + 1])
+                     for i, slots in enumerate(self.slots))
 
 
 def _check_preference(boundary_preference: str) -> None:
@@ -402,7 +400,7 @@ def _develop_samples(reps: Sequence[Representation], tri: LabeledTriangulation, 
     def resample(samples: Sequence[int], stack: _VertexStack) -> list[int]:
         # the samples with a degenerate simplex, their material vertices redrawn
         again = []
-        for k, bad in zip(samples, stack.degenerate().tolist()):
+        for k, bad in zip(samples, stack.degenerate.tolist()):
             if not any(bad):
                 continue
             in_bad = {v for s, b in zip(tri.simplices, bad) if b for v, _ in s.slots}
@@ -470,7 +468,7 @@ def _developed_cycles(stack: _VertexStack, tri: LabeledTriangulation,
     volume convention."""
     rows = stack.rows
     v = rows.shape[-2]
-    apart = (~stack.degenerate()).tolist()
+    apart = (~stack.degenerate).tolist()
     close = []  # per pairing: (S, m - 1, m - 1) lists, moved source against target points
     for p in tri.pairings:
         moved = np.delete(rows[:, p.src] @ np.swapaxes(word_matrix(p.word), -1, -2),
@@ -586,7 +584,7 @@ def toledo_number(rho: Representation, tri: LabeledTriangulation,
     stack = assignment.stack
     total = 0.0
     for s, dev, degenerate, det in zip(tri.simplices, assignment.simplices,
-                                       stack.degenerate().tolist(), stack.dets.tolist()):
+                                       stack.degenerate.tolist(), stack.dets.tolist()):
         if degenerate:
             continue
         eps = 1.0 if det > 0 else -1.0

@@ -18,8 +18,8 @@ from .simplex import (
     InfiniteFaceMeasureError,
     SimplexError,
     SimplexFamily,
-    _frozen_volumes,
     _stack_dihedral_angles,
+    _stack_volumes,
     _VertexStack,
     default_horoballs,
     dihedral_angle,
@@ -107,7 +107,8 @@ def family_derivatives(fam: SimplexFamily, t: float, h: float = 1e-4,
     # dvol differentiates the unsigned polyhedron volume: the orientation
     # is constant along a nondegenerate family, so strip it at the center.
     sign = 1.0 if center.orientation_det() > 0 else -1.0
-    v_minus, v_minus_half, v_plus_half, v_plus = _frozen_volumes(center, stack, tol).tolist()
+    v_minus, v_minus_half, v_plus_half, v_plus = _stack_volumes(
+        stack, tol, center._frozen_rule(tol)).tolist()
     dvol = sign * (v_plus - v_minus) / (2 * h)
     dvol_half = sign * (v_plus_half - v_minus_half) / h
     err = abs(dvol - dvol_half) * (4.0 / 3.0)

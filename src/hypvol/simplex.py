@@ -2,17 +2,16 @@
 dihedral angles, codimension-2 face measures, horoball-truncated edge
 lengths, and one-parameter families.
 
-A simplex computes its geometry as whole matrices: the Klein-homogeneous
-vertex matrix, its determinant and its degeneracy scale are cached on
-the simplex; all facet normals come from one batched SVD, and all
-dihedral angles from those normals in one pass (`dihedral_angles`).  The
-triangular faces of a 4-simplex are measured together by Gauss-Bonnet
-from the angles between side tangents (`triangle_areas`).  An all-ideal
+Simplices are measured as stacks of their vertex rows (`_VertexStack`):
+one determinant call, one degeneracy-scale call and one `_stack_volumes`
+call serve the whole stack, and a single simplex is a stack of one,
+cached on it next to its Klein-homogeneous vertex matrix.  All facet
+normals of a stack come from one batched SVD, and all dihedral angles
+from those normals in one pass (`dihedral_angles`).  The triangular
+faces of a 4-simplex are measured together by Gauss-Bonnet from the
+angles between side tangents (`triangle_areas`).  An all-ideal
 3-simplex takes its volume from the cross-ratio of its vertices through
-the Bloch-Wigner dilogarithm (`bloch_wigner`), with no facet normals.
-Many simplices are measured as one stack of their vertex rows
-(`_VertexStack`): one determinant call, one degeneracy-scale call and
-one `_stack_volumes` call serve the whole stack."""
+the Bloch-Wigner dilogarithm (`bloch_wigner`), with no facet normals."""
 
 from __future__ import annotations
 
@@ -26,7 +25,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .cubature import IntegrationError, VolumeRule, build_rule, build_rules, integrate_simplex
+from .cubature import IntegrationError, VolumeRule, build_rule, build_rules
 from .lorentz import (
     Kind,
     LorentzVector,
@@ -105,13 +104,13 @@ class GeodesicSimplex:
         object.__setattr__(self, "vertices", vs)
 
     @classmethod
-    def _stacked(cls, vertices: Sequence[LorentzVector], row: np.ndarray, det: float,
-                 scale: float) -> "GeodesicSimplex":
-        """A simplex built through __init__ whose vertex matrix is one
-        read-only row of a _VertexStack, with that stack's determinant
-        and degeneracy scale preset in the caches."""
+    def _stacked(cls, vertices: Sequence[LorentzVector], stack: "_VertexStack") -> "GeodesicSimplex":
+        """A simplex built through __init__ whose stack of one is the
+        slice `stack` (shape (1,)) of a larger _VertexStack, so that its
+        vertex matrix, determinant and degeneracy scale are read-only
+        views of that stack."""
         simplex = cls(vertices)
-        simplex.__dict__.update(_vertex_matrix=row, _det=det, _degeneracy_scale=scale)
+        simplex.__dict__.update(_vertex_matrix=stack.rows[0], _stack=stack)
         return simplex
 
     @property
@@ -129,23 +128,20 @@ class GeodesicSimplex:
         return M
 
     @functools.cached_property
-    def _det(self) -> float:
-        return float(np.linalg.det(self._vertex_matrix))
-
-    @functools.cached_property
-    def _degeneracy_scale(self) -> float:
-        return float(_degeneracy_scales(self.klein()))
+    def _stack(self) -> "_VertexStack":
+        """This simplex as a stack of one, built on first use: reading
+        the vertex matrix alone does not compute a determinant."""
+        return _VertexStack.of(self._vertex_matrix[None], np.array([self.ideal_mask()]))
 
     @functools.cached_property
     def _rules(self) -> dict:
         return {}
 
     def _frozen_rule(self, tol: float) -> Optional[VolumeRule]:
-        """None where a closed form gives the volume (n = 2, all-ideal
-        n = 3); otherwise the cubature rule built on this simplex at tol,
-        built once per tol and kept on the simplex like its
-        determinant."""
-        if self.dim == 2 or (self.dim == 3 and all(self.ideal_mask())):
+        """None where a closed form gives the volume (_closed_form);
+        otherwise the cubature rule built on this simplex at tol, built
+        once per tol and kept on the simplex like its stack."""
+        if _closed_form(self.dim, np.array([self.ideal_mask()]))[0]:
             return None
         if tol not in self._rules:
             self._rules[tol] = build_rule(self.klein(), self.ideal_mask(), tol)
@@ -170,12 +166,11 @@ class GeodesicSimplex:
         return self._vertex_matrix[:, 1:]
 
     def orientation_det(self) -> float:
-        return self._det
+        return float(self._stack.dets[0])
 
-    def is_degenerate(self, threshold: float = DEGENERACY_THRESHOLD) -> bool:
-        """_is_degenerate of this simplex, in scalar arithmetic."""
-        scale = max(self._degeneracy_scale, 1e-30)
-        return abs(self._det) < threshold * scale ** self.dim
+    def is_degenerate(self) -> bool:
+        """_VertexStack.degenerate of this simplex's stack of one."""
+        return bool(self._stack.degenerate[0])
 
     def ideal_mask(self) -> tuple[bool, ...]:
         return tuple(v.kind is Kind.IDEAL for v in self.vertices)
@@ -189,14 +184,13 @@ def _degeneracy_scales(klein: np.ndarray) -> np.ndarray:
     diameter^n, so degeneracy is judged relative to the largest distance
     of a vertex from the centroid; over a stack (..., n+1, n) of Klein
     vertex rows."""
-    centred = klein - klein.mean(axis=-2, keepdims=True)
-    return np.linalg.norm(centred, axis=-1).max(axis=-1)
+    centred = klein - klein.sum(axis=-2, keepdims=True) / klein.shape[-2]
+    return np.sqrt((centred * centred).sum(axis=-1)).max(axis=-1)
 
 
 def _is_degenerate(det, scale, dim: int, threshold: float = DEGENERACY_THRESHOLD):
     """|det| below threshold * scale^dim, elementwise over stacks of
-    determinants and degeneracy scales (GeodesicSimplex.is_degenerate
-    for one simplex)."""
+    determinants and degeneracy scales."""
     return np.abs(det) < threshold * np.maximum(scale, 1e-30) ** dim
 
 
@@ -204,19 +198,20 @@ def _is_degenerate(det, scale, dim: int, threshold: float = DEGENERACY_THRESHOLD
 class _VertexStack:
     """A stack (..., n+1, n+1) of simplices' x_0 = 1 vertex rows with their
     ideal-vertex masks (..., n+1), and the per-simplex geometry computed
-    once for the whole stack: determinants (orientation) and degeneracy
-    scales, which degenerate() reads for the relative is_degenerate test.
-    Indexing over the leading axes gives the stack of the selected
-    simplices."""
+    once for the whole stack: determinants (orientation), degeneracy
+    scales and, from both, the relative degeneracy test.  Indexing over
+    the leading axes gives the stack of the selected simplices."""
 
     rows: np.ndarray
     ideal: np.ndarray
     dets: np.ndarray
     scales: np.ndarray
+    degenerate: np.ndarray
 
     @classmethod
     def of(cls, rows: np.ndarray, ideal: np.ndarray) -> "_VertexStack":
-        return cls(rows, ideal, np.linalg.det(rows), _degeneracy_scales(rows[..., 1:]))
+        dets, scales = np.linalg.det(rows), _degeneracy_scales(rows[..., 1:])
+        return cls(rows, ideal, dets, scales, _is_degenerate(dets, scales, rows.shape[-1] - 1))
 
     @classmethod
     def of_simplices(cls, simplices: Sequence[GeodesicSimplex]) -> "_VertexStack":
@@ -226,10 +221,7 @@ class _VertexStack:
 
     def __getitem__(self, index) -> "_VertexStack":
         return _VertexStack(self.rows[index], self.ideal[index], self.dets[index],
-                            self.scales[index])
-
-    def degenerate(self) -> np.ndarray:
-        return _is_degenerate(self.dets, self.scales, self.rows.shape[-1] - 1)
+                            self.scales[index], self.degenerate[index])
 
 
 def _zeta_even(count: int) -> np.ndarray:
@@ -305,10 +297,15 @@ def ideal_tet_volume(alpha: float, beta: float, gamma: float) -> float:
     return float(lobachevsky(alpha) + lobachevsky(beta) + lobachevsky(gamma))
 
 
+@functools.lru_cache(maxsize=None)
+def _minkowski_diagonal(n: int) -> np.ndarray:
+    """The diagonal (-1, 1, ..., 1) of minkowski_matrix(n), read-only."""
+    return np.diag(minkowski_matrix(n))
+
+
 def _minkowski(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """<p, q> over the last axis of two stacks of vectors."""
-    jd = np.diag(minkowski_matrix(p.shape[-1] - 1))
-    return np.einsum("...k,k,...k->...", p, jd, q)
+    return np.einsum("...k,k,...k->...", p, _minkowski_diagonal(p.shape[-1] - 1), q)
 
 
 def _half_angle_atan2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -340,8 +337,7 @@ def _stacked_face_normals(M: np.ndarray) -> np.ndarray:
     nondegenerate simplex always spans a hyperplane, so the caller
     checks degeneracy first."""
     n = M.shape[-1] - 1
-    jd = np.diag(minkowski_matrix(n))
-    _, _, vt = np.linalg.svd(M[..., _facet_rows(n), :] * jd)
+    _, _, vt = np.linalg.svd(M[..., _facet_rows(n), :] * _minkowski_diagonal(n))
     m = vt[..., -1, :]
     q = _minkowski(m, m)
     if np.any(q <= 0):
@@ -349,11 +345,6 @@ def _stacked_face_normals(M: np.ndarray) -> np.ndarray:
     m = m / np.sqrt(q)[..., None]
     m[_minkowski(m, M) > 0] *= -1.0
     return m
-
-
-def _face_normals(simplex: GeodesicSimplex) -> np.ndarray:
-    """_stacked_face_normals of one simplex."""
-    return _stacked_face_normals(simplex.vertex_matrix())
 
 
 def _angles_from_normals(m: np.ndarray, ideal: np.ndarray) -> np.ndarray:
@@ -375,7 +366,7 @@ def _stack_dihedral_angles(stack: _VertexStack) -> np.ndarray:
     """dihedral_angles of every simplex of a stack, (..., n+1, n+1), from
     one _stacked_face_normals call; DegenerateSimplexError when any
     simplex of the stack is degenerate."""
-    if stack.degenerate().any():
+    if stack.degenerate.any():
         raise DegenerateSimplexError("dihedral angle of a degenerate simplex")
     return _angles_from_normals(_stacked_face_normals(stack.rows), stack.ideal)
 
@@ -389,9 +380,7 @@ def dihedral_angles(simplex: GeodesicSimplex) -> np.ndarray:
     two facets, all taken from one batched SVD and evaluated together in
     the stable atan2 form.  For n = 2 the face is a vertex, and the angle
     at an ideal vertex (tangent sides) is exactly 0."""
-    if simplex.is_degenerate():
-        raise DegenerateSimplexError("dihedral angle of a degenerate simplex")
-    return _angles_from_normals(_face_normals(simplex), np.array(simplex.ideal_mask()))
+    return _stack_dihedral_angles(simplex._stack)[0]
 
 
 def dihedral_angle(simplex: GeodesicSimplex, face: tuple[int, int]) -> float:
@@ -457,11 +446,11 @@ def triangle_areas(simplex: GeodesicSimplex, faces: Sequence[tuple[int, int]]) -
 def numeric_volume(simplex: GeodesicSimplex, tol: float = 1e-9) -> float:
     """Unsigned volume by Klein-model cubature with corner isolation at
     ideal vertices; the returned value carries an internal error
-    estimate <= tol (IntegrationError otherwise)."""
+    estimate <= tol (IntegrationError otherwise).  The independent
+    check of the closed forms; signed_volume does not call it."""
     if simplex.is_degenerate():
         raise DegenerateSimplexError("numeric_volume of a degenerate simplex")
-    val, _ = integrate_simplex(simplex.klein(), simplex.ideal_mask(), tol)
-    return val
+    return build_rule(simplex.klein(), simplex.ideal_mask(), tol).value
 
 
 def _ideal_cross_ratio(vertex_matrix: np.ndarray) -> complex:
@@ -489,55 +478,61 @@ def _ideal_cross_ratio(vertex_matrix: np.ndarray) -> complex:
     return bracket(0, 2) * bracket(1, 3) / (bracket(0, 3) * bracket(1, 2))
 
 
-def _closed_form_volume(simplex: GeodesicSimplex) -> Optional[float]:
-    """Unsigned volume of a nondegenerate simplex where a closed form
-    applies: the angle defect for n=2, the Bloch-Wigner dilogarithm of
-    the vertices' cross-ratio for all-ideal n=3 (dihedral_angles with
-    Lobachevsky's formula is its independent check); None elsewhere."""
-    n = simplex.dim
-    if n == 2:
-        return float(_angle_defects(dihedral_angles(simplex)))
-    if n == 3 and all(simplex.ideal_mask()):
-        return abs(bloch_wigner(_ideal_cross_ratio(simplex.vertex_matrix())))
-    return None
-
-
 def _angle_defects(theta: np.ndarray) -> np.ndarray:
     """pi minus the angles at vertices 0, 1, 2 (0 at ideal ones), from
     dihedral angle matrices (..., 3, 3) of 2-simplices."""
     return np.pi - theta[..., [1, 0, 0], [2, 2, 1]].sum(axis=-1)
 
 
-def _stack_volumes(stack: _VertexStack, tol: float = 1e-9) -> np.ndarray:
+def _closed_form(n: int, ideal: np.ndarray) -> list[bool]:
+    """Which simplices of a flat stack take a closed-form volume, from
+    their ideal-vertex masks (S, n+1): every 2-simplex (the angle
+    defect), the all-ideal 3-simplices (Bloch-Wigner of the cross-ratio)
+    and no simplex of n >= 4."""
+    return ideal.all(axis=-1).tolist() if n == 3 else [n == 2] * len(ideal)
+
+
+def _stack_volumes(stack: _VertexStack, tol: float = 1e-9,
+                   rule: Optional[VolumeRule] = None) -> np.ndarray:
     """Signed volumes of a stack of same-dimension simplices, shaped like
-    its leading axes, each as signed_volume gives it: degenerate
-    simplices give 0, all-ideal 3-simplices take the Bloch-Wigner
-    dilogarithm of their cross-ratios (one Lobachevsky evaluation),
-    2-simplices the angle defect from one batched facet-normal pass, and
-    every other simplex is integrated in one build_rules batch.  The
-    signs are the stack's orientations.  An IntegrationError names the
+    its leading axes: degenerate simplices give 0, all-ideal 3-simplices
+    take the Bloch-Wigner dilogarithm of their cross-ratios (one
+    Lobachevsky evaluation), 2-simplices the angle defect from one
+    batched facet-normal pass, and every other simplex is integrated in
+    one build_rules batch, or, given a `rule` frozen on a simplex of the
+    same dimension and vertex kinds, by that rule re-applied in one
+    evaluation (so the values vary analytically along vertex paths).
+    A route that takes the whole stack reads it as it is.  Each volume v
+    is signed as v if det > 0 else -v.  An IntegrationError names the
     failing simplex's index in the flattened stack."""
     n = stack.rows.shape[-1] - 1
     rows = stack.rows.reshape(-1, n + 1, n + 1)
     ideal = stack.ideal.reshape(-1, n + 1)
-    dets = stack.dets.reshape(-1)
-    live = ~stack.degenerate().reshape(-1)
-    vols = np.zeros(len(dets))
-    closed = live if n == 2 else live & ideal.all(axis=-1) if n == 3 else np.zeros_like(live)
-    if n == 2 and closed.any():
-        vols[closed] = _angle_defects(
-            _angles_from_normals(_stacked_face_normals(rows[closed]), ideal[closed]))
-    elif closed.any():
-        vols[closed] = np.abs(_bloch_wigner_many([_ideal_cross_ratio(r) for r in rows[closed]]))
-    cubed = live & ~closed
-    if cubed.any():
-        try:
-            rules = build_rules(rows[cubed][..., 1:], ideal[cubed].tolist(), tol)
-        except IntegrationError as exc:
-            raise IntegrationError(exc.reason, exc.best, exc.bound,
-                                   int(np.flatnonzero(cubed)[exc.simplex])) from exc
-        vols[cubed] = [rule.value for rule in rules]
-    return np.where(live & (dets <= 0), -vols, vols).reshape(stack.dets.shape)
+    dets = stack.dets.ravel().tolist()
+    routes = ([], [])  # the live simplices taking a closed form, and cubature
+    for i, (degenerate, closed) in enumerate(zip(stack.degenerate.ravel().tolist(),
+                                                 _closed_form(n, ideal))):
+        if not degenerate:
+            routes[not closed].append(i)
+    vols = [0.0] * len(dets)
+    for cubature, idx in enumerate(routes):
+        if not idx:
+            continue
+        sel = slice(None) if len(idx) == len(dets) else idx
+        if not cubature:
+            v = (_angle_defects(_angles_from_normals(_stacked_face_normals(rows[sel]), ideal[sel]))
+                 if n == 2 else
+                 np.abs(_bloch_wigner_many([_ideal_cross_ratio(r) for r in rows[sel]]))).tolist()
+        elif rule is not None:
+            v = rule.evaluate(rows[sel][..., 1:]).tolist()
+        else:
+            try:
+                v = [r.value for r in build_rules(rows[sel][..., 1:], ideal[sel].tolist(), tol)]
+            except IntegrationError as exc:
+                raise IntegrationError(exc.reason, exc.best, exc.bound, idx[exc.simplex]) from exc
+        for i, x in zip(idx, v):
+            vols[i] = x if dets[i] > 0 else -x
+    return np.array(vols).reshape(stack.dets.shape)
 
 
 def signed_volumes(simplices: Sequence[GeodesicSimplex], tol: float = 1e-9) -> list[float]:
@@ -574,37 +569,15 @@ def signed_volume(simplex: GeodesicSimplex, tol: float = 1e-9) -> float:
 
     Closed forms are used for n=2 (angle defect) and all-ideal n=3
     (Bloch-Wigner of the cross-ratio); everything else integrates
-    numerically at tol.
+    numerically at tol.  _stack_volumes on the simplex's stack of one.
     """
-    if simplex.is_degenerate():
-        return 0.0
-    vol = _closed_form_volume(simplex)
-    if vol is None:
-        vol = numeric_volume(simplex, tol)
-    return vol if simplex.orientation_det() > 0 else -vol
-
-
-def _frozen_volumes(simplex: GeodesicSimplex, stack: _VertexStack, tol: float) -> np.ndarray:
-    """Signed volumes of a stack of simplices of the same dimension and
-    vertex kinds as `simplex`, frozen on its shape.  Closed-form
-    dimensions go through _stack_volumes.  Otherwise the cubature rule
-    built on `simplex` (cached on it per tol) is re-applied to the whole
-    stack in one evaluation, so the values vary analytically along
-    vertex paths.  Degenerate simplices give 0; the signs are the
-    stack's orientations."""
-    rule = simplex._frozen_rule(tol)
-    if rule is None:
-        return _stack_volumes(stack, tol)
-    live = ~stack.degenerate()
-    vols = np.zeros(live.shape)
-    if live.any():
-        vols[live] = rule.evaluate(stack.rows[live][..., 1:])
-    return np.where(live & (stack.dets <= 0), -vols, vols)
+    return float(_stack_volumes(simplex._stack, tol)[0])
 
 
 def volume_evaluator(simplex: GeodesicSimplex, tol: float = 1e-9) -> Callable[[GeodesicSimplex], float]:
     """Signed-volume evaluator frozen on the shape of `simplex`: each
-    call is _frozen_volumes on a stack of one.
+    call is _stack_volumes, with the rule frozen on `simplex`, on the
+    stack of one of the simplex it is given.
 
     For closed-form dimensions the value is signed_volume's; otherwise
     the cubature rule (cells and degree) is fixed here and re-applied,
@@ -612,12 +585,12 @@ def volume_evaluator(simplex: GeodesicSimplex, tol: float = 1e-9) -> Callable[[G
     finite differencing of volumes along families.
     """
     mask = simplex.ideal_mask()
-    simplex._frozen_rule(tol)  # the rule is built here, once
+    rule = simplex._frozen_rule(tol)  # the rule is built here, once
 
     def evaluate(s: GeodesicSimplex) -> float:
         if s.ideal_mask() != mask:
             raise SimplexError("simplex type changed under a frozen volume rule")
-        return float(_frozen_volumes(simplex, _VertexStack.of_simplices([s]), tol)[0])
+        return float(_stack_volumes(s._stack, tol, rule)[0])
 
     return evaluate
 

@@ -323,6 +323,32 @@ def test_path_scan_ragged_direction_exit_2(fixdir, monkeypatch, capsys, spec, ke
     assert f"bad_path.json: {key} must be a rectangular matrix" in captured.err
 
 
+_REP = ("--tri", "fig8.json", "--rep", "fig8_geometric.json")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "x"])
+@pytest.mark.parametrize("argv, flag", [
+    (("simplex", "vol", "--simplex", "tet.json"), "--tol"),
+    (("simplex", "schlafli", "--family", "family.json"), "--tol"),
+    (("simplex", "schlafli", "--family", "family.json"), "--h"),
+    (("tri", "solve", "--tri", "fig8.json"), "--tol"),
+    (("rep", "classify", *_REP), "--tol"),
+    (("rep", "vol", *_REP), "--tol"),
+    (("path", "scan", "--path", "path.json", "--tri", "fig8.json"), "--tol"),
+], ids=["simplex-vol", "schlafli-tol", "schlafli-h", "tri-solve", "rep-classify", "rep-vol",
+        "path-scan"])
+def test_tolerance_not_positive_finite_exit_2(fixdir, monkeypatch, capsys, argv, flag, value):
+    """--tol and --h are refused at parsing, before any input is read or
+    any work is done, with a usage error naming the flag."""
+    monkeypatch.setenv("HYPVOL_FIXTURES", str(fixdir))
+    with pytest.raises(SystemExit) as exc:
+        main(["--no-timestamp", *argv, f"{flag}={value}"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument {flag}:" in captured.err and "Traceback" not in captured.err
+
+
 _OTHER_TYPES = (None, True, 7, 1.5, "x", [], {})
 
 

@@ -7,15 +7,21 @@ import pytest
 
 from hypvol.cubature import (
     IntegrationError,
+    VolumeRule,
     _cell_frames,
     _diagonal_skip,
-    _eval_cell,
     _face_sums,
     _radial_kernel,
     _simplex_matrices,
     build_rule,
     build_rules,
 )
+
+
+def cell_value(mix, has_ideal, klein, g, ideal):
+    """One cell's value at degree g: a one-cell frozen rule, with the
+    simplex's ideal-vertex mask, evaluated on the Klein simplex."""
+    return VolumeRule(((mix, has_ideal, g),), 0.0, 0.0, tuple(ideal)).evaluate(klein)
 
 
 def dense_collapsed_rule(n, g, ideal_corner):
@@ -113,7 +119,7 @@ def test_eval_cell_matches_pointwise_face_rule(n, ideal_corner):
         total = mpmath.fsum(wk * radial_integral(klein[0], b @ klein[1:], n)
                             for b, wk in zip(beta, wf))
     expected = abs(np.linalg.det(klein[1:] - klein[0])) * float(total)
-    got = _eval_cell(np.eye(n + 1), ideal_corner, klein, g)
+    got = cell_value(np.eye(n + 1), ideal_corner, klein, g, (ideal_corner,) + (False,) * n)
     assert got == pytest.approx(expected, rel=1e-13)
 
 
@@ -134,7 +140,8 @@ def test_eval_cell_matches_dense_collapsed_rule(n, ideal_corner):
     pts = C @ klein
     f = (1.0 - np.sum(pts * pts, axis=1)) ** (-(n + 1) / 2.0)
     dense = abs(np.linalg.det(klein[1:] - klein[0])) * float(omega @ f)
-    got = _eval_cell(np.eye(n + 1), ideal_corner, klein, _DENSE_DEGREE[n, ideal_corner])
+    got = cell_value(np.eye(n + 1), ideal_corner, klein, _DENSE_DEGREE[n, ideal_corner],
+                     (ideal_corner,) + (False,) * n)
     assert got == pytest.approx(dense, rel=1e-10)
 
 
@@ -244,7 +251,7 @@ def test_rule_selection_is_pinned():
         if i in _NO_TIGHT_RULE:
             with pytest.raises(IntegrationError):
                 build_rule(klein, ideal, 1e-12)
-            reference = sum(_eval_cell(mix, flag, klein, _REFERENCE_DEGREE)
+            reference = sum(cell_value(mix, flag, klein, _REFERENCE_DEGREE, ideal)
                             for mix, flag, _ in rule.cells)
         else:
             reference = build_rule(klein, ideal, 1e-12).value
@@ -304,5 +311,5 @@ def test_kernel_batches_match_cells_alone():
     together = _face_sums(frames, 4, (9, 13))
     for c in (0, 16, 17, 38, 39):
         for k, g in enumerate((9, 13)):
-            alone = _eval_cell(np.eye(5), ideal[c], kleins[c], g)
+            alone = cell_value(np.eye(5), ideal[c], kleins[c], g, (ideal[c],) + (False,) * 4)
             assert together[k, c] == pytest.approx(alone, rel=1e-14, abs=0.0)

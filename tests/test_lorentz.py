@@ -410,7 +410,7 @@ def test_lift_and_from_matrix_refusals():
     drifted = g + 1e-9
     assert Isometry.from_matrix(drifted).matrix is not drifted
     with pytest.raises(LorentzError, match="form residual"):
-        Isometry.from_matrix(drifted, reproject=False)
+        Isometry(drifted)
 
 
 def test_gram_schmidt_reprojects():

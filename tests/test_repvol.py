@@ -502,7 +502,7 @@ def test_stack_reproduces_per_simplex_predicates(suspension4_rho, fig8):
         asg = build_developing_assignment(rho, tri, seed=seed)
         stack = asg.stack
         assert stack.rows.shape == (len(tri.simplices), tri.dim + 1, tri.dim + 1)
-        degenerate = stack.degenerate()
+        degenerate = stack.degenerate
         for k, dev in enumerate(asg.simplices):
             alone = GeodesicSimplex(dev.vertices)
             det = np.linalg.det(alone.vertex_matrix())
@@ -515,12 +515,15 @@ def test_stack_reproduces_per_simplex_predicates(suspension4_rho, fig8):
 
 
 def test_developed_simplices_share_the_stack(suspension4_rho):
-    """Every developed simplex reads its vertex matrix as a read-only view
-    of its row of the assignment's stack."""
+    """Every developed simplex reads its vertex matrix, determinant and
+    degeneracy scale as read-only views of its slice of the assignment's
+    stack."""
     asg = build_developing_assignment(suspension4_rho, suspension_4d(), seed=0)
     assert not asg.stack.rows.flags.writeable
     for k, dev in enumerate(asg.simplices):
         assert np.shares_memory(dev.vertex_matrix(), asg.stack.rows[k])
+        assert np.shares_memory(dev._stack.dets, asg.stack.dets[k:k + 1])
+        assert np.shares_memory(dev._stack.scales, asg.stack.scales[k:k + 1])
 
 
 def test_combinatorial_cycle_checked_once_per_triangulation(suspension4_rho, monkeypatch):
