@@ -16,12 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from .triangulation import (
+    AnyOf,
     Cusp,
     FacePairing,
     GroupPresentation,
     LabeledSimplex,
     LabeledTriangulation,
     OrbitVertex,
+    check_schema,
     cone_boundary,
 )
 
@@ -269,14 +271,25 @@ def _cplx(v):
     return [v.real, v.imag]
 
 
+# a generator image: rows of entries, each a real number or an [re, im] pair
+_IMAGE = [[AnyOf(float, (float, float))]]
+
+
 def load_representation_images(path) -> dict:
-    """Read a representation JSON: matrices are 2x2 or (n+1)x(n+1) with
-    entries real or [re, im] pairs; a top-level "dim" of 3 keeps 2x2
-    matrices complex so real-entried generators still act on H^3."""
+    """Read a representation JSON: "images" maps generator names to
+    matrices, 2x2 or (n+1)x(n+1), as lists of rows with entries real or
+    [re, im] pairs; a top-level "dim" of 3 keeps 2x2 matrices complex so
+    real-entried generators still act on H^3.  A file of another shape
+    raises a ValueError naming the file and the key."""
     data = json.loads(Path(path).read_text())
+    check_schema(data, {"dim?": int, "images": dict}, str(path))
     dim = data.get("dim")
     out = {}
     for g, rows in data["images"].items():
+        where = f"{path}: images.{g}"
+        check_schema(rows, _IMAGE, where)
+        if not rows or any(len(row) != len(rows[0]) for row in rows):
+            raise ValueError(f"{where} must be a nonempty rectangular matrix")
         mat = np.array([[_parse_entry(v) for v in row] for row in rows])
         if np.max(np.abs(mat.imag)) == 0.0 and dim != 3:
             mat = mat.real

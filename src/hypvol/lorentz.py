@@ -59,7 +59,12 @@ class AmbiguousClassificationError(LorentzError):
 
 class EmptyFixedSetError(LorentzError):
     """Raised when a generating set has no common fixed point in the
-    closed ball at the requested tolerance."""
+    closed ball at the requested tolerance.  ``sample`` is the index of
+    the failing family in a stack of them (0 for a single one)."""
+
+    def __init__(self, message, sample=0):
+        super().__init__(message)
+        self.sample = sample
 
 
 class Kind(enum.Enum):
@@ -78,43 +83,79 @@ def minkowski_matrix(n: int) -> np.ndarray:
     return J
 
 
-def _inner(u: np.ndarray, v: np.ndarray) -> float:
-    return float(-u[0] * v[0] + u[1:] @ v[1:])
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the rows of two stacks (..., m), or of two
+    vectors: a 1 x m by m x 1 product, which rounds as the 1-D a @ b
+    of each row does."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _finite_form(c: np.ndarray) -> float:
-    """<c, c>, refusing coordinates that are not all finite (a NaN or an
-    infinity makes the form NaN or infinite)."""
+def _inner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """-u_0 v_0 + sum u_i v_i of two vectors, or of each row of two
+    stacks (..., m)."""
+    return -u[..., 0] * v[..., 0] + _rowdot(u[..., 1:], v[..., 1:])
+
+
+def _first(mask: np.ndarray) -> tuple:
+    """The index of the first True entry of a boolean array (() for a
+    0-d one)."""
+    return np.unravel_index(int(np.argmax(mask)), mask.shape)
+
+
+def _finite_form(c: np.ndarray) -> np.ndarray:
+    """<c, c> of a vector or of each row of a stack, refusing the first
+    row whose coordinates are not all finite (a NaN or an infinity makes
+    the form NaN or infinite)."""
     q = _inner(c, c)
-    if not math.isfinite(q):
-        raise LorentzError(f"coordinates are not finite: {c.tolist()}")
+    bad = ~np.isfinite(q)
+    if bad.any():
+        raise LorentzError(f"coordinates are not finite: {c[_first(bad)].tolist()}")
     return q
+
+
+def _space_form(c: np.ndarray):
+    """The squared length of the space part and <c, c> of a vector or of
+    each row of a stack (..., m); <c, c> rounds as _inner's does."""
+    sp = _rowdot(c[..., 1:], c[..., 1:])
+    return sp, sp - c[..., 0] * c[..., 0]
 
 
 def _project_material(coords: Sequence[float]) -> np.ndarray:
     """A fresh array on the upper hyperboloid sheet, rescaled from a
-    future-pointing timelike vector (refused otherwise)."""
+    future-pointing timelike vector, or row by row from a stack of them;
+    the first row that is not one (or not finite) is refused."""
     c = np.asarray(coords, dtype=float)
-    q = _finite_form(c)
-    if q >= 0 or c[0] <= 0:
-        raise LorentzError(f"not timelike future-pointing: <x,x>={q}")
-    return c / np.sqrt(-q)
+    _, q = _space_form(c)
+    ok = np.isfinite(q) & (q < 0) & (c[..., 0] > 0)
+    if not ok.all():
+        i = _first(~ok)
+        _finite_form(c[i])
+        raise LorentzError(f"not timelike future-pointing: <x,x>={q[i]}")
+    return c / np.sqrt(-q)[..., None]
 
 
 def _project_ideal(coords: Sequence[float]) -> np.ndarray:
-    """A fresh array on the future light cone: the time coordinate of a
-    representative within 0.1% of the cone is reset to the length of
-    its space part (refused otherwise)."""
+    """A fresh array on the future light cone, or a stack of them row by
+    row: the time coordinate of a representative within 0.1% of the cone
+    is reset to the length of its space part.  The first row that is not
+    finite, is past-pointing, has no space part or lies farther from the
+    cone is refused."""
     c = np.asarray(coords, dtype=float)
-    q = _finite_form(c)
-    if c[0] <= 0:
-        raise LorentzError("ideal representative must have x0 > 0")
-    s = math.sqrt(c[1:] @ c[1:])
-    if s == 0:
-        raise LorentzError("zero space part cannot be lightlike")
-    if abs(q) > 1e-3 * float(c @ c):
-        raise LorentzError(f"representative too far from the light cone: <x,x>={q}")
-    return np.concatenate(([s], c[1:]))
+    sp, q = _space_form(c)
+    s = np.sqrt(sp)
+    # with x_0 > 0, a zero space part puts the vector far from the cone
+    ok = np.isfinite(q) & (c[..., 0] > 0) & (np.abs(q) <= 1e-3 * (sp + c[..., 0] ** 2))
+    if not ok.all():
+        i = _first(~ok)
+        _finite_form(c[i])
+        if c[i][..., 0] <= 0:
+            raise LorentzError("ideal representative must have x0 > 0")
+        if s[i] == 0:
+            raise LorentzError("zero space part cannot be lightlike")
+        raise LorentzError(f"representative too far from the light cone: <x,x>={q[i]}")
+    out = c.copy()
+    out[..., 0] = s
+    return out
 
 
 @dataclass(frozen=True)
@@ -221,7 +262,7 @@ def minkowski_inner(u: LorentzVector, v: LorentzVector) -> float:
     """The bilinear form -u_0 v_0 + sum u_i v_i."""
     if u.coords.shape != v.coords.shape:
         raise LorentzError(f"dimension mismatch: {u.coords.shape} vs {v.coords.shape}")
-    return _inner(u.coords, v.coords)
+    return float(_inner(u.coords, v.coords))
 
 
 def distance(x: LorentzVector, y: LorentzVector) -> float:
@@ -466,92 +507,159 @@ class FixedSet:
     sphere: bool = False
 
 
-def _fixed_subspace(mats: Sequence[np.ndarray], tol: float) -> np.ndarray:
-    """Orthonormal basis (columns) of the common eigenvalue-1 space of
-    the given matrices, via SVD of the stacked (A_i - I)."""
-    m = mats[0].shape[0]
-    stacked = np.vstack([A - np.eye(m) for A in mats])
-    _, s, vt = np.linalg.svd(stacked)
-    smax = s[0] if len(s) else 0.0
-    cutoff = tol * max(smax, 1.0)
-    rank = int(np.sum(s > cutoff))
-    return vt[rank:].T  # (m, k)
+def _fixed_subspaces(D: np.ndarray, tol: float):
+    """The common eigenvalue-1 spaces of S families of matrices, from one
+    SVD of the stack D (S, r, m) of each family's stacked (A_i - I):
+    the right singular vectors vt (S, m, m) and the dimensions k (S,);
+    the last k rows of a sample's vt are an orthonormal basis of its
+    space."""
+    _, s, vt = np.linalg.svd(D)
+    cutoff = tol * np.maximum(s[:, 0], 1.0)
+    return vt, D.shape[-1] - (s > cutoff[:, None]).sum(axis=1)
 
 
-def _ball_points_from_subspace(B: np.ndarray, tol: float):
-    """Split a fixed linear subspace into its hyperbolic content.
-
-    Returns (interior, ideal_rays, sphere) where interior is a material
-    vector or None, ideal_rays is a list of lightlike representatives
-    (only enumerated when isolated), and sphere flags a fixed set that
-    contains the whole sphere at infinity.
-    """
-    m, k = B.shape
-    if k == 0:
-        return None, [], False
+def _ball_points(vt: np.ndarray, dims: np.ndarray, tol: float):
+    """Split the fixed linear subspaces of _fixed_subspaces into their
+    hyperbolic content: per-sample lists (interior, rays, sphere), where
+    interior is a material vector or None, rays are the lightlike
+    representatives (only enumerated when isolated), and sphere flags a
+    fixed set that contains the whole sphere at infinity.  The samples
+    of one dimension share one eigh of their Gram matrices; the split
+    itself is a few scalar tests per sample."""
+    S, m = vt.shape[:2]
+    interior, rays, sphere = [None] * S, [[] for _ in range(S)], [False] * S
     J = minkowski_matrix(m - 1)
-    G = B.T @ J @ B
-    w, U = np.linalg.eigh(G)
-    interior = None
-    rays: list[np.ndarray] = []
-    if w[0] < -tol:
-        v = B @ U[:, 0]
-        if v[0] < 0:
-            v = -v
-        interior = v / np.sqrt(-_inner(v, v))
-        if k == m:
-            return interior, [], True
-        if k == 2 and w[1] > tol:
-            t = B @ U[:, 0] / np.sqrt(-w[0])
-            s = B @ U[:, 1] / np.sqrt(w[1])
-            for ray in (t + s, t - s):
-                if ray[0] < 0:
-                    ray = -ray
-                rays.append(ray)
-        # k >= 3 with a timelike direction fixes a whole subsphere of
-        # ideal points; those are not enumerated.
-    elif abs(w[0]) <= tol:
-        ray = B @ U[:, 0]
-        if abs(ray[0]) > tol * math.sqrt(ray @ ray):
-            if ray[0] < 0:
-                ray = -ray
-            rays.append(ray)
-    return interior, rays, False
+    for k in sorted(set(dims.tolist()) - {0}):
+        idx = np.flatnonzero(dims == k)
+        Bt = vt[idx, m - k:]
+        Bs = np.swapaxes(Bt, -1, -2)
+        ws, Us = np.linalg.eigh(Bt @ J @ Bs)
+        for i, B, w, U in zip(idx.tolist(), Bs, ws, Us):
+            if w[0] < -tol:
+                v = B @ U[:, 0]
+                if v[0] < 0:
+                    v = -v
+                interior[i] = v / np.sqrt(-_inner(v, v))
+                sphere[i] = k == m
+                if k == 2 and w[1] > tol:
+                    # a timelike and a spacelike direction: the endpoints
+                    # of the fixed axis
+                    t = B @ U[:, 0] / np.sqrt(-w[0])
+                    u = B @ U[:, 1] / np.sqrt(w[1])
+                    rays[i] = [-r if r[0] < 0 else r for r in (t + u, t - u)]
+                # k >= 3 with a timelike direction fixes a whole subsphere
+                # of ideal points; those are not enumerated.
+            elif abs(w[0]) <= tol:
+                ray = B @ U[:, 0]
+                if abs(ray[0]) > tol * math.sqrt(ray @ ray):
+                    rays[i] = [-ray if ray[0] < 0 else ray]
+    return interior, rays, sphere
 
 
-def _residual(A: np.ndarray, x: np.ndarray) -> float:
-    """Relative eigen-residual of x as a fixed ray of A."""
-    y = A @ x
-    lam = float(y @ x) / float(x @ x)
-    if lam <= 0:
-        return np.inf
-    r = y - lam * x
-    return math.sqrt((r @ r) / (y @ y))
+def _loxodromic_rays(eigvals: np.ndarray, eigvecs: np.ndarray):
+    """The expanding and contracting lightlike eigenvectors (L, 2, m) of
+    L loxodromic elements, from their eigendecompositions (L, m) and
+    (L, m, m), and per element None or the AmbiguousClassificationError
+    of its first extremal eigenpair that is not real positive and
+    lightlike."""
+    rows = np.arange(len(eigvals))[:, None]
+    idx = np.argsort(np.abs(eigvals), axis=-1)[:, [-1, 0]]
+    lam = eigvals[rows, idx]
+    v = eigvecs[rows[..., None], np.arange(eigvecs.shape[-1]), idx[..., None]]
+    phase = v[rows, [[0, 1]], np.abs(v).argmax(axis=-1)][..., None]
+    v = np.real(v * np.conj(phase) / np.abs(phase))
+    nv = np.sqrt(_rowdot(v, v))
+    checks = np.stack([(np.abs(lam.imag) > 1e-6 * np.abs(lam)) | (lam.real <= 0),
+                       (nv == 0) | (np.abs(_inner(v, v)) > 1e-6 * nv**2)], axis=-1)
+    errors = []
+    for bad in checks.reshape(len(v), 4).tolist():
+        if not any(bad):
+            errors.append(None)
+            continue
+        what = ("extremal eigenvalue is not real positive",
+                "extremal eigenvector is not lightlike at tolerance")[bad.index(True) % 2]
+        errors.append(AmbiguousClassificationError(
+            what, [IsometryClass.LOXODROMIC, IsometryClass.ELLIPTIC]))
+    return np.where(v[..., :1] < 0, -v, v), errors
 
 
-def _loxodromic_rays(eigvals: np.ndarray, eigvecs: np.ndarray) -> list[np.ndarray]:
-    """The expanding and contracting lightlike eigenvectors of a
-    loxodromic element, from its eigendecomposition."""
-    order = np.argsort(np.abs(eigvals))
-    rays = []
-    for idx in (order[-1], order[0]):
-        lam = eigvals[idx]
-        if abs(lam.imag) > 1e-6 * abs(lam) or lam.real <= 0:
-            raise AmbiguousClassificationError(
-                "extremal eigenvalue is not real positive",
-                [IsometryClass.LOXODROMIC, IsometryClass.ELLIPTIC])
-        v = eigvecs[:, idx]
-        phase = v[np.argmax(np.abs(v))]
-        v = np.real(v * np.conj(phase) / abs(phase))
-        nv = math.sqrt(v @ v)
-        if nv == 0 or abs(_inner(v, v)) > 1e-6 * nv**2:
-            raise AmbiguousClassificationError(
-                "extremal eigenvector is not lightlike at tolerance",
-                [IsometryClass.LOXODROMIC, IsometryClass.ELLIPTIC])
-        if v[0] < 0:
-            v = -v
-        rays.append(v)
-    return rays
+def _classify_stack(A: np.ndarray, tol: float) -> list:
+    """The classification of classify_isometry over a stack A (S, m, m).
+
+    Per sample it returns the AmbiguousClassificationError that
+    classify_isometry raises for it (returned, not raised), or
+    (kind, interior, rays, sphere): the material fixed point as an array
+    or None, and the ideal fixed points as the rows of an (r, m) array
+    on the light cone.  One eig serves every sample that is not the
+    identity, one SVD of (A - I) those whose spectral radius does not
+    decide, and one projection every ideal fixed point."""
+    S, m = A.shape[0], A.shape[-1]
+    eye = np.eye(m)
+    scale = np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
+    ident = np.abs(A - eye).max(axis=(-2, -1)) <= tol * scale
+    out = [None] * S
+    for i in np.flatnonzero(ident):
+        out[i] = (IsometryClass.IDENTITY, LorentzVector.basis_point(m - 1).coords,
+                  np.empty((0, m)), True)
+    rest = np.flatnonzero(~ident)
+    if not rest.size:
+        return out
+    # one eigendecomposition per sample: its spectral radius decides, and
+    # its eigenvectors are the fixed rays when the element is loxodromic
+    eigvals, eigvecs = np.linalg.eig(A[rest])
+    lam_max = np.abs(eigvals).max(axis=-1)
+    # Below `guard` the spectral radius of a true parabolic is
+    # indistinguishable from 1 (defective eigenvalues scatter like
+    # eps^(1/3)); above the decisive 1e-3 the expanding eigenvector is
+    # crisp and the eigenvalue-1 analysis may itself be swamped by the
+    # matrix norm.  The eigenvalue-1 analysis runs off singular values of
+    # A - I, stable even for the defective Jordan structure of parabolics.
+    guard = max(100.0 * tol, 1e-5) * scale[rest]
+    expanding = lam_max > 1.0 + guard
+    lox = lam_max > 1.0 + np.maximum(1e-3, guard)
+    found = {}  # position in rest -> (kind, interior, rays, sphere)
+    undecided = np.flatnonzero(~lox)
+    if undecided.size:
+        interior, rays, sphere = _ball_points(
+            *_fixed_subspaces(A[rest[undecided]] - eye, tol), tol)
+        for j, x, rs, sph in zip(undecided.tolist(), interior, rays, sphere):
+            lam = float(lam_max[j])
+            if x is not None and expanding[j]:
+                out[rest[j]] = AmbiguousClassificationError(
+                    f"timelike fixed vector found but spectral radius {lam} > 1",
+                    [IsometryClass.ELLIPTIC, IsometryClass.LOXODROMIC])
+            elif x is not None:
+                found[j] = (IsometryClass.ELLIPTIC, x, rs, sph)
+            elif rs and expanding[j]:
+                out[rest[j]] = AmbiguousClassificationError(
+                    f"lightlike fixed ray found but spectral radius {lam} > 1; "
+                    "near the parabolic/loxodromic boundary",
+                    [IsometryClass.PARABOLIC, IsometryClass.LOXODROMIC])
+            elif rs:
+                found[j] = (IsometryClass.PARABOLIC, None, rs[:1], False)
+            elif not expanding[j]:
+                out[rest[j]] = AmbiguousClassificationError(
+                    "no eigenvalue-1 fixed point in the closed ball and no clear "
+                    "expansion; numerically on a classification boundary",
+                    [IsometryClass.PARABOLIC, IsometryClass.LOXODROMIC])
+            else:
+                lox[j] = True
+    lox = np.flatnonzero(lox)
+    if lox.size:
+        lox_rays, errors = _loxodromic_rays(eigvals[lox], eigvecs[lox])
+        for j, rs, err in zip(lox.tolist(), lox_rays, errors):
+            if err is None:
+                found[j] = (IsometryClass.LOXODROMIC, None, rs, False)
+            else:
+                out[rest[j]] = err
+    if found:
+        rays = _project_ideal(np.concatenate([np.reshape(rs, (-1, m)) for _, _, rs, _ in
+                                              found.values()]))
+        start = 0
+        for j, (kind, x, rs, sph) in found.items():
+            out[rest[j]] = (kind, x, rays[start:start + len(rs)], sph)
+            start += len(rs)
+    return out
 
 
 def classify_isometry(iso: Isometry, tol: float = 1e-8) -> IsometryClassification:
@@ -566,57 +674,90 @@ def classify_isometry(iso: Isometry, tol: float = 1e-8) -> IsometryClassificatio
     eigenvalues scatter like eps^(1/3)); the spectral radius is only a
     cross-check.  A conflict between the two views means the element is
     numerically on the parabolic boundary and raises
-    AmbiguousClassificationError with both candidates.
+    AmbiguousClassificationError with both candidates.  This is the
+    stack of one of the classification core that common_fixed_set and
+    peripheral classification run over many samples.
     """
-    A = iso.matrix
-    m = A.shape[0]
-    scale = max(1.0, float(np.abs(A).max()))
-    if np.abs(A - np.eye(m)).max() <= tol * scale:
-        return IsometryClassification(
-            IsometryClass.IDENTITY, LorentzVector.basis_point(m - 1), (), fixes_sphere=True)
-    # one eigendecomposition: its spectral radius decides, and its
-    # eigenvectors are the fixed rays when the element is loxodromic
-    eigvals, eigvecs = np.linalg.eig(A)
-    lam_max = float(np.abs(eigvals).max())
-    # Below `guard` the spectral radius of a true parabolic is
-    # indistinguishable from 1 (defective eigenvalues scatter like
-    # eps^(1/3)); above `decisive` the expanding eigenvector is crisp and
-    # the eigenvalue-1 analysis may itself be swamped by the matrix norm.
-    guard = max(100.0 * tol, 1e-5) * scale
-    decisive = 1e-3
-    if lam_max > 1.0 + max(decisive, guard):
-        lox = _loxodromic_rays(eigvals, eigvecs)
-        return IsometryClassification(
-            IsometryClass.LOXODROMIC, None,
-            tuple(LorentzVector.ideal(r) for r in lox))
-    B = _fixed_subspace([A], tol)
-    interior, rays, sphere = _ball_points_from_subspace(B, tol)
-    if interior is not None:
-        if lam_max > 1.0 + guard:
-            raise AmbiguousClassificationError(
-                f"timelike fixed vector found but spectral radius {lam_max} > 1",
-                [IsometryClass.ELLIPTIC, IsometryClass.LOXODROMIC])
-        return IsometryClassification(
-            IsometryClass.ELLIPTIC,
-            LorentzVector(interior, Kind.MATERIAL),
-            tuple(LorentzVector.ideal(r) for r in rays),
-            fixes_sphere=sphere)
-    if rays:
-        if lam_max > 1.0 + guard:
-            raise AmbiguousClassificationError(
-                f"lightlike fixed ray found but spectral radius {lam_max} > 1; "
-                "near the parabolic/loxodromic boundary",
-                [IsometryClass.PARABOLIC, IsometryClass.LOXODROMIC])
-        return IsometryClassification(
-            IsometryClass.PARABOLIC, None, (LorentzVector.ideal(rays[0]),))
-    if lam_max <= 1.0 + guard:
-        raise AmbiguousClassificationError(
-            "no eigenvalue-1 fixed point in the closed ball and no clear "
-            "expansion; numerically on a classification boundary",
-            [IsometryClass.PARABOLIC, IsometryClass.LOXODROMIC])
-    lox = _loxodromic_rays(eigvals, eigvecs)
+    out = _classify_stack(iso.matrix[None], tol)[0]
+    if isinstance(out, AmbiguousClassificationError):
+        raise out
+    kind, interior, rays, sphere = out
     return IsometryClassification(
-        IsometryClass.LOXODROMIC, None, tuple(LorentzVector.ideal(r) for r in lox))
+        kind, None if interior is None else LorentzVector(interior, Kind.MATERIAL),
+        tuple(LorentzVector._trusted(r, Kind.IDEAL) for r in rays), fixes_sphere=sphere)
+
+
+def _fixed_sets(images: Sequence[np.ndarray], tol: float) -> list[FixedSet]:
+    """common_fixed_set for S families of one shape at once: images
+    holds each generator's (S, m, m) images, and the result is each
+    sample's FixedSet.
+
+    One SVD of each sample's stacked (A_i - I) gives the interior part
+    and the eigenvalue-1 rays; each round of classification is one
+    _classify_stack over the samples still looking for a loxodromic or
+    parabolic generator (usually one round); the candidate rays of every
+    sample are normalized and checked against its generators in one
+    array pass.  EmptyFixedSetError names the first sample that fixes
+    nothing (its ``sample``)."""
+    if not len(images):
+        raise LorentzError("need at least one generator")
+    m = images[0].shape[-1]
+    if any(M.shape[-1] != m for M in images):
+        raise LorentzError("generators of mixed dimension")
+    mats = np.stack(images, axis=1)
+    S, k = mats.shape[:2]
+    D = mats - np.eye(m)
+    interior, candidates, sphere = _ball_points(
+        *_fixed_subspaces(D.reshape(S, k * m, m), tol), tol)
+    nontrivial = np.abs(D).max(axis=(-2, -1)) > tol
+    verify = nontrivial.any(axis=1)
+    for i in np.flatnonzero(~verify):
+        sphere[i], interior[i] = True, LorentzVector.basis_point(m - 1).coords
+    searching = verify.copy()
+    for j in range(k):
+        sel = np.flatnonzero(searching & nontrivial[:, j])
+        if not sel.size:
+            continue
+        for i, cls in zip(sel.tolist(), _classify_stack(mats[sel, j], tol)):
+            if isinstance(cls, AmbiguousClassificationError):
+                continue
+            candidates[i] += list(cls[2])
+            if cls[0] in (IsometryClass.LOXODROMIC, IsometryClass.PARABOLIC):
+                # its ideal fixed set is finite and fully enumerated, so
+                # it holds every common fixed ray
+                searching[i] = False
+    owner = [i for i in np.flatnonzero(verify).tolist() for _ in candidates[i]]
+    if owner:
+        # every candidate, at x_0 = 1, as a fixed ray of each generator
+        # of its sample and against the rays of its sample kept before it
+        C = np.stack([c for i in dict.fromkeys(owner) for c in candidates[i]])
+        C = C / C[:, :1]
+        X = C[:, None, :]
+        Y = (mats[owner] @ X[..., None])[..., 0]
+        lam = _rowdot(Y, X) / _rowdot(X, X)
+        R = Y - lam[..., None] * X
+        resid = np.sqrt(_rowdot(R, R) / _rowdot(Y, Y))
+        fixed = ((lam > 0) & ~(resid > tol)).all(axis=1).tolist()
+        close = (np.abs(C[:, None] - C[None]).max(axis=-1) <= IDEAL_EQ_TOL).tolist()
+        kept = {i: [] for i in owner}
+        for t, i in enumerate(owner):
+            if fixed[t] and not any(close[t][u] for u in kept[i]):
+                kept[i].append(t)
+        for i, ts in kept.items():
+            candidates[i] = [C[t] for t in ts]
+    rays = [c for cs in candidates for c in cs]
+    ideal = iter(_project_ideal(np.stack(rays)) if rays else ())
+    out = []
+    for i, (x, cs, sph) in enumerate(zip(interior, candidates, sphere)):
+        pts = tuple(LorentzVector._trusted(next(ideal), Kind.IDEAL) for _ in cs)
+        if x is None and not pts and not sph:
+            where = f"sample {i}: " if S > 1 else ""
+            raise EmptyFixedSetError(
+                f"{where}no common fixed point in the closed ball at tolerance "
+                f"{tol} (not an amenable-like configuration)", i)
+        out.append(FixedSet(None if x is None else LorentzVector(np.asarray(x), Kind.MATERIAL),
+                            pts, sph))
+    return out
 
 
 def common_fixed_set(gens: Sequence[Isometry], tol: float = 1e-8) -> FixedSet:
@@ -628,52 +769,11 @@ def common_fixed_set(gens: Sequence[Isometry], tol: float = 1e-8) -> FixedSet:
     per-generator candidates and verified against every generator.
     Generators are classified in order up to the first loxodromic or
     parabolic one, whose finite list of ideal fixed rays contains every
-    common fixed ray; no commutativity is assumed.
+    common fixed ray; no commutativity is assumed.  This is the stack of
+    one of _fixed_sets, which peripheral classification runs over all
+    samples of a scan at once.
     """
-    if not gens:
-        raise LorentzError("need at least one generator")
-    mats = [g.matrix for g in gens]
-    m = mats[0].shape[0]
-    if any(M.shape[0] != m for M in mats):
-        raise LorentzError("generators of mixed dimension")
-    B = _fixed_subspace(mats, tol)
-    interior, rays, sphere = _ball_points_from_subspace(B, tol)
-
-    candidates = list(rays)
-    nontrivial = [g for g in gens if np.abs(g.matrix - np.eye(m)).max() > tol]
-    if not nontrivial:
-        sphere = True
-        interior = LorentzVector.basis_point(m - 1).coords
-    else:
-        for g in nontrivial:
-            try:
-                cls = classify_isometry(g, tol)
-            except AmbiguousClassificationError:
-                continue
-            for p in cls.ideal_fixed:
-                candidates.append(p.coords)
-            if cls.kind in (IsometryClass.LOXODROMIC, IsometryClass.PARABOLIC):
-                # its ideal fixed set is finite and fully enumerated, so
-                # it holds every common fixed ray
-                break
-        verified = []
-        for c in candidates:
-            c = c / c[0]
-            if any(_residual(M, c) > tol for M in mats):
-                continue
-            if not any(np.abs(c - v).max() <= IDEAL_EQ_TOL for v in verified):
-                verified.append(c)
-        candidates = verified
-
-    ideal = tuple(LorentzVector.ideal(c) for c in candidates)
-    interior_pt = None
-    if interior is not None:
-        interior_pt = LorentzVector(np.asarray(interior), Kind.MATERIAL)
-    if interior_pt is None and not ideal and not sphere:
-        raise EmptyFixedSetError(
-            "no common fixed point in the closed ball at tolerance "
-            f"{tol} (not an amenable-like configuration)")
-    return FixedSet(interior_pt, ideal, sphere)
+    return _fixed_sets([g.matrix[None] for g in gens], tol)[0]
 
 
 # Hermitian (n=3) and real symmetric (n=2) 2x2 matrices with coordinates

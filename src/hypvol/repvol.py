@@ -21,12 +21,12 @@ from .lorentz import (
     Kind,
     LorentzError,
     LorentzVector,
+    _fixed_sets,
     _lift_stack,
     _project_ideal,
     _project_material,
     _reproject_drifted,
     classify_isometry,
-    common_fixed_set,
     from_klein,
     lift_moebius,
     minkowski_gram_schmidt,
@@ -234,24 +234,37 @@ def classify_peripheral(rho: Representation, tri: LabeledTriangulation,
     fixed locus: a material fixed point means a maximal compact subgroup
     contains the image, an ideal one means a minimal parabolic does;
     both can hold at once.  No fixed point at tolerance is an error.
+    This is the one-sample case of the stacked classification that
+    developing runs over all samples of a scan at once.
     """
-    words = peripheral_words(tri, cusp_id)
-    gens = [evaluate_word(rho, w) for w in words]
+    images = [evaluate_word(rho, w).matrix[None] for w in peripheral_words(tri, cusp_id)]
+    return _classify_cusp(cusp_id, images, tol)[0]
+
+
+def _classify_cusp(cusp_id: str, images: Sequence[np.ndarray],
+                   tol: float = 1e-8) -> list[PeripheralClassification]:
+    """classify_peripheral of one cusp for S samples at once, from the
+    (S, m, m) images of each of its peripheral words: one _fixed_sets
+    pass, whose failure names the first sample that fixes nothing."""
     try:
-        fs = common_fixed_set(gens, tol)
+        sets = _fixed_sets(images, tol)
     except EmptyFixedSetError as exc:
+        where = f" at sample {exc.sample}" if len(images[0]) > 1 else ""
         raise PeripheralClassificationError(
-            f"peripheral image of cusp {cusp_id!r} fixes nothing in the "
+            f"peripheral image of cusp {cusp_id!r}{where} fixes nothing in the "
             f"closed ball at tol {tol}") from exc
-    has_interior = fs.interior is not None
-    has_ideal = bool(fs.ideal) or fs.sphere
-    if has_interior and has_ideal:
-        kind = PeripheralKind.BOTH
-    elif has_interior:
-        kind = PeripheralKind.COMPACT_FIX
-    else:
-        kind = PeripheralKind.PARABOLIC_FIX
-    return PeripheralClassification(cusp_id, kind, fs.interior, fs.ideal, fs.sphere)
+    out = []
+    for fs in sets:
+        has_interior = fs.interior is not None
+        has_ideal = bool(fs.ideal) or fs.sphere
+        if has_interior and has_ideal:
+            kind = PeripheralKind.BOTH
+        elif has_interior:
+            kind = PeripheralKind.COMPACT_FIX
+        else:
+            kind = PeripheralKind.PARABOLIC_FIX
+        out.append(PeripheralClassification(cusp_id, kind, fs.interior, fs.ideal, fs.sphere))
+    return out
 
 
 @dataclass(frozen=True)
@@ -293,26 +306,41 @@ def _develop_points(tri: LabeledTriangulation, points: Mapping[str, Sequence[Lor
     distinct slot (v, w) of the triangulation, and the (S, N) _VertexStack
     of its N labeled simplices: points[v] holds the S values of orbit
     vertex v, word_matrix(w) the (S, m, m) images of w.  Each slot is
-    developed once, as Isometry.apply would develop it, and scaled to
-    x_0 = 1 once; each simplex gathers its rows by slot index."""
+    developed once, as Isometry.apply would develop it: its S points are
+    projected in one validated stacked projection per kind (onto the
+    light cone or the hyperboloid), and scaled to x_0 = 1 once; each
+    simplex gathers its rows by slot index."""
+    values = {v: (np.stack([x.coords for x in xs]), np.array([x.kind is Kind.IDEAL for x in xs]))
+              for v, xs in points.items()}
     developed = {}
     for s in tri.simplices:
         for slot in s.slots:
             if slot not in developed:
                 v, w = slot
-                X = np.stack([x.coords for x in points[v]])
-                Y = (word_matrix(w) @ X[:, :, None])[:, :, 0]
-                developed[slot] = np.stack([
-                    _project_ideal(y) if x.kind is Kind.IDEAL else _project_material(y)
-                    for x, y in zip(points[v], Y)])
+                X, ideal = values[v]
+                developed[slot] = _project_points((word_matrix(w) @ X[:, :, None])[:, :, 0], ideal)
     slots = list(developed)
     index = {slot: k for k, slot in enumerate(slots)}
     gather = [[index[slot] for slot in s.slots] for s in tri.simplices]
     points_x0 = np.stack([developed[slot] / developed[slot][:, :1] for slot in slots], axis=1)
-    ideal = np.array([[x.kind is Kind.IDEAL for x in points[v]] for v, _ in slots]).T
+    ideal = np.array([values[v][1] for v, _ in slots]).T
     rows = points_x0[:, gather]
     rows.setflags(write=False)
     return developed, _VertexStack.of(rows, ideal[:, gather])
+
+
+def _project_points(Y: np.ndarray, ideal: np.ndarray) -> np.ndarray:
+    """The rows of Y (S, m) projected onto the light cone where `ideal`
+    and onto the hyperboloid elsewhere, as Isometry.apply projects a
+    developed point, in one validated stacked projection per kind."""
+    if ideal.all():
+        return _project_ideal(Y)
+    if not ideal.any():
+        return _project_material(Y)
+    out = np.empty_like(Y)
+    out[ideal] = _project_ideal(Y[ideal])
+    out[~ideal] = _project_material(Y[~ideal])
+    return out
 
 
 def _assignment(tri: LabeledTriangulation, points, seed: int, classes, developed: Mapping,
@@ -357,14 +385,16 @@ def _develop_samples(reps: Sequence[Representation], tri: LabeledTriangulation, 
     (S, m, m) products, and every sample is developed in one
     _develop_points pass.
 
-    Cusp cone points go to fixed points of the peripheral images (the
-    classification stays per sample, on the stacked word images).  Each
-    sample draws its material values from its own _point_sampler(seed, n)
-    and is redeveloped, alone among the samples, until none of its
-    simplices is degenerate (_VertexStack.degenerate, the predicate that
-    zeroes volumes): a retry redraws the material vertices of its
-    degenerate simplices in orbit-vertex order, and after max_retries
-    retries a restart redraws them all.
+    Cusp cone points go to fixed points of the peripheral images: each
+    cusp is classified once for all S samples, on the (S, m, m) images
+    of its peripheral words that word_matrix holds (_classify_cusp), and
+    a cusp that fixes nothing names the first such sample.  Each sample
+    draws its material values from its own _point_sampler(seed, n) and
+    is redeveloped, alone among the samples, until none of its simplices
+    is degenerate (_VertexStack.degenerate, the predicate that zeroes
+    volumes): a retry redraws the material vertices of its degenerate
+    simplices in orbit-vertex order, and after max_retries retries a
+    restart redraws them all.
 
     Returns (classes, points, developed, stack, word_matrix): per sample
     {cusp id: PeripheralClassification}, the S values of each orbit
@@ -383,11 +413,9 @@ def _develop_samples(reps: Sequence[Representation], tri: LabeledTriangulation, 
                                np.broadcast_to(np.eye(n + 1), (count, n + 1, n + 1)))
         return W
 
-    for c in tri.cusps:
-        for w in peripheral_words(tri, c.id):
-            for rep, A in zip(reps, word_matrix(w)):
-                rep._word_images.setdefault(w, Isometry._trusted(A))
-    classes = [{c.id: classify_peripheral(rep, tri, c.id) for c in tri.cusps} for rep in reps]
+    by_cusp = {c.id: _classify_cusp(c.id, [word_matrix(w) for w in peripheral_words(tri, c.id)])
+               for c in tri.cusps}
+    classes = [{cid: cls[k] for cid, cls in by_cusp.items()} for k in range(count)]
 
     points = {v.id: [cl[v.cusp].fixed_point(boundary_preference) for cl in classes]
               for v in tri.orbit_vertices if v.kind == "ideal"}
@@ -749,14 +777,16 @@ def scan_path(path: DeformationPath, tri: LabeledTriangulation, n_samples: int,
     not depend on the choice; the per-sample classifications let a
     caller spot crossings.
 
-    The representations come from one path.evaluate_many call.  They are
-    developed together (_develop_samples, with the developing retries of
+    The representations come from one path.evaluate_many call.  Their
+    cusps are classified once for all samples and they are developed
+    together (_develop_samples, with the developing retries of
     build_developing_assignment per sample), cycle-checked in one
     _developed_cycles pass and measured in one _stack_volumes call, so
-    each sample gets the volume build_developing_assignment and
+    each sample gets the classifications and the volume that
+    classify_peripheral, build_developing_assignment and
     representation_volume give it.  A failing check raises at its stage,
     so when several samples fail, the error of the earliest stage is
-    raised.
+    raised; a cusp that fixes nothing names the first such sample.
     """
     if n_samples < 3:
         raise RepvolError("need at least 3 samples")
@@ -799,43 +829,54 @@ class GluingError(RepvolError):
     pass
 
 
-def _mobius_three_point(src, dst) -> np.ndarray:
-    """SL(2,C) matrix sending the three source points (None = infinity)
-    to the three targets."""
-
-    def to_quad(p):
-        # projective coordinates
-        return (1.0 + 0j, 0.0 + 0j) if p is None else (complex(p), 1.0 + 0j)
-
-    def std_map(z):
-        # sends z1,z2,z3 -> 0, 1, infinity
-        (a1, b1), (a2, b2), (a3, b3) = [to_quad(p) for p in z]
-        m = np.array([
-            [(a2 * b3 - a3 * b2) * b1, -(a2 * b3 - a3 * b2) * a1],
-            [(a2 * b1 - a1 * b2) * b3, -(a2 * b1 - a1 * b2) * a3],
-        ], dtype=complex)
-        return m
-
-    m1 = std_map(src)
-    m2 = std_map(dst)
-    out = np.linalg.inv(m2) @ m1
-    det = out[0, 0] * out[1, 1] - out[0, 1] * out[1, 0]
-    return out / np.sqrt(det)
+def _mobius_standard(z, out: np.ndarray) -> None:
+    """Fill `out` (S, 2, 2) with the matrices sending three points z
+    (each None, for infinity, or a number or an (S,) array of them) to
+    0, 1, infinity, built from projective coordinates."""
+    (a1, b1), (a2, b2), (a3, b3) = [(1.0 + 0j, 0j) if p is None else (p, 1.0 + 0j) for p in z]
+    c, d = a2 * b3 - a3 * b2, a2 * b1 - a1 * b2
+    out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = c * b1, -c * a1, d * b3, -d * a3
 
 
-def _fig8_generators(z1: complex, z2: complex):
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b of complex arrays of one shape with each real product
+    rounded on its own, as in scalar complex arithmetic (numpy's array
+    loop may fuse a multiply and an add)."""
+    out = np.empty(a.shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _fig8_generators(z1, z2):
     """SL(2,C) images of the two generators reconstructed from the
     developed cells (infinity, 0, 1, z1) and (infinity, 0, 1, 1/z2)
     through the fixture's face pairings; both shape parameters live in
     the upper half plane and the apex positions are holomorphic in
-    them."""
-    u = z1
-    v = 1.0 / z2
-    m2 = _mobius_three_point([None, 1.0 + 0j, u], [v, 0j, None])
-    m3 = _mobius_three_point([None, 0j, u], [v, 0j, 1.0 + 0j])
-    b = np.linalg.inv(m3)
-    a = np.linalg.inv(m2) @ m3
-    return a, b
+    them.  z1 and z2 are numbers, giving two (2, 2) matrices, or (S,)
+    arrays, giving two (S, 2, 2) stacks.
+
+    With u = z1 and v = 1/z2, the Moebius maps m2 and m3 send
+    [inf, 1, u] to [v, 0, inf] and [inf, 0, u] to [v, 0, 1]: each is the
+    inverse of the standard map of its targets times that of its
+    sources, scaled to determinant 1.  The generators are b = m3^-1 and
+    a = m2^-1 m3, so a stack of samples takes two batched inversions:
+    the targets' standard maps, then m2 and m3."""
+    shape = np.shape(z1)
+    u = np.asarray(z1, dtype=complex).reshape(-1)
+    # 1/z2 in Python complex arithmetic, whose rounding numpy's division
+    # does not share
+    v = np.array([1.0 / complex(z) for z in np.ravel(z2)], dtype=complex)
+    std = np.empty((4, len(u), 2, 2), dtype=complex)
+    for out, points in zip(std, ([v, 0j, None], [v, 0j, 1.0 + 0j],
+                                 [None, 1.0 + 0j, u], [None, 0j, u])):
+        _mobius_standard(points, out)
+    m = np.linalg.inv(std[:2]) @ std[2:]
+    det = _cmul(m[..., 0, 0], m[..., 1, 1]) - _cmul(m[..., 0, 1], m[..., 1, 0])
+    m2, m3 = m / np.sqrt(det)[..., None, None]
+    m2_inv, b = np.linalg.inv(np.stack([m2, m3]))
+    a = m2_inv @ m3
+    return a.reshape(shape + (2, 2)), b.reshape(shape + (2, 2))
 
 
 # Logarithmic gluing equations of the shipped two-cell complex: integer
@@ -946,9 +987,10 @@ def _solve_shapes(x0: Sequence[complex], target, tol: float, max_iter: int, logs
 def _gluing_solutions(tri: LabeledTriangulation, solved) -> list[GluingSolution]:
     """Reconstruct the generators from each solved (shapes, residual,
     log holonomies) and relator-check the representations, with the
-    lifts and the relator products stacked over the solutions."""
-    gens = [_fig8_generators(*shapes) for shapes, _, _ in solved]
-    a, b = (_lift_stack(np.array([g[i] for g in gens])) for i in (0, 1))
+    generators, their lifts and the relator products stacked over the
+    solutions."""
+    z1, z2 = np.array([shapes for shapes, _, _ in solved]).T
+    a, b = (_lift_stack(g) for g in _fig8_generators(z1, z2))
     images = [{"a": Isometry._trusted(x), "b": Isometry._trusted(y)} for x, y in zip(a, b)]
     reps = _check_stack(tri.presentation, images, RELATOR_TOL)
     return [GluingSolution(shapes, rep, residual, logs)

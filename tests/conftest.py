@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from hypvol.lorentz import Isometry, from_klein, minkowski_matrix
+from hypvol.lorentz import Isometry, from_klein, lift_moebius, minkowski_matrix
 from hypvol.simplex import GeodesicSimplex, SimplexFamily
 
 
@@ -17,6 +17,36 @@ def random_so_direction(rng, n, scale=0.5):
     X = rng.normal(size=(n + 1, n + 1)) * scale
     J = minkowski_matrix(n)
     return 0.5 * (X - J @ X.T @ J)
+
+
+def _diagonal(z):
+    return [[z, 0], [0, 1 / z]]
+
+
+# Pairs of SL(2,C) matrices acting on H^3 (upper half space, the ideal
+# point infinity is (1, 0, 0, 1)), as peripheral images of one cusp:
+MIXED_PERIPHERAL = {
+    "identity": ([[1, 0], [0, 1]], [[1, 0], [0, 1]]),
+    # two rotations about the geodesic from 0 to infinity: its points and
+    # both endpoints are fixed (Both)
+    "rotation-axis": (_diagonal(np.exp(0.55j)), _diagonal(np.exp(0.2j))),
+    "parabolic": ([[1, 1], [0, 1]], [[1, 1j], [0, 1]]),
+    # commuting loxodromics along one axis, as a meridian and a longitude
+    "loxodromic-pair": (_diagonal(np.exp(0.3 + 0.5j)), _diagonal(np.exp(0.7 - 0.2j))),
+    # a loxodromic of translation length 1e-7 classifies as ambiguous and
+    # is skipped; the parabolic then gives the fixed point
+    "near-parabolic": (_diagonal(np.exp(0.5e-7)), [[1, 1], [0, 1]]),
+    # a translation and the order-2 rotation z -> -z, both fixing infinity
+    "torsion": ([[1, 1], [0, 1]], _diagonal(1j)),
+}
+# an axis from 0 to infinity and a parabolic fixing 1: no common fixed point
+NO_FIXED_POINT = (_diagonal(2.0), [[2, -1], [1, 0]])
+
+
+def lifted_stack(pairs):
+    """The (S, 4, 4) SO(3,1) images of each generator of S pairs."""
+    return [np.stack([lift_moebius(np.array(pair[g], dtype=complex)).matrix
+                      for pair in pairs]) for g in (0, 1)]
 
 
 def random_point_tuple(rng, n, count, ideal_prob=0.3, radius=0.95,

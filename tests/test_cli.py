@@ -323,6 +323,31 @@ def test_path_scan_ragged_direction_exit_2(fixdir, monkeypatch, capsys, spec, ke
     assert f"bad_path.json: {key} must be a rectangular matrix" in captured.err
 
 
+@pytest.mark.parametrize("rep, key", [
+    ("fig8.json", "has no 'images'"),
+    ([1, 2], "must be an object"),
+    ({"images": [[1, 0], [0, 1]]}, "images must be an object"),
+    ({"images": {"a": [[1, 0], [0, 1]], "b": 3}}, "images.b must be a list"),
+    ({"images": {"a": [[1, 0], [0, 1]], "b": [[1, "x"], [0, 1]]}}, "images.b[0][1]"),
+    ({"images": {"a": [[1, 0], [0, 1]], "b": [[1, 0], [1]]}}, "images.b must be a nonempty"),
+], ids=["triangulation-file", "not-object", "images-not-object", "image-not-rows",
+        "entry-not-number", "ragged-image"])
+def test_rep_vol_bad_representation_exit_2(fixdir, monkeypatch, capsys, rep, key):
+    """A representation file without a mapping of generator names to
+    lists of rows (a triangulation passed as --rep, say) exits 2 with a
+    message naming the file and the key."""
+    monkeypatch.setenv("HYPVOL_FIXTURES", str(fixdir))
+    if not isinstance(rep, str):
+        (fixdir / "bad_rep.json").write_text(json.dumps(rep))
+        rep = "bad_rep.json"
+    code = main(["--no-timestamp", "rep", "vol", "--tri", "fig8.json", "--rep", rep])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert rep in captured.err and key in captured.err
+
+
 _REP = ("--tri", "fig8.json", "--rep", "fig8_geometric.json")
 
 

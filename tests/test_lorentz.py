@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from conftest import MIXED_PERIPHERAL, NO_FIXED_POINT, lifted_stack
 from hypvol import lorentz as lorentz_mod
 from hypvol.lorentz import (
     AmbiguousClassificationError,
@@ -297,13 +298,15 @@ def test_common_fixed_set_unrelated_parabolic_and_loxodromic_fix_nothing():
 
 
 def test_common_fixed_set_classifies_up_to_first_loxodromic_or_parabolic(monkeypatch):
+    """Only the first generator is classified: one classification pass,
+    over a stack holding its matrix alone."""
     calls = []
-    classify = lorentz_mod.classify_isometry
-    monkeypatch.setattr(lorentz_mod, "classify_isometry",
-                        lambda iso, tol=1e-8: calls.append(iso) or classify(iso, tol))
+    classify = lorentz_mod._classify_stack
+    monkeypatch.setattr(lorentz_mod, "_classify_stack",
+                        lambda A, tol: calls.append(A.copy()) or classify(A, tol))
     par = _lift([[1, 1], [0, 1]])
     fs = common_fixed_set([par, _lift([[1, 1j], [0, 1]]), _lift([[2, 1], [0, 0.5]])])
-    assert calls == [par]
+    assert len(calls) == 1 and np.array_equal(calls[0], par.matrix[None])
     assert len(fs.ideal) == 1 and np.allclose(fs.ideal[0].unit().coords, INFINITY, atol=1e-9)
 
 
@@ -317,6 +320,48 @@ def test_common_fixed_set_singleton_matches_classification():
         assert len(fs.ideal) == len(cls.ideal_fixed)
         for p in cls.ideal_fixed:
             assert any(p.same_point(q, tol=1e-7) for q in fs.ideal)
+
+
+def _same_point(p, q):
+    return p.kind is q.kind and np.array_equal(p.coords, q.coords)
+
+
+def test_stacked_fixed_sets_equal_their_stacks_of_one():
+    """Each sample of one mixed stack gets the FixedSet that
+    common_fixed_set (the stack of one) gives it: the same kinds and the
+    same coordinates, bit for bit."""
+    pairs = list(MIXED_PERIPHERAL.values())
+    stacked = lorentz_mod._fixed_sets(lifted_stack(pairs), 1e-8)
+    with pytest.raises(AmbiguousClassificationError):
+        classify_isometry(lift_moebius(np.array(MIXED_PERIPHERAL["near-parabolic"][0],
+                                                dtype=complex)))
+    for name, pair, fs in zip(MIXED_PERIPHERAL, pairs, stacked, strict=True):
+        one = common_fixed_set([lift_moebius(np.array(m, dtype=complex)) for m in pair])
+        assert fs.sphere == one.sphere, name
+        assert (fs.interior is None) == (one.interior is None), name
+        assert fs.interior is None or _same_point(fs.interior, one.interior), name
+        assert len(fs.ideal) == len(one.ideal), name
+        assert all(_same_point(p, q) for p, q in zip(fs.ideal, one.ideal)), name
+    counts = {name: (fs.interior is not None, len(fs.ideal), fs.sphere)
+              for name, fs in zip(MIXED_PERIPHERAL, stacked)}
+    assert counts == {"identity": (True, 0, True), "rotation-axis": (True, 2, False),
+                      "parabolic": (False, 1, False), "loxodromic-pair": (False, 2, False),
+                      "near-parabolic": (False, 1, False), "torsion": (False, 1, False)}
+    for name in ("parabolic", "near-parabolic", "torsion"):
+        fs = stacked[list(MIXED_PERIPHERAL).index(name)]
+        assert np.allclose(fs.ideal[0].unit().coords, INFINITY, atol=1e-9), name
+
+
+def test_stacked_fixed_sets_name_the_first_sample_fixing_nothing():
+    pairs = list(MIXED_PERIPHERAL.values())
+    pairs[3:3] = [NO_FIXED_POINT]
+    pairs[5:5] = [NO_FIXED_POINT]
+    with pytest.raises(EmptyFixedSetError, match="^sample 3: no common fixed point") as err:
+        lorentz_mod._fixed_sets(lifted_stack(pairs), 1e-8)
+    assert err.value.sample == 3
+    with pytest.raises(EmptyFixedSetError, match="^no common fixed point") as err:
+        lorentz_mod._fixed_sets(lifted_stack([NO_FIXED_POINT]), 1e-8)
+    assert err.value.sample == 0
 
 
 def test_lift_homomorphism_and_involution():
@@ -457,6 +502,31 @@ NAN, INF = float("nan"), float("inf")
 def test_non_finite_coordinates_are_refused(make):
     with pytest.raises(LorentzError, match="not finite"):
         make()
+
+
+@pytest.mark.parametrize("project, bad, message", [
+    ("_project_ideal", [NAN, 0.6, 0.8], "not finite"),
+    ("_project_ideal", [-1.0, 0.6, 0.8], "x0 > 0"),
+    ("_project_ideal", [1.0, 0.0, 0.0], "zero space part"),
+    ("_project_ideal", [1.0, 0.5, 0.5], "too far from the light cone"),
+    ("_project_material", [1.0, INF, 0.0], "not finite"),
+    ("_project_material", [INF, 0.0, 0.0], "not finite"),
+    ("_project_material", [1.0, 2.0, 0.0], "not timelike future-pointing"),
+    ("_project_material", [-2.0, 0.5, 0.0], "not timelike future-pointing"),
+], ids=["ideal-nan", "ideal-past", "ideal-no-space", "ideal-far", "material-inf-space",
+        "material-inf-x0", "material-spacelike", "material-past"])
+def test_stacked_projection_refuses_its_first_bad_row(project, bad, message):
+    """A stack of developed points is refused as each of its rows would
+    be on its own, and a stack of good rows projects row by row."""
+    good = [[1.0, 0.6, 0.8], [2.0, -1.6, 1.2001]] if project == "_project_ideal" \
+        else [[2.0, 0.6, 0.8], [3.0, -1.2, 0.4]]
+    fn = getattr(lorentz_mod, project)
+    with pytest.raises(LorentzError, match=message):
+        fn(np.array(bad))
+    with pytest.raises(LorentzError, match=message):
+        fn(np.array([good[0], bad, good[1]]))
+    rows = np.array(good)
+    assert all(np.array_equal(r, fn(x)) for r, x in zip(fn(rows), rows))
 
 
 @pytest.mark.parametrize("gap", [1e-8, 1e-10, 1e-11])

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_so_direction, random_so_element
+from conftest import (MIXED_PERIPHERAL, NO_FIXED_POINT, lifted_stack, random_so_direction,
+                      random_so_element)
 from hypvol.fixtures import (
     FIG8_LONGITUDE,
     FIG8_MERIDIAN,
@@ -23,6 +24,7 @@ from hypvol.lorentz import Isometry, Kind, lift_moebius
 from hypvol.repvol import (
     DegenerateDevelopingError,
     GluingError,
+    PeripheralClassificationError,
     PeripheralKind,
     RelatorResidualError,
     Representation,
@@ -39,6 +41,7 @@ from hypvol.repvol import (
     solve_gluing_equations,
     toledo_number,
 )
+from hypvol import lorentz as lorentz_mod
 from hypvol import repvol as repvol_mod
 from hypvol import simplex as simplex_mod
 from hypvol import triangulation
@@ -226,6 +229,33 @@ def test_punctured_torus_classifies_parabolic(ptorus):
     assert cls.kind is PeripheralKind.PARABOLIC_FIX
 
 
+def test_cusps_classify_in_one_stack_as_each_sample_alone():
+    """Peripheral classification of a mixed stack of samples, identity,
+    rotations about one axis, parabolics, a loxodromic meridian and
+    longitude, an ambiguous near-parabolic beside a parabolic and a cusp
+    group with torsion, gives each sample its stack-of-one result; the
+    torsion sample is parabolic at infinity."""
+    pairs = list(MIXED_PERIPHERAL.values())
+    stacked = repvol_mod._classify_cusp("cusp0", lifted_stack(pairs))
+    for name, pair, cls in zip(MIXED_PERIPHERAL, pairs, stacked, strict=True):
+        one = repvol_mod._classify_cusp("cusp0", lifted_stack([pair]))[0]
+        assert cls.kind is one.kind and cls.sphere == one.sphere, name
+        assert [p.kind for p in cls.ideal] == [p.kind for p in one.ideal], name
+        assert all(np.array_equal(p.coords, q.coords) for p, q in zip(cls.ideal, one.ideal))
+        assert (cls.interior is None and one.interior is None) or np.array_equal(
+            cls.interior.coords, one.interior.coords), name
+    assert {name: cls.kind for name, cls in zip(MIXED_PERIPHERAL, stacked)} == {
+        "identity": PeripheralKind.BOTH, "rotation-axis": PeripheralKind.BOTH,
+        "parabolic": PeripheralKind.PARABOLIC_FIX, "loxodromic-pair": PeripheralKind.PARABOLIC_FIX,
+        "near-parabolic": PeripheralKind.PARABOLIC_FIX, "torsion": PeripheralKind.PARABOLIC_FIX}
+    torsion = stacked[list(MIXED_PERIPHERAL).index("torsion")]
+    assert np.allclose(torsion.fixed_point().unit().coords, [1, 0, 0, 1], atol=1e-9)
+    pairs[2:2] = [NO_FIXED_POINT]
+    pairs.append(NO_FIXED_POINT)
+    with pytest.raises(PeripheralClassificationError, match="'cusp0' at sample 2 fixes nothing"):
+        repvol_mod._classify_cusp("cusp0", lifted_stack(pairs))
+
+
 # --- developing assignments -----------------------------------------------------
 
 def test_fig8_assignment_all_ideal_nondegenerate(fig8):
@@ -321,8 +351,8 @@ def test_volume_rejects_assignment_of_another_triangulation(fig8):
 def test_scan_sample_develops_each_slot_once(fig8, monkeypatch):
     """Developing, the cycle check and Vol(rho) share one developed
     simplex stack, and a slot (v, w) shared by simplices is developed
-    once: a scan projects one developed point per distinct slot and
-    sample onto the light cone."""
+    once: a scan makes one stacked light-cone projection per distinct
+    slot, of one developed point per sample."""
     tri, _ = fig8
     path = generate_path("dehn3d", {"triangulation": tri, "filling": (5, 1), "steps": 8})
     projected = []
@@ -331,7 +361,19 @@ def test_scan_sample_develops_each_slot_once(fig8, monkeypatch):
     scan_path(path, tri, 3)
     distinct = {slot for s in tri.simplices for slot in s.slots}
     assert len(distinct) == 5
-    assert len(projected) == 3 * len(distinct)
+    assert len(projected) == len(distinct)
+    assert all(y.shape == (3, 4) for y in projected)
+
+
+def test_slot_of_mixed_kinds_projects_row_by_row():
+    """A slot whose samples develop to points of both kinds (a cusp with
+    an ideal cone point in one sample and a material one in another) is
+    projected row by row, each point as Isometry.apply projects it."""
+    Y = np.array([[1.0, 0.6, 0.8, 0.0], [2.0, 0.6, 0.8, 0.1], [3.0, 0.0, 2.4, 1.8001]])
+    ideal = np.array([True, False, True])
+    for y, k, row in zip(Y, ideal, repvol_mod._project_points(Y, ideal), strict=True):
+        project = lorentz_mod._project_ideal if k else lorentz_mod._project_material
+        assert np.array_equal(row, project(y))
 
 
 def _scan_case(case, fig8, ptorus):
