@@ -1043,12 +1043,17 @@ def _dehn3d_path(tri: LabeledTriangulation, filling, steps: int) -> DeformationP
     kept; a relator-checked GluingSolution is built only for the
     parameters asked for.  evaluate_many walks the continuation through
     its parameters in order once and builds their solutions in one
-    stacked lift and relator check."""
+    stacked lift and relator check.  The complete structure, where every
+    filling's continuation starts, is solved once per triangulation and
+    kept on it."""
     if steps < 1:
         raise RepvolError(f"a dehn3d path needs at least one step, not {steps}")
     p, q = filling
-    omega = complex(np.cos(np.pi / 3), np.sin(np.pi / 3))
-    base_sol = solve_gluing_equations(tri, "complete", (omega, omega))
+    base_sol = tri._gluing_solutions.get("complete")
+    if base_sol is None:
+        omega = complex(np.cos(np.pi / 3), np.sin(np.pi / 3))
+        base_sol = tri._gluing_solutions["complete"] = solve_gluing_equations(
+            tri, "complete", (omega, omega))
     walked = {0.0: (base_sol.shapes, base_sol.residual, base_sol.log_holonomies)}
     solutions = {0.0: base_sol}
 

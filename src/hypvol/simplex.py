@@ -9,9 +9,11 @@ cached on it next to its Klein-homogeneous vertex matrix.  All facet
 normals of a stack come from one batched SVD, and all dihedral angles
 from those normals in one pass (`dihedral_angles`).  The triangular
 faces of a 4-simplex are measured together by Gauss-Bonnet from the
-angles between side tangents (`triangle_areas`).  An all-ideal
-3-simplex takes its volume from the cross-ratio of its vertices through
-the Bloch-Wigner dilogarithm (`bloch_wigner`), with no facet normals."""
+angles between side tangents (`triangle_areas`).  Every 3-simplex takes
+a closed-form volume with no facet normals: an all-ideal one from the
+cross-ratio of its vertices through the Bloch-Wigner dilogarithm
+(`bloch_wigner`), any other from its signed orthoschemes through
+Lobachevsky's formula (`_orthoscheme_arguments`)."""
 
 from __future__ import annotations
 
@@ -141,7 +143,7 @@ class GeodesicSimplex:
         """None where a closed form gives the volume (_closed_form);
         otherwise the cubature rule built on this simplex at tol, built
         once per tol and kept on the simplex like its stack."""
-        if _closed_form(self.dim, np.array([self.ideal_mask()]))[0]:
+        if _closed_form(self.dim):
             return None
         if tol not in self._rules:
             self._rules[tol] = build_rule(self.klein(), self.ideal_mask(), tol)
@@ -447,7 +449,8 @@ def numeric_volume(simplex: GeodesicSimplex, tol: float = 1e-9) -> float:
     """Unsigned volume by Klein-model cubature with corner isolation at
     ideal vertices; the returned value carries an internal error
     estimate <= tol (IntegrationError otherwise).  The independent
-    check of the closed forms; signed_volume does not call it."""
+    check of the closed forms, and the only caller of cubature on
+    simplices of n <= 3; signed_volume does not call it."""
     if simplex.is_degenerate():
         raise DegenerateSimplexError("numeric_volume of a degenerate simplex")
     return build_rule(simplex.klein(), simplex.ideal_mask(), tol).value
@@ -484,54 +487,188 @@ def _angle_defects(theta: np.ndarray) -> np.ndarray:
     return np.pi - theta[..., [1, 0, 0], [2, 2, 1]].sum(axis=-1)
 
 
-def _closed_form(n: int, ideal: np.ndarray) -> list[bool]:
-    """Which simplices of a flat stack take a closed-form volume, from
-    their ideal-vertex masks (S, n+1): every 2-simplex (the angle
-    defect), the all-ideal 3-simplices (Bloch-Wigner of the cross-ratio)
-    and no simplex of n >= 4."""
-    return ideal.all(axis=-1).tolist() if n == 3 else [n == 2] * len(ideal)
+# The weights of the seven Lobachevsky terms of an orthoscheme volume
+# (_orthoscheme_arguments), and the absolute error bound stated for a
+# tetrahedron measured through them: tier-1 sees agreement with cubature
+# at tol 1e-12 to about 1e-14, near-coincident vertices, nearly flat
+# tetrahedra and collapsing pieces included.
+_ORTHOSCHEME_WEIGHTS = np.array([1.0, -1.0, 1.0, -1.0, -1.0, 1.0, 2.0]) / 4.0
+_ORTHOSCHEME_BOUND = 1e-12
+
+
+def _sub(x, y):
+    return (x[0] - y[0], x[1] - y[1], x[2] - y[2])
+
+
+def _dot(x, y) -> float:
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+
+def _cross(x, y):
+    return (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0])
+
+
+def _orthoscheme_arguments(rows: list, ideal: list, args: list, signs: list) -> None:
+    """Append to `args` the (6, 7) Lobachevsky arguments and to `signs`
+    the 6 signs of the orthoschemes that cut up one nondegenerate
+    tetrahedron with a material vertex, given as its four x_0 = 1 rows
+    and ideal flags (lists); the volume is sum_k signs_k (L(args_k) .
+    _ORTHOSCHEME_WEIGHTS).
+
+    The apex A is the material vertex of largest 1 - |k|^2, F its foot
+    on the plane of the opposite face, and E the foot of A (and of F) on
+    the line of each edge PQ of that face, O being the face's third
+    vertex.  The tetrahedron is the signed sum of the orthoschemes
+    (A, F, E, V), V = P or Q, over the three edges: the triangle FPQ
+    counts positively when F lies on O's side of PQ (the dihedral angle
+    at PQ is acute), and within it (A, F, E, Q) when E lies on P's side
+    of Q.  With a = |AF|, b = |FE| and c = |EV| (tanh c = 1
+    at an ideal V) the orthoscheme's angles are a1 at EV, a3 at AF and
+    a2 at AV:
+        tan a1 = tanh a / sinh b,   tan a3 = tanh c / sinh b,
+        cot a2 = sinh a cosh b tanh c / (sinh b sqrt(sinh^2 a cosh^2 b
+                 + sinh^2 b + tanh^2 c)),
+    and its volume is Lobachevsky's formula (Kellerhals, Math. Ann. 285,
+    1989) with tan d = tanh a tanh c / sinh b:
+        (L(a1 + d) - L(a1 - d) + L(a3 + d) - L(a3 - d)
+         - L(pi/2 - a2 + d) + L(pi/2 - a2 - d) + 2 L(pi/2 - d)) / 4.
+    Every angle is an atan2 of two nonnegative numbers, so a piece that
+    collapses (F on an edge line, b = 0, or E = V, c = 0) is 0 without a
+    0/0, and no angle goes through acos.
+
+    The lengths come from Klein coordinates k and differences of them,
+    with no Gram entry -1 + k.k' left to cancel.  The face normal is
+    N = (c.p, c) with c = (q - p) x (o - p), <N, N> = |c|^2 - (c.p)^2 and
+    <N, A> = c.(A - p) = D, the Klein determinant; sinh a = |D| /
+    sqrt(<N, N> (1 - |A|^2)).  For the edge PQ, d = q - p, the normal of
+    the face APQ is N_O = (c_O.p, c_O) with c_O = d x (A - p), and
+    l = |d|^2 - |p x d|^2 is minus the Gram minor of P and Q; by Jacobi's
+    identity cot a1 = |<N, N_O>| / (|D| sqrt l), so sinh b = tanh a cot a1
+    = |<N, N_O>| / (cosh a sqrt(<N, N> (1 - |A|^2) l)), and F lies on
+    O's side of PQ exactly when <N, N_O> > 0.  E is -(alpha P + beta Q) / l
+    with alpha = u_q (A - q).d + (q.(A - q))(q.d) and beta = -(u_p
+    (A - p).d + (p.(A - p))(p.d)), u = 1 - |k|^2 (0 at an ideal vertex),
+    so E lies on P's side of Q when alpha < 0, and tanh |EP| =
+    |beta| sqrt l / |<alpha P + beta Q, P>|."""
+    k = [r[1:] for r in rows]
+    u = [0.0 if flag else 1.0 - _dot(x, x) for x, flag in zip(k, ideal)]
+    apex = u.index(max(u))
+    face = [i for i in range(4) if i != apex]
+    A, p0 = k[apex], k[face[0]]
+    c = _cross(_sub(k[face[1]], p0), _sub(k[face[2]], p0))
+    cp = _dot(c, p0)
+    norm = math.sqrt((_dot(c, c) - cp * cp) * u[apex])
+    sinh_a = abs(_dot(c, _sub(A, p0))) / norm
+    cosh_a = math.sqrt(1.0 + sinh_a * sinh_a)
+    tanh_a = sinh_a / cosh_a
+    for P, Q in ((face[0], face[1]), (face[1], face[2]), (face[2], face[0])):
+        p, q = k[P], k[Q]
+        d, ap, aq = _sub(q, p), _sub(A, p), _sub(A, q)
+        pd, pxd = _dot(p, d), _cross(p, d)
+        sqrt_l = math.sqrt(_dot(d, d) - _dot(pxd, pxd))
+        c_o = _cross(d, ap)
+        n_o = _dot(c, c_o) - cp * _dot(c_o, p)
+        sinh_b = abs(n_o) / (cosh_a * norm * sqrt_l)
+        alpha = u[Q] * _dot(aq, d) + _dot(q, aq) * _dot(q, d)
+        beta = -(u[P] * _dot(ap, d) + _dot(p, ap) * pd)
+        g_pq = pd - u[P]
+        tanh_p = 1.0 if ideal[P] else abs(beta) * sqrt_l / abs(beta * g_pq - alpha * u[P])
+        tanh_q = 1.0 if ideal[Q] else abs(alpha) * sqrt_l / abs(alpha * g_pq - beta * u[Q])
+        side = 1.0 if n_o > 0 else -1.0
+        cosh_b = math.sqrt(1.0 + sinh_b * sinh_b)
+        a1 = math.atan2(tanh_a, sinh_b)
+        sa_cb = sinh_a * cosh_b
+        sinh2_ae = sa_cb * sa_cb + sinh_b * sinh_b
+        for tanh_c, coeff in ((tanh_q, alpha), (tanh_p, beta)):
+            a3 = math.atan2(tanh_c, sinh_b)
+            delta = math.atan2(tanh_a * tanh_c, sinh_b)
+            b2 = math.atan2(sa_cb * tanh_c, sinh_b * math.sqrt(sinh2_ae + tanh_c * tanh_c))
+            args += (a1 + delta, a1 - delta, a3 + delta, a3 - delta,
+                     b2 + delta, b2 - delta, math.atan2(sinh_b, tanh_a * tanh_c))
+            signs.append(-side if coeff > 0 else side)
+
+
+def _tetrahedron_volumes(rows: np.ndarray, ideal: np.ndarray, tol: float,
+                         index: Sequence[int]) -> list[float]:
+    """Unsigned volumes of a flat stack (S, 4, 4) of nondegenerate
+    3-simplices with their ideal masks (S, 4): the all-ideal ones take
+    the Bloch-Wigner dilogarithm of their cross-ratios, every other one
+    its orthoscheme decomposition (_orthoscheme_arguments), all of whose
+    pieces go through one Lobachevsky evaluation.  The decomposition's
+    error bound is _ORTHOSCHEME_BOUND; a tol below it raises
+    IntegrationError naming the first such simplex by its `index`."""
+    cusped = ideal.all(axis=-1).tolist()
+    out = [0.0] * len(cusped)
+    idx = [i for i, c in enumerate(cusped) if c]
+    if idx:
+        sel = slice(None) if len(idx) == len(out) else idx
+        for i, v in zip(idx, np.abs(_bloch_wigner_many(
+                [_ideal_cross_ratio(r) for r in rows[sel]])).tolist()):
+            out[i] = v
+    idx = [i for i, c in enumerate(cusped) if not c]
+    if idx:
+        args: list = []
+        signs: list = []
+        rows_list, ideal_list = rows.tolist(), ideal.tolist()
+        for i in idx:
+            _orthoscheme_arguments(rows_list[i], ideal_list[i], args, signs)
+        pieces = lobachevsky(np.array(args).reshape(-1, 6, 7)) @ _ORTHOSCHEME_WEIGHTS
+        vols = np.abs((pieces * np.array(signs).reshape(-1, 6)).sum(axis=-1)).tolist()
+        if tol < _ORTHOSCHEME_BOUND:
+            raise IntegrationError(
+                f"requested tolerance {tol} is below what double precision reaches "
+                f"here (estimate {vols[0]}, bound {_ORTHOSCHEME_BOUND})",
+                vols[0], _ORTHOSCHEME_BOUND, index[idx[0]])
+        for i, v in zip(idx, vols):
+            out[i] = v
+    return out
+
+
+def _closed_form(n: int) -> bool:
+    """Whether n-simplices take a closed-form volume: every 2-simplex
+    (the angle defect) and every 3-simplex (Bloch-Wigner of the
+    cross-ratio when all-ideal, signed orthoschemes otherwise), and no
+    simplex of n >= 4, which cubature integrates."""
+    return n <= 3
 
 
 def _stack_volumes(stack: _VertexStack, tol: float = 1e-9,
                    rule: Optional[VolumeRule] = None) -> np.ndarray:
     """Signed volumes of a stack of same-dimension simplices, shaped like
-    its leading axes: degenerate simplices give 0, all-ideal 3-simplices
-    take the Bloch-Wigner dilogarithm of their cross-ratios (one
-    Lobachevsky evaluation), 2-simplices the angle defect from one
-    batched facet-normal pass, and every other simplex is integrated in
-    one build_rules batch, or, given a `rule` frozen on a simplex of the
-    same dimension and vertex kinds, by that rule re-applied in one
+    its leading axes: degenerate simplices give 0, 2-simplices the angle
+    defect from one batched facet-normal pass, 3-simplices their closed
+    forms (_tetrahedron_volumes: one Lobachevsky evaluation for the
+    Bloch-Wigner dilogarithms of the all-ideal ones and one for the
+    orthoschemes of the rest), and every simplex of n >= 4 is integrated
+    in one build_rules batch, or, given a `rule` frozen on a simplex of
+    the same dimension and vertex kinds, by that rule re-applied in one
     evaluation (so the values vary analytically along vertex paths).
     A route that takes the whole stack reads it as it is.  Each volume v
-    is signed as v if det > 0 else -v.  An IntegrationError names the
-    failing simplex's index in the flattened stack."""
+    is signed as v if det > 0 else -v.  An IntegrationError (a tol below
+    what the route reaches) names the failing simplex's index in the
+    flattened stack; the angle defect and Bloch-Wigner ignore tol."""
     n = stack.rows.shape[-1] - 1
     rows = stack.rows.reshape(-1, n + 1, n + 1)
     ideal = stack.ideal.reshape(-1, n + 1)
     dets = stack.dets.ravel().tolist()
-    routes = ([], [])  # the live simplices taking a closed form, and cubature
-    for i, (degenerate, closed) in enumerate(zip(stack.degenerate.ravel().tolist(),
-                                                 _closed_form(n, ideal))):
-        if not degenerate:
-            routes[not closed].append(i)
+    idx = [i for i, degenerate in enumerate(stack.degenerate.ravel().tolist()) if not degenerate]
     vols = [0.0] * len(dets)
-    for cubature, idx in enumerate(routes):
-        if not idx:
-            continue
-        sel = slice(None) if len(idx) == len(dets) else idx
-        if not cubature:
-            v = (_angle_defects(_angles_from_normals(_stacked_face_normals(rows[sel]), ideal[sel]))
-                 if n == 2 else
-                 np.abs(_bloch_wigner_many([_ideal_cross_ratio(r) for r in rows[sel]]))).tolist()
-        elif rule is not None:
-            v = rule.evaluate(rows[sel][..., 1:]).tolist()
-        else:
-            try:
-                v = [r.value for r in build_rules(rows[sel][..., 1:], ideal[sel].tolist(), tol)]
-            except IntegrationError as exc:
-                raise IntegrationError(exc.reason, exc.best, exc.bound, idx[exc.simplex]) from exc
-        for i, x in zip(idx, v):
-            vols[i] = x if dets[i] > 0 else -x
+    if not idx:
+        return np.array(vols).reshape(stack.dets.shape)
+    sel = slice(None) if len(idx) == len(dets) else idx
+    if n == 2:
+        v = _angle_defects(_angles_from_normals(_stacked_face_normals(rows[sel]), ideal[sel])).tolist()
+    elif _closed_form(n):
+        v = _tetrahedron_volumes(rows[sel], ideal[sel], tol, idx)
+    elif rule is not None:
+        v = rule.evaluate(rows[sel][..., 1:]).tolist()
+    else:
+        try:
+            v = [r.value for r in build_rules(rows[sel][..., 1:], ideal[sel].tolist(), tol)]
+        except IntegrationError as exc:
+            raise IntegrationError(exc.reason, exc.best, exc.bound, idx[exc.simplex]) from exc
+    for i, x in zip(idx, v):
+        vols[i] = x if dets[i] > 0 else -x
     return np.array(vols).reshape(stack.dets.shape)
 
 
@@ -539,8 +676,8 @@ def signed_volumes(simplices: Sequence[GeodesicSimplex], tol: float = 1e-9) -> l
     """Signed volumes of a list of simplices, each as signed_volume gives
     it: the simplices of each dimension are stacked and go through one
     _stack_volumes call, so closed forms are evaluated together and every
-    other simplex is integrated in one build_rules batch per dimension
-    rather than one rule at a time.  An IntegrationError names the
+    simplex of n >= 4 is integrated in one build_rules batch per
+    dimension rather than one rule at a time.  An IntegrationError names the
     failing simplex's index in `simplices`, the lowest one when
     simplices of several dimensions fail."""
     out = [0.0] * len(simplices)
@@ -567,9 +704,12 @@ def signed_volume(simplex: GeodesicSimplex, tol: float = 1e-9) -> float:
     """Signed hyperbolic volume; sign is the orientation of the vertex
     tuple (odd permutations flip it), degenerate simplices give 0.
 
-    Closed forms are used for n=2 (angle defect) and all-ideal n=3
-    (Bloch-Wigner of the cross-ratio); everything else integrates
-    numerically at tol.  _stack_volumes on the simplex's stack of one.
+    Closed forms are used for n=2 (angle defect) and n=3 (Bloch-Wigner
+    of the cross-ratio when all-ideal, signed orthoschemes otherwise);
+    n >= 4 integrates numerically at tol.  A tol below what the route
+    reaches raises IntegrationError, except on the angle defect and
+    Bloch-Wigner, which ignore it.  _stack_volumes on the simplex's
+    stack of one.
     """
     return float(_stack_volumes(simplex._stack, tol)[0])
 
@@ -579,10 +719,10 @@ def volume_evaluator(simplex: GeodesicSimplex, tol: float = 1e-9) -> Callable[[G
     call is _stack_volumes, with the rule frozen on `simplex`, on the
     stack of one of the simplex it is given.
 
-    For closed-form dimensions the value is signed_volume's; otherwise
-    the cubature rule (cells and degree) is fixed here and re-applied,
-    so the result varies analytically along a vertex path.  Used for
-    finite differencing of volumes along families.
+    For closed-form dimensions (n <= 3) the value is signed_volume's and
+    no rule is built; for n >= 4 the cubature rule (cells and degree) is
+    fixed here and re-applied, so the result varies analytically along a
+    vertex path.  Used for finite differencing of volumes along families.
     """
     mask = simplex.ideal_mask()
     rule = simplex._frozen_rule(tol)  # the rule is built here, once

@@ -194,6 +194,26 @@ def test_evaluate_many_matches_evaluate(fig8):
             assert np.array_equal(rep.images[g].matrix, ref.images[g].matrix)
 
 
+def test_dehn_paths_solve_the_complete_structure_once(monkeypatch):
+    """Every dehn3d path of one triangulation starts from the complete
+    structure solved for the first; scans on later paths give the volumes
+    of a path built on a fresh copy of the triangulation, exactly."""
+    tri = figure_eight_triangulation()
+    solve = repvol_mod.solve_gluing_equations
+    calls = []
+    monkeypatch.setattr(repvol_mod, "solve_gluing_equations",
+                        lambda *args, **kwargs: calls.append(args[1]) or solve(*args, **kwargs))
+    scans = [scan_path(generate_path("dehn3d", {"triangulation": tri, "filling": f}), tri, 5, seed=3)
+             for f in ((5, 1), (-5, 1), (3, 2))]
+    assert calls == ["complete"]
+    fresh = figure_eight_triangulation()
+    assert fresh == tri
+    alone = scan_path(generate_path("dehn3d", {"triangulation": fresh, "filling": (3, 2)}),
+                      fresh, 5, seed=3)
+    assert [v for _, v, _ in scans[-1].samples] == [v for _, v, _ in alone.samples]
+    assert calls == ["complete", "complete"]
+
+
 # --- peripheral classification ------------------------------------------------
 
 def test_trivial_rep_classifies_both(fig8):

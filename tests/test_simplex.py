@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import mpmath
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import random_point_tuple, random_so_element
+from hypvol import cubature as cubature_mod
 from hypvol.cubature import IntegrationError, build_rule
 from hypvol import simplex as simplex_mod
 from hypvol.lorentz import Kind, LorentzVector, from_klein, minkowski_matrix
@@ -230,6 +232,159 @@ def test_stacked_angle_defects_equal_signed_volume(rng):
     stacked = simplex_mod._stack_volumes(stack)
     assert stacked.tolist() == [signed_volume(t) for t in tris]
     assert stacked[-1] == 0.0
+
+
+# --- tetrahedra with a material vertex: signed orthoschemes ----------------
+
+def _klein_tuple(rng, n_ideal, count, radius, separation):
+    """count Klein points of R^3 in random order, n_ideal of them on the
+    sphere and the rest uniform in the ball of the given radius, pairwise
+    at least `separation` apart."""
+    pts = []
+    while len(pts) < count:
+        d = rng.normal(size=3)
+        d /= np.linalg.norm(d)
+        k = d if len(pts) < n_ideal else radius * rng.uniform() ** (1.0 / 3.0) * d
+        if all(np.linalg.norm(k - q) >= separation for q in pts):
+            pts.append(k)
+    return [pts[i] for i in rng.permutation(count)]
+
+
+def _mixed_tets(rng, count, radius=0.999, separation=0.15):
+    """Nondegenerate tetrahedra with 0, 1, 2 and 3 ideal vertices in
+    turn, material vertices out to the given Klein radius."""
+    tets = []
+    while len(tets) < count:
+        tet = GeodesicSimplex([from_klein(k) for k in
+                               _klein_tuple(rng, len(tets) % 4, 4, radius, separation)])
+        if not tet.is_degenerate():
+            tets.append(tet)
+    return tets
+
+
+def test_tetrahedron_closed_form_matches_cubature(rng):
+    """The orthoscheme route against the cubature oracle at 1e-12 on 200
+    tetrahedra with a material vertex, signs included."""
+    tets = _mixed_tets(rng, 200)
+    vols = simplex_mod.signed_volumes(tets)
+    for tet, vol in zip(tets, vols):
+        assert np.sign(vol) == np.sign(tet.orientation_det())
+        assert abs(abs(vol) - numeric_volume(tet, 1e-12)) <= 1e-12
+
+
+def _rotated(rng, k):
+    """The Klein points k (rows) under a random rotation of the ball."""
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    return k @ (q * np.sign(np.diag(r))).T
+
+
+@pytest.mark.parametrize("case", ["close_pair", "flat_apex"])
+def test_tetrahedron_closed_form_near_degenerate(rng, case):
+    """Two vertices 1e-3 apart, or a vertex 1e-3 from the plane of the
+    opposite face (its foot inside, on an edge or outside that face):
+    cubature agreement to 1e-11, with 0, 1 and 2 ideal vertices among the
+    far ones."""
+    for trial in range(24):
+        far = np.array(_klein_tuple(rng, trial % 3, 3, 0.9, 0.3))
+        if case == "close_pair":
+            d = rng.normal(size=3)
+            near = min(far, key=np.linalg.norm) + 1e-3 * d / np.linalg.norm(d)
+        else:
+            weights = rng.dirichlet([1.0, 1.0, 1.0]) if trial % 4 else np.array([0.6, 0.4, 0.0])
+            normal = np.cross(far[1] - far[0], far[2] - far[0])
+            foot = weights @ far
+            # toward the centre; a Klein distance of 1e-3 is a hyperbolic
+            # distance of at least 1e-3
+            near = foot - 1e-3 * np.sign(normal @ foot) * normal / np.linalg.norm(normal)
+        k = _rotated(rng, np.vstack([far, near]))
+        tet = GeodesicSimplex([from_klein(x) for x in k[rng.permutation(4)]])
+        assert abs(abs(signed_volume(tet)) - numeric_volume(tet, 1e-12)) <= 1e-11
+
+
+def _coxeter_orthoscheme(p, q, r):
+    """Vertices of the orthoscheme with Coxeter diagram [p, q, r]: its
+    facet normals realize the Gram matrix with -cos(pi/p), -cos(pi/q),
+    -cos(pi/r) off the diagonal, and vertex i is Minkowski-orthogonal to
+    every normal but the i-th; a vertex of the light cone is ideal."""
+    gram = np.eye(4)
+    for i, m in enumerate((p, q, r)):
+        gram[i, i + 1] = gram[i + 1, i] = -np.cos(np.pi / m)
+    w, U = np.linalg.eigh(gram)  # one negative eigenvalue, listed first
+    normals = np.sqrt(np.abs(w))[:, None] * U.T  # columns n_i, <n_i, n_j> = gram
+    dual = np.linalg.inv(normals.T @ minkowski_matrix(3))
+    verts = []
+    for v in dual.T:
+        k = v[1:] / v[0]
+        if abs(k @ k - 1.0) < 1e-9:
+            verts.append(LorentzVector.ideal(np.concatenate(([1.0], k / np.linalg.norm(k)))))
+        else:
+            verts.append(from_klein(k))
+    return verts
+
+
+@pytest.mark.parametrize("diagram, volume, n_ideal", [
+    ((3, 5, 3), 0.0390502856, 0),
+    ((4, 3, 5), 0.0358850633, 0),
+    ((5, 3, 5), 0.0933255395, 0),
+    ((3, 3, 6), 0.0422892336, 1),
+])
+def test_coxeter_orthoscheme_volumes(diagram, volume, n_ideal):
+    """Johnson-Kellerhals-Ratcliffe-Tschantz (Transform. Groups 4, 1999):
+    in every vertex order, where the decomposition's pieces collapse in
+    turn (the foot of the apex on an edge line, or on a vertex)."""
+    verts = _coxeter_orthoscheme(*diagram)
+    assert sum(v.kind is Kind.IDEAL for v in verts) == n_ideal
+    oracle = numeric_volume(GeodesicSimplex(verts), 1e-12)
+    assert abs(oracle - volume) <= 1e-10
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for perm in itertools.permutations(range(4)):
+            tet = GeodesicSimplex([verts[i] for i in perm])
+            vol = abs(signed_volume(tet))
+            assert abs(vol - volume) <= 1e-10
+            assert abs(vol - oracle) <= 1e-12
+
+
+def test_h3_cocycle_at_closed_form_precision(rng):
+    """The alternating face sum of 5-tuples with 0 to 5 ideal points
+    vanishes to 1e-12 now that every face takes a closed form."""
+    for trial in range(210):
+        pts = [from_klein(k) for k in _klein_tuple(rng, trial % 6, 5, 0.99, 0.05)]
+        faces = [GeodesicSimplex(pts[:i] + pts[i + 1:]) for i in range(5)]
+        total = sum((-1) ** i * v for i, v in enumerate(simplex_mod.signed_volumes(faces)))
+        assert abs(total) <= 1e-12
+
+
+def test_no_tetrahedron_reaches_cubature(rng, monkeypatch):
+    """signed_volume, signed_volumes and volume_evaluator measure a mixed
+    batch of 3-simplices (0 to 4 ideal vertices) without building a
+    cubature rule."""
+    calls = []
+    for module in (simplex_mod, cubature_mod):
+        for name in ("build_rule", "build_rules"):
+            monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(args))
+    batch = _mixed_tets(rng, 8, radius=0.9) + [regular_ideal_tet()]
+    vols = simplex_mod.signed_volumes(batch)
+    assert [signed_volume(t) for t in batch] == vols
+    assert [volume_evaluator(t)(t) for t in batch] == vols
+    assert calls == []
+
+
+def test_tetrahedron_tol_below_the_closed_form_bound(rng):
+    """A tol below the orthoscheme route's stated bound is refused in
+    cubature's wording, naming the simplex; Bloch-Wigner and the angle
+    defect ignore tol."""
+    tet = _mixed_tets(rng, 2, radius=0.9)[1]
+    bound = simplex_mod._ORTHOSCHEME_BOUND
+    assert signed_volume(tet, bound) == signed_volume(tet)
+    with pytest.raises(IntegrationError, match="^simplex 0: requested tolerance .* below "
+                                               "what double precision reaches") as err:
+        signed_volume(tet, bound / 2)
+    assert err.value.bound == bound and err.value.best == abs(signed_volume(tet))
+    with pytest.raises(IntegrationError, match="^simplex 1: "):
+        simplex_mod.signed_volumes([regular_ideal_tet(), tet, tet], 1e-20)
+    assert signed_volume(regular_ideal_tet(), 1e-20) == signed_volume(regular_ideal_tet())
+    assert signed_volume(ideal_triangle(), 1e-20) == signed_volume(ideal_triangle())
 
 
 def test_numeric_volume_barycentric_additivity(rng):
