@@ -30,9 +30,10 @@ evaluates all still-active cells in one kernel call (the first two
 rungs in one call, since no cell can retire on the first), and a cell
 whose two last estimates agree retires with its degree, value and bound.
 A cell that exhausts the ladder bisects into the next generation with
-half its budget.  Each simplex's final cells are kept in depth-first
-split order (sorted on their split path), so its rule is what building
-it alone gives; `build_rule` is `build_rules` on one simplex.  A frozen
+half its budget.  Retired cells stay in arrays, and one sort on (owning
+simplex, split path) puts each simplex's cells in depth-first split
+order, so its rule is what building it alone gives; `build_rule` is
+`build_rules` on one simplex.  A frozen
 rule re-evaluates its cells grouped by degree through the same kernel,
 on one simplex or on a stack of simplices (one kernel call per degree
 for the whole stack).
@@ -44,18 +45,21 @@ the collapsed rule on the sub-face W2..Wn, the node values are
     c = (1-u) c' + u M01,   e = (1-u)^2 e' + 2u(1-u) f' + u^2 M11,
 
 where c' = sum_k beta_k M0k, f' = sum_k beta_k M1k and e' = sum_kl
-beta_k beta_l Mkl live on the g^{n-2} sub-face nodes.  One einsum gives
-the sub-face values and two more carry them along the top axis, so no
-n x g^{n-1} array of node coordinates is formed.  Every node value is a
+beta_k beta_l Mkl live on the g^{n-2} sub-face nodes.  One matrix
+product per cell gives the sub-face values and two more carry them
+along the top axis, so no n x g^{n-1} array of node coordinates is
+formed.  Every node value is a
 positive combination of entries of M, and M = mix (1 - K K^T) mix^T is
 the congruence by the cell's mix of the simplex's own matrix 1 - K K^T,
 whose entries off the ideal diagonal are positive exactly when no
 material vertex leaves the open ball and no two vertices meet on the
 sphere.  Checking that once per
 simplex keeps every node inside the open ball, and no node value
-cancels.  Cells run in chunks of at most 2^13 cell x node values, so
-peak memory stays flat for large batches, and only einsum and
-elementwise numpy touch arrays that grow with g (no threaded BLAS).
+cancels.  Cells run in chunks of at most 2^14 cell x node values, so
+peak memory stays flat for large batches.  Every BLAS call the kernel
+makes is one cell's product, so a cell's value does not depend on its
+batch, and each is kept below the size at which OpenBLAS starts a
+second thread, so cubature runs on one core.
 
 Cells are stored as barycentric mixtures of the parent vertices, so a
 rule built for one simplex re-evaluates on nearby simplices and the
@@ -82,7 +86,14 @@ _G_LADDERS = {
 _G_LADDER_HIGH = (4, 6, 9, 13, 19)
 _REL_FLOOR = 1e-13
 _MAX_SPLIT_DEPTH = 14
-_CHUNK = 1 << 13  # cell x node entries per kernel pass
+_CHUNK = 1 << 14  # cell x node entries per kernel pass
+# The largest per-cell BLAS calls the kernel issues: multiply-adds of one
+# matrix product, and terms of one dot.  numpy's bundled OpenBLAS takes
+# a second thread for a matrix product from about 2^20 multiply-adds and
+# for a dot above 10^4 terms (measured as process CPU time over wall
+# time on 2 cores), and then spins it, doubling CPU time.
+_GEMM_SERIAL = 1 << 18
+_DOT_SERIAL = 1 << 13
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
 _SERIES_Y3 = 0.09  # the n = 3 closed form below x = 0.3 cancels
 _SERIES_Y = 0.5  # the n >= 5 recurrence below x^2 = 1/2 cancels
@@ -162,8 +173,8 @@ def _split_rule(n: int, g: int):
              row of ones and the pair products beta_k beta_l (k <= l,
              doubled off the diagonal), so that a cell's (_ROWS, L)
              coefficients give c', M01, e', f', M11 on the sub-face;
-      top_c  (2, g): 1-u, u, which carry c', M01 to c;
-      top_e  (3, g): (1-u)^2, 2u(1-u), u^2, which carry e', f', M11 to e;
+      top_c  (g, 2): 1-u, u, which carry c', M01 to c;
+      top_e  (g, 3): (1-u)^2, 2u(1-u), u^2, which carry e', f', M11 to e;
       weights (g G2,): the top-axis weights w (1-u)^{n-2} times the
              sub-face weights, top axis slowest."""
     key = (n, g)
@@ -175,7 +186,7 @@ def _split_rule(n: int, g: int):
     beta, wf = _face_rule(n - 1, g)
     k, l, factor = _pairs(n - 1)
     hit = (np.vstack([beta, np.ones((1, beta.shape[1])), factor[:, None] * beta[k] * beta[l]]),
-           np.stack([v, u]), np.stack([v * v, 2.0 * u * v, u * u]),
+           np.stack([v, u], axis=1), np.stack([v * v, 2.0 * u * v, u * u], axis=1),
            np.outer(w * v ** (n - 2), wf).ravel())
     for arr in hit:
         arr.setflags(write=False)
@@ -264,7 +275,8 @@ def _decompose_cells(ideal: tuple):
     row 0; material (B, 1), 1 where the corner is material and 0 where
     it is ideal; shares (B,), |det mix|, each cell's part of the
     simplex's volume, halved by each bisection; and B for each cell,
-    which takes 1/B of the simplex's error budget."""
+    which takes 1/B of the simplex's error budget; and each cell's place
+    in its rule, B-1-j for the j-th (the first part of its split path)."""
     n1 = len(ideal)
     stack = [(np.eye(n1), tuple(i for i, f in enumerate(ideal) if f), 1.0)]
     mixes, material, shares = [], [], []
@@ -285,7 +297,7 @@ def _decompose_cells(ideal: tuple):
         stack.append((a, tuple(k for k in ideal_idx if k != i), share / 2.0))
         stack.append((b, tuple(k for k in ideal_idx if k != j), share / 2.0))
     cells = (np.array(mixes), np.array(material), np.array(shares),
-             np.full(len(shares), float(len(shares))))
+             np.full(len(shares), float(len(shares))), np.arange(len(shares))[::-1].copy())
     for arr in cells:
         arr.setflags(write=False)
     return cells
@@ -352,16 +364,25 @@ def _cell_frames(mixes: np.ndarray, ms: np.ndarray, material_corner: np.ndarray,
 
 @functools.lru_cache(maxsize=None)
 def _rung_plan(n: int, degrees: tuple):
-    """The split rules of `degrees` (basis, top_c, top_e each) and their
-    weights as one (len(degrees), N) block matrix over the N nodes of
-    all degrees side by side; the 1/3 of F_4 is folded into it."""
-    rules = [_split_rule(n, g) for g in degrees]
-    sizes = [rule[-1].size for rule in rules]
-    weights = np.zeros((len(rules), sum(sizes)))
-    for k, (rule, start) in enumerate(zip(rules, np.cumsum([0] + sizes))):
-        weights[k, start:start + sizes[k]] = rule[-1] / (3.0 if n == 4 else 1.0)
-    weights.setflags(write=False)
-    return [rule[:3] for rule in rules], weights
+    """What _face_sums runs for `degrees`: per degree its split rule
+    (basis, top_c, top_e) and how many sub-face nodes one matrix product
+    takes (all g^{n-2} up to n = 4); per piece of at most _DOT_SERIAL
+    nodes of the weighted sum, the degree, the node slice in the
+    kernel's (cells, nodes) arrays (all degrees side by side) and the
+    weights as a column, with the 1/3 of F_4 folded in; and the number
+    of nodes."""
+    rules, pieces, start = [], [], 0
+    for k, g in enumerate(degrees):
+        basis, top_c, top_e, weights = _split_rule(n, g)
+        cols = max(1, _GEMM_SERIAL // max(_ROWS * basis.shape[0], top_e.size))
+        rules.append((basis, top_c, top_e, cols))
+        weights = weights[:, None] / (3.0 if n == 4 else 1.0)
+        for lo in range(0, len(weights), _DOT_SERIAL):
+            piece = weights[lo:lo + _DOT_SERIAL]
+            piece.setflags(write=False)
+            pieces.append((k, slice(start + lo, start + lo + len(piece)), piece))
+        start += len(weights)
+    return rules, pieces, start
 
 
 def _face_sums(frames, n: int, degrees: tuple) -> np.ndarray:
@@ -375,25 +396,34 @@ def _face_sums(frames, n: int, degrees: tuple) -> np.ndarray:
 
         F_2 = 1 / (h sqrt(e)),   F_4 = (h + p) / (3 h^2 e sqrt(e)).
 
-    c and e come from the split rule: one einsum gives the sub-face
-    values on g^{n-2} nodes, and two more carry them along the top axis
-    to the g x g^{n-2} grid, written side by side for all degrees into
-    one (cells, nodes) array each for the elementwise rest.  Cells run
-    in chunks of about _CHUNK node values."""
+    c and e come from the split rule.  Per cell, the matrix product
+    (_ROWS, L) @ (L, g^{n-2}) gives the sub-face values, and (g, 2) @
+    (2, g^{n-2}) and (g, 3) @ (3, g^{n-2}) carry them along the top
+    axis to the g x g^{n-2} grid, written side by side for all degrees
+    into one (cells, nodes) scratch array each for the elementwise
+    rest; (1, nodes) @ (nodes, 1) products take the weighted sums.
+    numpy's matmul issues every cell's product as its own BLAS call, so
+    a cell's value does not depend on the other cells of its batch, and
+    _rung_plan splits the products above n = 4 so that each stays below
+    the size at which OpenBLAS runs it on more than one thread.  Cells
+    run in chunks of about _CHUNK node values."""
     coef, alpha, vol = frames
-    rules, weights = _rung_plan(n, degrees)
-    step = max(1, _CHUNK // weights.shape[1])
-    out = np.empty((len(rules), len(vol)))
+    rules, pieces, nodes = _rung_plan(n, degrees)
+    step = max(1, _CHUNK // nodes)
+    out = np.zeros((len(vol), len(rules)))
+    scratch = np.empty((2, min(step, len(vol)), nodes))
     for lo in range(0, len(vol), step):
-        hi = lo + step
-        c, e = np.empty((2, len(vol[lo:hi]), weights.shape[1]))
+        hi = min(lo + step, len(vol))
+        c, e = scratch[:, :hi - lo]
         start = 0
-        for basis, top_c, top_e in rules:
-            sub = np.einsum("cql,lj->cqj", coef[lo:hi], basis)
-            grid = (len(c), top_c.shape[1], basis.shape[1])
+        for basis, top_c, top_e, cols in rules:
+            grid = (hi - lo, len(top_c), basis.shape[1])
             stop = start + grid[1] * grid[2]
-            np.einsum("ctj,tg->cgj", sub[:, :2], top_c, out=c[:, start:stop].reshape(grid))
-            np.einsum("ctj,tg->cgj", sub[:, 2:], top_e, out=e[:, start:stop].reshape(grid))
+            grid_c, grid_e = c[:, start:stop].reshape(grid), e[:, start:stop].reshape(grid)
+            for a in range(0, grid[2], cols):
+                sub = coef[lo:hi] @ basis[:, a:a + cols]
+                np.matmul(top_c, sub[:, :2], out=grid_c[..., a:a + cols])
+                np.matmul(top_e, sub[:, 2:], out=grid_e[..., a:a + cols])
             start = stop
         r = np.sqrt(e)
         p = r * alpha[lo:hi]
@@ -418,7 +448,9 @@ def _face_sums(frames, n: int, degrees: tuple) -> np.ndarray:
             for _ in range((n - 1) // 2):
                 c *= e
             F /= c
-        out[:, lo:hi] = np.einsum("cj,kj->kc", F, weights)
+        for k, piece, weights in pieces:
+            out[lo:hi, k] += np.matmul(F[:, None, piece], weights)[:, 0, 0]
+    out = out.T
     out *= vol
     return out
 
@@ -476,24 +508,27 @@ def _ladder(n: int):
     return _G_LADDERS.get(n, _G_LADDER_HIGH)
 
 
-def _split_cell(mix, has_ideal, klein):
-    """Bisect the cell at its longest Klein edge; the child that loses
-    the collapse corner becomes an ordinary (material-corner) cell."""
-    W = mix @ klein
-    m = W.shape[0]
-    besti, bestj, longest = 0, 1, -1.0
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = float(np.linalg.norm(W[i] - W[j]))
-            if d > longest:
-                besti, bestj, longest = i, j, d
-    midrow = 0.5 * (mix[besti] + mix[bestj])
-    out = []
-    for replace in (besti, bestj):
-        child = mix.copy()
-        child[replace] = midrow
-        out.append((child, has_ideal and replace != 0))
-    return out
+def _split_cells(mixes, material, kleins):
+    """Bisect each cell (mixes (C, n+1, n+1) over the Klein simplices
+    `kleins` (C, n+1, n)) at its longest Klein edge, the first of equal
+    ones in (i, j) order.  Returns the children that replace the edge's
+    first end (they lose an ideal collapse corner when that end is not
+    the corner, and become material-corner cells) and then those that
+    replace its second end, each as mixes and material-corner columns."""
+    W = mixes @ kleins
+    i, j = np.triu_indices(W.shape[1], 1)
+    diff = W[:, i] - W[:, j]
+    longest = np.argmax(np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None]))[..., 0, 0],
+                        axis=1)
+    cell = np.arange(len(mixes))
+    first, second = i[longest], j[longest]
+    mid = 0.5 * (mixes[cell, first] + mixes[cell, second])
+    children = []
+    for end in (first, second):
+        child = mixes.copy()
+        child[cell, end] = mid
+        children.append((child, np.where((end != 0)[:, None], material, 1.0)))
+    return children
 
 
 def build_rules(kleins: Sequence[np.ndarray], ideals: Sequence[Sequence[bool]],
@@ -505,90 +540,107 @@ def build_rules(kleins: Sequence[np.ndarray], ideals: Sequence[Sequence[bool]],
     bisect cells that exhaust the ladder into the next generation with
     half the budget.  All pending cells of a generation are set up
     together and all active cells of a rung evaluated in one kernel
-    call; a simplex's cells keep the depth-first order of building it
-    alone, so each rule equals that of build_rule.  Its value is the sum
-    of the converged cell values, which equals the rule evaluated on its
-    simplex.  An IntegrationError names the simplex's index."""
-    masks = [tuple(map(bool, mask)) for mask in ideals]
-    if len(kleins) != len(masks):
-        raise ValueError(f"{len(kleins)} simplices but {len(masks)} ideal masks")
-    if not masks:
+    call.  Retired cells are kept as arrays and sorted once on (owning
+    simplex, split path), so each simplex's cells keep the depth-first
+    order of building it alone and each rule equals that of build_rule.
+    Its value is the sum of the converged cell values in that order.
+    An IntegrationError names the simplex's index and carries its
+    summed estimate and bound; when a cell still stalls after the last
+    bisection, the message names that cell too."""
+    if len(kleins) != len(ideals):
+        raise ValueError(f"{len(kleins)} simplices but {len(ideals)} ideal masks")
+    if not len(ideals):
         return []
     stacked = np.array(kleins, dtype=float)
-    if stacked.ndim != 3 or stacked.shape[1:] != (len(masks[0]), len(masks[0]) - 1):
+    ideal = np.array(ideals, dtype=bool)
+    if (stacked.ndim != 3 or ideal.ndim != 2
+            or stacked.shape[1:] != (ideal.shape[1], ideal.shape[1] - 1)):
         raise ValueError("build_rules needs Klein simplices of one dimension")
-    ms, dets = _simplex_matrices(stacked, np.array([_diagonal_skip(mask) for mask in masks]))
+    # the simplices' kinds (ideal masks), numbered in order of appearance
+    number: dict = {}
+    kind = [number.setdefault(tuple(mask), len(number)) for mask in ideal.tolist()]
+    kinds = list(number)
+    ms, dets = _simplex_matrices(stacked, np.array([_diagonal_skip(mask) for mask in kinds])[kind])
     n = stacked.shape[2]
     ladder = _ladder(n)
-    # the pending cells of one generation: owning simplex, split path
-    # (sorts in depth-first order), stacked mixes, material-corner
-    # column, volume shares and budgets
-    bases = [_decompose_cells(mask) for mask in masks]
-    owner = [i for i, base in enumerate(bases) for _ in base[2]]
-    path = [(len(base[2]) - 1 - j,) for base in bases for j in range(len(base[2]))]
-    mixes, material, shares, counts = (np.concatenate(part) for part in zip(*bases))
+    # the pending cells of one generation: owning simplex, split path (a
+    # base rank, then one bit per bisection; a stack-order depth-first
+    # walk visits the half that replaces the longest edge's second end
+    # first, and it takes 0), stacked mixes, material-corner column,
+    # volume shares and budgets
+    bases = [_decompose_cells(mask) for mask in kinds]
+    parts = [bases[k] for k in kind]
+    owner = np.repeat(np.arange(len(parts)), [len(part[0]) for part in parts])
+    mixes, material, shares, counts, path = (np.concatenate(col) for col in zip(*parts))
     budget = tol / counts
-    done = [[] for _ in masks]  # per simplex: (path, mix, flag, g, value, bound)
+    # per generation, its retired cells (and at the last one its stalled
+    # cells too): owner, split path aligned to the full depth, mix,
+    # material-corner column, degree (-1 while not converged), value,
+    # bound and budget
+    generations = []
     for depth in range(_MAX_SPLIT_DEPTH, -1, -1):
         # one simplex broadcasts over its cells
         frames = _cell_frames(mixes, ms if len(ms) == 1 else ms[owner], material,
                               shares * (dets if len(ms) == 1 else dets[owner]))
-        live, live_budget = np.arange(len(owner)), budget
+        live = np.arange(len(owner))
+        degree, value, bound = np.full(len(owner), -1), np.empty(len(owner)), np.empty(len(owner))
         # no cell can retire on the first rung, so it runs with the second
         prev, val = _face_sums(frames, n, tuple(ladder[:2]))
         for rung, g in enumerate(ladder[1:]):
             if rung:
                 prev, val = val, _face_sums(frames, n, (g,))[0]
-            bound = np.abs(val - prev)
-            ok = bound <= np.maximum(live_budget, _REL_FLOOR * val)
-            retired = np.count_nonzero(ok)
-            if retired:
-                whole = retired == len(ok)
-                sel = slice(None) if whole else ok
-                for c, v, b in zip(live[sel].tolist(), val[sel].tolist(), bound[sel].tolist()):
-                    done[owner[c]].append((path[c], mixes[c], not material[c, 0], g, v, b))
-                if whole:
-                    live = live[:0]
-                    break
+            value[live] = val
+            bound[live] = err = np.abs(val - prev)
+            ok = err <= np.maximum(budget[live], _REL_FLOOR * val)
+            if ok.all():
+                degree[live] = g
+                live = live[:0]
+                break
+            if ok.any():
+                degree[live[ok]] = g
                 keep = ~ok
-                live, val, bound = live[keep], val[keep], bound[keep]
-                live_budget = live_budget[keep]
+                live, val = live[keep], val[keep]
                 frames = tuple(f[keep] for f in frames)
-        if not live.size:
+        done = slice(None) if depth == 0 or not live.size else degree >= 0
+        generations.append((owner[done], path[done] << depth, mixes[done], material[done],
+                            degree[done], value[done], bound[done], budget[done]))
+        if depth == 0 or not live.size:
             break
-        stalled = live.tolist()
-        if depth == 0:
-            first = min(range(len(stalled)), key=lambda k: (owner[stalled[k]], path[stalled[k]]))
-            raise IntegrationError(
-                f"cell subdivision exhausted at estimate {val[first]} with bound "
-                f"{bound[first]} > budget {live_budget[first]}", float(val[first]),
-                float(bound[first]), owner[stalled[first]])
-        children = []
-        for c in stalled:
-            halves = _split_cell(mixes[c], not material[c, 0], stacked[owner[c]])
-            # the stack-order depth-first walk visits the second half first
-            for rank, (child, child_ideal) in zip((1, 0), halves):
-                children.append((owner[c], path[c] + (rank,), child,
-                                 [0.0 if child_ideal else 1.0], shares[c] / 2.0,
-                                 budget[c] / 2.0))
-        owner, path, mixes, material, shares, budget = (
-            list(col) if k < 2 else np.array(col) for k, col in enumerate(zip(*children)))
-    rules = []
-    for i, cells in enumerate(done):
-        cells.sort(key=lambda cell: cell[0])
-        total_bound = 0.0
-        total_value = 0.0
-        for *_, v, b in cells:
-            total_bound += b
-            total_value += v
-        if total_bound > tol:
-            raise IntegrationError(
-                f"requested tolerance {tol} is below what double precision "
-                f"reaches here (estimate {total_value}, bound {total_bound})",
-                total_value, total_bound, i)
-        rules.append(VolumeRule(tuple((mix, flag, g) for _, mix, flag, g, _, _ in cells),
-                                total_bound, total_value, masks[i]))
-    return rules
+        halves = _split_cells(mixes[live], material[live], stacked[owner[live]])
+        owner, path, shares, budget = (np.tile(col[live], 2) for col in (owner, path, shares / 2.0,
+                                                                          budget / 2.0))
+        path = path * 2 + np.repeat([1, 0], len(live))
+        mixes, material = (np.concatenate(part) for part in zip(*halves))
+    owner, path, mixes, material, degree, value, bound, budget = (
+        generations[0] if len(generations) == 1 else
+        [np.concatenate(col) for col in zip(*generations)])
+    order = np.lexsort((path, owner))
+    owner, path, degree, value, bound = (col[order] for col in (owner, path, degree, value, bound))
+    # bincount adds in index order, so each simplex's sums run in its
+    # cells' order, as VolumeRule.evaluate sums them
+    totals, total_bounds = (np.bincount(owner, part, len(kind)) for part in (value, bound))
+    if live.size:
+        c = int(np.flatnonzero(degree < 0)[0])
+        i, bits = int(owner[c]), int(path[c])
+        name = (bits >> _MAX_SPLIT_DEPTH,) + tuple(bits >> k & 1
+                                                  for k in range(_MAX_SPLIT_DEPTH - 1, -1, -1))
+        raise IntegrationError(
+            f"cell subdivision exhausted: cell {name} (base rank and split path) stalls at "
+            f"estimate {value[c]} with bound {bound[c]} > budget {budget[order][c]}; the "
+            f"simplex's estimate is {totals[i]} with bound {total_bounds[i]}",
+            float(totals[i]), float(total_bounds[i]), i)
+    over = np.flatnonzero(total_bounds > tol)
+    if over.size:
+        i = int(over[0])
+        raise IntegrationError(
+            f"requested tolerance {tol} is below what double precision "
+            f"reaches here (estimate {totals[i]}, bound {total_bounds[i]})",
+            float(totals[i]), float(total_bounds[i]), i)
+    cells = list(zip(mixes[order], (material[order, 0] == 0.0).tolist(), degree.tolist()))
+    ends = np.cumsum(np.bincount(owner, minlength=len(kind))).tolist()
+    return [VolumeRule(tuple(cells[lo:hi]), b, v, kinds[k])
+            for lo, hi, v, b, k in zip([0] + ends[:-1], ends, totals.tolist(),
+                                       total_bounds.tolist(), kind)]
 
 
 def build_rule(klein: np.ndarray, ideal: Sequence[bool], tol: float) -> VolumeRule:

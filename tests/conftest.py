@@ -19,6 +19,15 @@ def random_so_direction(rng, n, scale=0.5):
     return 0.5 * (X - J @ X.T @ J)
 
 
+def parabolic_so41(v):
+    """exp of the nilpotent so(4,1) element with translation vector v: a
+    parabolic fixing the ideal point (1, 1, 0, 0, 0)."""
+    X = np.zeros((5, 5))
+    X[0, 2:] = X[1, 2:] = X[2:, 0] = v
+    X[2:, 1] = -np.asarray(v)
+    return np.eye(5) + X + X @ X / 2.0
+
+
 def _diagonal(z):
     return [[z, 0], [0, 1 / z]]
 

@@ -5,6 +5,8 @@ import mpmath
 import numpy as np
 import pytest
 
+from conftest import parabolic_so41
+from hypvol import cubature
 from hypvol.cubature import (
     IntegrationError,
     VolumeRule,
@@ -16,6 +18,8 @@ from hypvol.cubature import (
     build_rule,
     build_rules,
 )
+from hypvol.fixtures import suspension_4d
+from hypvol.repvol import build_developing_assignment, check_representation
 
 
 def cell_value(mix, has_ideal, klein, g, ideal):
@@ -313,3 +317,52 @@ def test_kernel_batches_match_cells_alone():
         for k, g in enumerate((9, 13)):
             alone = cell_value(np.eye(5), ideal[c], kleins[c], g, (ideal[c],) + (False,) * 4)
             assert together[k, c] == pytest.approx(alone, rel=1e-14, abs=0.0)
+
+
+def _developed_suspension4():
+    """Klein vertices and ideal masks of the non-degenerate simplices of
+    the 4-D suspension developed at seed 0, x mapped to a parabolic."""
+    tri = suspension_4d()
+    rho = check_representation(tri.presentation,
+                               {"x": parabolic_so41(np.array([0.3, -0.5, 0.4]))})
+    stack = build_developing_assignment(rho, tri, seed=0).stack
+    live = ~stack.degenerate
+    return list(stack.rows[live][..., 1:]), stack.ideal[live].tolist()
+
+
+@pytest.mark.parametrize("case", ["seeded", "suspension4"])
+def test_kernel_chunks_change_no_rule(case, monkeypatch):
+    """With the kernel's cell chunks at 2^10 and at 2^20 node values,
+    build_rules gives equal (==) cells, values and bounds, and a frozen
+    rule evaluated on the stack of every simplex of its kind gives each
+    simplex's value alone, exactly: on the seeded n=4 simplices (pinned
+    case 12 splits, and its degrees 27 and 38 take the weighted sum in
+    pieces) and on a developed suspension4 stack."""
+    if case == "seeded":
+        kleins, ideals = zip(*[(k, m) for k, m in _seeded_simplices() if k.shape[1] == 4])
+    else:
+        kleins, ideals = _developed_suspension4()
+    kinds: dict = {}
+    for i, mask in enumerate(ideals):
+        kinds.setdefault(tuple(mask), []).append(i)
+    built = []
+    for chunk in (1 << 10, 1 << 20):
+        monkeypatch.setattr(cubature, "_CHUNK", chunk)
+        rules = build_rules(kleins, ideals, 1e-9)
+        stacked = []
+        for idx in kinds.values():
+            rule = rules[idx[-1]]
+            together = rule.evaluate(np.array([kleins[i] for i in idx])).tolist()
+            assert together == [rule.evaluate(kleins[i]) for i in idx]
+            stacked.append(together)
+        built.append((rules, stacked))
+    (rules, stacked), (again, stacked_again) = built
+    assert stacked == stacked_again
+    assert len(rules) == len(again) == len(kleins)
+    for rule, other in zip(rules, again):
+        assert len(rule.cells) == len(other.cells)
+        for (mix, flag, g), (mix1, flag1, g1) in zip(rule.cells, other.cells):
+            assert np.array_equal(mix, mix1) and flag == flag1 and g == g1
+        assert rule.value == other.value and rule.error_estimate == other.error_estimate
+    if case == "seeded":
+        assert max(g for rule in rules for *_, g in rule.cells) == 38

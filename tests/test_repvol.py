@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (MIXED_PERIPHERAL, NO_FIXED_POINT, lifted_stack, random_so_direction,
-                      random_so_element)
+from conftest import (MIXED_PERIPHERAL, NO_FIXED_POINT, lifted_stack, parabolic_so41,
+                      random_so_direction, random_so_element)
 from hypvol.fixtures import (
     FIG8_LONGITUDE,
     FIG8_MERIDIAN,
@@ -113,20 +113,11 @@ def test_evaluate_word_long_product_stays_valid(fig8):
     assert isinstance(iso, Isometry)
 
 
-def _parabolic_so41(v):
-    """exp of the nilpotent so(4,1) element with translation vector v: a
-    parabolic fixing the ideal point (1, 1, 0, 0, 0)."""
-    X = np.zeros((5, 5))
-    X[0, 2:] = X[1, 2:] = X[2:, 0] = v
-    X[2:, 1] = -np.asarray(v)
-    return np.eye(5) + X + X @ X / 2.0
-
-
 @pytest.fixture(scope="module")
 def suspension4_rho():
     tri = suspension_4d()
     return check_representation(tri.presentation,
-                                {"x": _parabolic_so41(np.array([0.3, -0.5, 0.4]))})
+                                {"x": parabolic_so41(np.array([0.3, -0.5, 0.4]))})
 
 
 def _matrix_product(rho, word):

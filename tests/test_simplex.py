@@ -808,6 +808,27 @@ def test_integration_budget_error():
     assert err.value.bound > 1e-280
 
 
+def test_exhausted_subdivision_reports_the_simplex_estimate():
+    """When a cell still stalls after the last bisection, the error names
+    that cell and carries the simplex's summed estimate and bound, not
+    the cell's: on a tetrahedron with two ideal vertices 0.043 apart,
+    `best` is the closed-form volume to 1e-6."""
+    ideal = np.array([[0.4268, 0.0669, -0.9019], [-0.6931, -0.613, 0.3794],
+                      [0.3957, 0.0935, -0.9136]])
+    ideal /= np.linalg.norm(ideal, axis=1)[:, None]
+    tet = GeodesicSimplex([from_klein(k) for k in ideal]
+                          + [from_klein(np.array([-0.7367, -0.4849, 0.1674]))])
+    volume = abs(signed_volume(tet))
+    assert volume == pytest.approx(0.0056785, abs=1e-7)
+    with pytest.raises(IntegrationError, match=r"^simplex 0: cell subdivision exhausted: "
+                                               r"cell \(2, 0, .*\) \(base rank and split path\) "
+                                               r"stalls at estimate 0\.0004") as err:
+        numeric_volume(tet, 1e-8)
+    assert abs(err.value.best - volume) <= 1e-6
+    assert 0.0 < err.value.bound < 1e-6
+    assert err.value.simplex == 0
+
+
 def _mixed_batch(rng):
     """n=4 simplices with 0, 1 and 2 ideal vertices, a degenerate one,
     n=3 simplices all-ideal and with 0, 1 and 2 ideal vertices, and an
