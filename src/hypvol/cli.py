@@ -192,7 +192,10 @@ def _cmd_tri_solve(args) -> int:
     if args.filling.lower() == "complete":
         filling = "complete"
     else:
-        p, q = (float(x) for x in args.filling.split(","))
+        try:
+            p, q = (float(x) for x in args.filling.split(","))
+        except ValueError:
+            raise RepvolError(f"--filling must be 'complete' or p,q, not {args.filling!r}")
         filling = (p, q)
     init = [complex(z) for z in args.shapes.split(";")] if args.shapes else \
         [0.5 + 0.8j, 0.5 + 0.8j]

@@ -273,20 +273,18 @@ def _decompose_cells(ideal: tuple):
     building visits them, stacked: mixes (B, n+1, n+1), row-stochastic
     matrices over parent vertices with each cell's collapse corner in
     row 0; material (B, 1), 1 where the corner is material and 0 where
-    it is ideal; shares (B,), |det mix|, each cell's part of the
-    simplex's volume, halved by each bisection; and B for each cell,
-    which takes 1/B of the simplex's error budget; and each cell's place
-    in its rule, B-1-j for the j-th (the first part of its split path)."""
+    it is ideal; B for each cell, which takes 1/B of the simplex's error
+    budget; and each cell's place in its rule, B-1-j for the j-th (the
+    first part of its split path)."""
     n1 = len(ideal)
-    stack = [(np.eye(n1), tuple(i for i, f in enumerate(ideal) if f), 1.0)]
-    mixes, material, shares = [], [], []
+    stack = [(np.eye(n1), tuple(i for i, f in enumerate(ideal) if f))]
+    mixes, material = [], []
     while stack:
-        mix, ideal_idx, share = stack.pop()
+        mix, ideal_idx = stack.pop()
         if len(ideal_idx) <= 1:
             corner = ideal_idx[0] if ideal_idx else 0
             mixes.append(mix[[corner] + [i for i in range(n1) if i != corner]])
             material.append([0.0 if ideal_idx else 1.0])
-            shares.append(share)
             continue
         i, j = ideal_idx[0], ideal_idx[1]
         mid = 0.5 * (mix[i] + mix[j])
@@ -294,10 +292,10 @@ def _decompose_cells(ideal: tuple):
         a[i] = mid
         b = mix.copy()
         b[j] = mid
-        stack.append((a, tuple(k for k in ideal_idx if k != i), share / 2.0))
-        stack.append((b, tuple(k for k in ideal_idx if k != j), share / 2.0))
-    cells = (np.array(mixes), np.array(material), np.array(shares),
-             np.full(len(shares), float(len(shares))), np.arange(len(shares))[::-1].copy())
+        stack.append((a, tuple(k for k in ideal_idx if k != i)))
+        stack.append((b, tuple(k for k in ideal_idx if k != j)))
+    cells = (np.array(mixes), np.array(material),
+             np.full(len(mixes), float(len(mixes))), np.arange(len(mixes))[::-1].copy())
     for arr in cells:
         arr.setflags(write=False)
     return cells
@@ -566,12 +564,12 @@ def build_rules(kleins: Sequence[np.ndarray], ideals: Sequence[Sequence[bool]],
     # the pending cells of one generation: owning simplex, split path (a
     # base rank, then one bit per bisection; a stack-order depth-first
     # walk visits the half that replaces the longest edge's second end
-    # first, and it takes 0), stacked mixes, material-corner column,
-    # volume shares and budgets
+    # first, and it takes 0), stacked mixes, material-corner column
+    # and budgets
     bases = [_decompose_cells(mask) for mask in kinds]
     parts = [bases[k] for k in kind]
     owner = np.repeat(np.arange(len(parts)), [len(part[0]) for part in parts])
-    mixes, material, shares, counts, path = (np.concatenate(col) for col in zip(*parts))
+    mixes, material, counts, path = (np.concatenate(col) for col in zip(*parts))
     budget = tol / counts
     # per generation, its retired cells (and at the last one its stalled
     # cells too): owner, split path aligned to the full depth, mix,
@@ -579,9 +577,11 @@ def build_rules(kleins: Sequence[np.ndarray], ideals: Sequence[Sequence[bool]],
     # bound and budget
     generations = []
     for depth in range(_MAX_SPLIT_DEPTH, -1, -1):
-        # one simplex broadcasts over its cells
+        # one simplex broadcasts over its cells; a cell's volume is its
+        # share |det mix| of the simplex's, as VolumeRule.evaluate takes it
         frames = _cell_frames(mixes, ms if len(ms) == 1 else ms[owner], material,
-                              shares * (dets if len(ms) == 1 else dets[owner]))
+                              np.abs(np.linalg.det(mixes))
+                              * (dets if len(ms) == 1 else dets[owner]))
         live = np.arange(len(owner))
         degree, value, bound = np.full(len(owner), -1), np.empty(len(owner)), np.empty(len(owner))
         # no cell can retire on the first rung, so it runs with the second
@@ -607,8 +607,7 @@ def build_rules(kleins: Sequence[np.ndarray], ideals: Sequence[Sequence[bool]],
         if depth == 0 or not live.size:
             break
         halves = _split_cells(mixes[live], material[live], stacked[owner[live]])
-        owner, path, shares, budget = (np.tile(col[live], 2) for col in (owner, path, shares / 2.0,
-                                                                          budget / 2.0))
+        owner, path, budget = (np.tile(col[live], 2) for col in (owner, path, budget / 2.0))
         path = path * 2 + np.repeat([1, 0], len(live))
         mixes, material = (np.concatenate(part) for part in zip(*halves))
     owner, path, mixes, material, degree, value, bound, budget = (

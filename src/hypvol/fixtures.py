@@ -68,12 +68,8 @@ def figure_eight_triangulation() -> LabeledTriangulation:
         FacePairing(0, 1, 1, 2, "B A"),     # (inf, 1, omega) -> (inf, 0, cw)
         FacePairing(0, 2, 1, 0, "B"),       # (inf, 0, omega) -> (0, 1, cw)
     )
-    gluing = {"recipe": "two_tet_once_cusped",
-              "edge_log_equation":
-                  "2 log z1 - log(1-z1) - log z2 + 2 log(z2-1) = 2 pi i",
-              "cusp_words": {"meridian": FIG8_MERIDIAN, "longitude": FIG8_LONGITUDE}}
-    return LabeledTriangulation(3, pres, verts, (t1, t2), cusps,
-                                pairings=pairings, gluing=gluing)
+    return LabeledTriangulation(3, pres, verts, (t1, t2), cusps, pairings=pairings,
+                                gluing={"recipe": "two_tet_once_cusped"})
 
 
 def figure_eight_geometric_images() -> dict:

@@ -636,7 +636,6 @@ class DeformationPath:
     time supplies `_eval_many`."""
 
     kind: str
-    base: Representation
     _eval: Callable[[float], Representation]
     meta: dict = field(default_factory=dict)
     _eval_many: Optional[Callable[[list], list]] = None
@@ -667,7 +666,7 @@ def _conjugation_path(base: Representation, direction: np.ndarray) -> Deformatio
         images = {k: g @ im @ gi for k, im in base.images.items()}
         return check_representation(base.presentation, images, tol=PATH_RELATOR_TOL)
 
-    return DeformationPath("conjugation", base, ev, {"direction": X})
+    return DeformationPath("conjugation", ev, {"direction": X})
 
 
 class TwistEllipticBoundaryError(RepvolError):
@@ -705,7 +704,7 @@ def _twist2d_path(base: Representation, generator: str,
                     f"boundary word {w!r} became elliptic at t={t}")
         return rep
 
-    return DeformationPath("twist2d", base, ev,
+    return DeformationPath("twist2d", ev,
                            {"generator": generator, "boundary_words": tuple(boundary_words)})
 
 
@@ -725,7 +724,7 @@ def _keyframes_path(presentation, times: Sequence[float],
         images = {g: Isometry(minkowski_gram_schmidt(splines[g](t))) for g in gens}
         return check_representation(presentation, images, tol=PATH_RELATOR_TOL)
 
-    return DeformationPath("keyframes", reps[0], ev, {"times": times})
+    return DeformationPath("keyframes", ev, {"times": times})
 
 
 def generate_path(kind: str, params: Mapping) -> DeformationPath:
@@ -829,25 +828,6 @@ class GluingError(RepvolError):
     pass
 
 
-def _mobius_standard(z, out: np.ndarray) -> None:
-    """Fill `out` (S, 2, 2) with the matrices sending three points z
-    (each None, for infinity, or a number or an (S,) array of them) to
-    0, 1, infinity, built from projective coordinates."""
-    (a1, b1), (a2, b2), (a3, b3) = [(1.0 + 0j, 0j) if p is None else (p, 1.0 + 0j) for p in z]
-    c, d = a2 * b3 - a3 * b2, a2 * b1 - a1 * b2
-    out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = c * b1, -c * a1, d * b3, -d * a3
-
-
-def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b of complex arrays of one shape with each real product
-    rounded on its own, as in scalar complex arithmetic (numpy's array
-    loop may fuse a multiply and an add)."""
-    out = np.empty(a.shape, dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
 def _fig8_generators(z1, z2):
     """SL(2,C) images of the two generators reconstructed from the
     developed cells (infinity, 0, 1, z1) and (infinity, 0, 1, 1/z2)
@@ -856,33 +836,26 @@ def _fig8_generators(z1, z2):
     them.  z1 and z2 are numbers, giving two (2, 2) matrices, or (S,)
     arrays, giving two (S, 2, 2) stacks.
 
-    With u = z1 and v = 1/z2, the Moebius maps m2 and m3 send
-    [inf, 1, u] to [v, 0, inf] and [inf, 0, u] to [v, 0, 1]: each is the
-    inverse of the standard map of its targets times that of its
-    sources, scaled to determinant 1.  The generators are b = m3^-1 and
-    a = m2^-1 m3, so a stack of samples takes two batched inversions:
-    the targets' standard maps, then m2 and m3."""
-    shape = np.shape(z1)
-    u = np.asarray(z1, dtype=complex).reshape(-1)
-    # 1/z2 in Python complex arithmetic, whose rounding numpy's division
-    # does not share
-    v = np.array([1.0 / complex(z) for z in np.ravel(z2)], dtype=complex)
-    std = np.empty((4, len(u), 2, 2), dtype=complex)
-    for out, points in zip(std, ([v, 0j, None], [v, 0j, 1.0 + 0j],
-                                 [None, 1.0 + 0j, u], [None, 0j, u])):
-        _mobius_standard(points, out)
-    m = np.linalg.inv(std[:2]) @ std[2:]
-    det = _cmul(m[..., 0, 0], m[..., 1, 1]) - _cmul(m[..., 0, 1], m[..., 1, 0])
-    m2, m3 = m / np.sqrt(det)[..., None, None]
-    m2_inv, b = np.linalg.inv(np.stack([m2, m3]))
-    a = m2_inv @ m3
-    return a.reshape(shape + (2, 2)), b.reshape(shape + (2, 2))
+    With u = z1 and v = 1/z2, m2 sends [inf, 1, u] to [v, 0, inf], that
+    is z -> v (z - 1) / (z - u), and m3 sends [inf, 0, u] to [v, 0, 1],
+    that is z -> v z / (z + u (v - 1)); each is scaled to determinant 1.
+    The generators are b = m3^-1 and a = m2^-1 m3, from one batched
+    inversion."""
+    u, v = np.asarray(z1, dtype=complex), 1.0 / np.asarray(z2, dtype=complex)
+    zero, one = np.zeros_like(u), np.ones_like(u)
+    # m2 and m3 on a leading axis, the matrix entries on the last two
+    m = np.moveaxis(np.array([[[v, -v], [one, -u]], [[v, zero], [one, u * (v - 1.0)]]]),
+                    (1, 2), (-2, -1))
+    m /= np.sqrt([v * (1.0 - u), u * v * (v - 1.0)])[..., None, None]
+    m2_inv, b = np.linalg.inv(m)
+    return m2_inv @ m[1], b
 
 
 # Logarithmic gluing equations of the shipped two-cell complex: integer
 # exponent rows over (log z1, log(1-z1), log z2, log(1-z2)) plus a
-# constant, all logarithms principal (they are analytic on the upper half
-# plane, where both shapes stay).
+# constant, all logarithms principal.  They are analytic on the upper
+# half plane, where both shapes stay (1 - z then lies in the lower half
+# plane, off the cut), so no branch needs tracking.
 #   edge       2 log z1 - log(1-z1) - log z2 + 2 log(1-z2) = 0: the first
 #              edge class, derived from the face pairings (the first cell
 #              contributes its edges (inf 0), (inf 1), (1 u), the reversed
@@ -896,60 +869,38 @@ def _fig8_generators(z1, z2):
 # images of the meridian "a" and the longitude "b a B A A B a b" under
 # _fig8_generators, which fix infinity; squaring removes the sign of the
 # SL(2,C) lift.  u and v vanish at the complete structure.
-_FIG8_LOG_ROWS = np.array([[2, -1, -1, 2],
-                           [-1, 1, 1, -1],
-                           [4, -2, 0, 0]])
-_FIG8_LOG_CONST = np.array([0.0, 0.0, -2j * np.pi])
-# the same rows and constants as Python numbers, for scalar evaluation
-_FIG8_ROW_TERMS = tuple(zip(_FIG8_LOG_ROWS.tolist(), _FIG8_LOG_CONST.tolist()))
+_FIG8_LOG_ROWS = (((2, -1, -1, 2), 0.0),
+                  ((-1, 1, 1, -1), 0.0),
+                  ((4, -2, 0, 0), -2j * math.pi))
 
 
 def _fig8_log_equations(z1: complex, z2: complex):
-    """(edge, u, v) at the shapes, and their Jacobian in (z1, z2): the
-    rows times diag(1/z1, -1/(1-z1), 1/z2, -1/(1-z2)), folded onto the
-    two shapes.  Evaluated in scalar complex arithmetic and returned as a
-    length-3 array and a (3, 2) array."""
+    """[edge, u, v] at the shapes, and their Jacobian in (z1, z2) as
+    three (d/dz1, d/dz2) pairs: the rows times diag(1/z1, -1/(1-z1),
+    1/z2, -1/(1-z2)), folded onto the two shapes."""
     w = (z1, 1.0 - z1, z2, 1.0 - z2)
     l1, l2, l3, l4 = (cmath.log(x) for x in w)
     d1, d2, d3, d4 = 1.0 / w[0], -1.0 / w[1], 1.0 / w[2], -1.0 / w[3]
-    vals = [a * l1 + b * l2 + c * l3 + d * l4 + k for (a, b, c, d), k in _FIG8_ROW_TERMS]
-    jac = [(a * d1 + b * d2, c * d3 + d * d4) for (a, b, c, d), _ in _FIG8_ROW_TERMS]
-    return np.array(vals), np.array(jac)
+    vals = [a * l1 + b * l2 + c * l3 + d * l4 + k for (a, b, c, d), k in _FIG8_LOG_ROWS]
+    jac = [(a * d1 + b * d2, c * d3 + d * d4) for (a, b, c, d), _ in _FIG8_LOG_ROWS]
+    return vals, jac
 
 
-def _branch(h: complex, ref: complex) -> complex:
-    """h moved by a multiple of 2 pi i to the branch nearest ref."""
-    return h + 2j * math.pi * round((ref - h).imag / (2 * math.pi))
-
-
-def _solve_shapes(x0: Sequence[complex], target, tol: float, max_iter: int, logs):
-    """Damped Newton on the edge equation plus one cusp equation, with
-    the analytic Jacobian of the logarithmic equations, in scalar complex
+def _solve_shapes(x0: Sequence[complex], target, tol: float, max_iter: int):
+    """Damped Newton on the edge equation plus the cusp equation
+    p*u + q*v = w, target = (p, q, w), on the log holonomies, with the
+    analytic Jacobian of the logarithmic equations, in scalar complex
     arithmetic: the 2x2 step is solved by Cramer's rule, and a zero
-    determinant is a singular system.
-
-    target None cuts the complete structure by mu^2 = exp(u) = 1; a
-    triple (p, q, w) asks for p*u + q*v = w on the log holonomies, which
-    are branch-tracked against `logs` (then against each accepted
-    iterate) when `logs` is given.  A step is taken only if it keeps
+    determinant is a singular system.  A step is taken only if it keeps
     both shapes in the upper half plane and strictly decreases the
     max-abs residual, halving it down to 1e-4.  Returns (shapes,
     residual, (u, v)) at the first iterate with max-abs residual at most
     tol."""
+    p, q, w = target
 
     def system(z1, z2):
-        vals, jac = _fig8_log_equations(z1, z2)
-        e, u, v = vals.tolist()
-        (e1, e2), (u1, u2), (v1, v2) = jac.tolist()
-        if logs is not None:
-            u, v = _branch(u, logs[0]), _branch(v, logs[1])
-        if target is None:
-            mu2 = cmath.exp(u)
-            res, row = mu2 - 1.0, (mu2 * u1, mu2 * u2)
-        else:
-            p, q, w = target
-            res, row = p * u + q * v - w, (p * u1 + q * v1, p * u2 + q * v2)
-        return (e, res), ((e1, e2), row), (u, v)
+        (e, u, v), ((e1, e2), (u1, u2), (v1, v2)) = _fig8_log_equations(z1, z2)
+        return (e, p * u + q * v - w), ((e1, e2), (p * u1 + q * v1, p * u2 + q * v2)), (u, v)
 
     def size(res) -> float:
         return max(abs(res[0]), abs(res[1]))
@@ -971,8 +922,6 @@ def _solve_shapes(x0: Sequence[complex], target, tol: float, max_iter: int, logs
                 rn, jn, hol_n = system(n1, n2)
                 if size(rn) < size(res):
                     z1, z2, res, jac, hol = n1, n2, rn, jn, hol_n
-                    if logs is not None:
-                        logs = hol
                     break
             damp *= 0.5
         else:
@@ -997,18 +946,32 @@ def _gluing_solutions(tri: LabeledTriangulation, solved) -> list[GluingSolution]
             for (shapes, residual, logs), rep in zip(solved, reps)]
 
 
+def _check_recipe(tri: LabeledTriangulation) -> None:
+    if tri.gluing is None or tri.gluing.get("recipe") != "two_tet_once_cusped":
+        raise GluingError("triangulation carries no supported gluing data")
+
+
+def _filling(filling) -> tuple[float, float]:
+    """(p, q) as floats, refused unless both are finite and not both 0:
+    a NaN cusp residual would pass Newton's max-abs test."""
+    p, q = (float(x) for x in filling)
+    if not (math.isfinite(p) and math.isfinite(q)) or p == q == 0:
+        raise GluingError(f"filling must be finite and not (0, 0), not ({p}, {q})")
+    return p, q
+
+
 def solve_gluing_equations(tri: LabeledTriangulation, filling,
                            init_shapes: Sequence[complex],
                            tol: float = 1e-11, max_iter: int = 60) -> GluingSolution:
     """Newton-solve the fixture's gluing equations.
 
-    filling is "complete" or a pair (p, q).  Filled structures satisfy
-    p*u + q*v = 2 pi i on the logarithmic meridian/longitude holonomies
-    u, v, which are integer combinations of logarithms of the shapes
-    (analytic on the upper half plane, zero at the complete structure);
-    the complete structure is cut instead by the squared meridian
-    eigenvalue exp(u) equalling 1.  Shapes must start in the upper half
-    plane and are rejected if Newton leaves it.
+    filling is "complete" or a pair (p, q) of finite numbers, not both
+    zero.  Filled structures satisfy p*u + q*v = 2 pi i on the
+    logarithmic meridian/longitude holonomies u, v, which are integer
+    combinations of principal logarithms of the shapes (analytic on the
+    upper half plane, zero at the complete structure); the complete
+    structure is cut by the cusp equation u = 0.  Shapes must be finite
+    and start in the upper half plane, and Newton never leaves it.
 
     Newton has no global convergence guarantee: a filled solve from
     shapes far from the solution may stop with a GluingError.
@@ -1020,71 +983,57 @@ def solve_gluing_equations(tri: LabeledTriangulation, filling,
     reconstructed representation, the final residual and the log
     holonomies (zero up to the residual for the complete structure).
     """
-    if tri.gluing is None or tri.gluing.get("recipe") != "two_tet_once_cusped":
-        raise GluingError("triangulation carries no supported gluing data")
-    z1, z2 = [complex(z) for z in init_shapes]
-    if z1.imag <= 0 or z2.imag <= 0:
-        raise GluingError("initial shapes must lie in the upper half plane")
+    _check_recipe(tri)
+    shapes = [complex(z) for z in init_shapes]
+    if len(shapes) != 2 or not all(cmath.isfinite(z) and z.imag > 0 for z in shapes):
+        raise GluingError("initial shapes must be two finite numbers in the upper half "
+                          f"plane, not {shapes}")
     if isinstance(filling, str):
         if filling.lower() != "complete":
             raise GluingError(f"unknown filling spec {filling!r}")
-        target = None
+        target = (1, 0, 0)
     else:
-        p, q = filling
-        target = (float(p), float(q), 2j * np.pi)
-    return _gluing_solutions(tri, [_solve_shapes((z1, z2), target, tol, max_iter, None)])[0]
+        target = (*_filling(filling), 2j * math.pi)
+    return _gluing_solutions(tri, [_solve_shapes(shapes, target, tol, max_iter)])[0]
 
 
 def _dehn3d_path(tri: LabeledTriangulation, filling, steps: int) -> DeformationPath:
     """Continuation from the complete structure toward the (p, q) Dehn
-    filling: at parameter t the cusp equation is p*u + q*v = t * 2 pi i.
+    filling: at parameter t the cusp equation is p*u + q*v = t * 2 pi i,
+    and at t = 0 it is u = 0, which (omega, omega) solves.
 
     Every continuation step's (shapes, residual, log holonomies) is
     kept; a relator-checked GluingSolution is built only for the
     parameters asked for.  evaluate_many walks the continuation through
     its parameters in order once and builds their solutions in one
-    stacked lift and relator check.  The complete structure, where every
-    filling's continuation starts, is solved once per triangulation and
-    kept on it."""
+    stacked lift and relator check."""
+    _check_recipe(tri)
     if steps < 1:
         raise RepvolError(f"a dehn3d path needs at least one step, not {steps}")
-    p, q = filling
-    base_sol = tri._gluing_solutions.get("complete")
-    if base_sol is None:
-        omega = complex(np.cos(np.pi / 3), np.sin(np.pi / 3))
-        base_sol = tri._gluing_solutions["complete"] = solve_gluing_equations(
-            tri, "complete", (omega, omega))
-    walked = {0.0: (base_sol.shapes, base_sol.residual, base_sol.log_holonomies)}
-    solutions = {0.0: base_sol}
+    p, q = _filling(filling)
+    omega = complex(math.cos(math.pi / 3), math.sin(math.pi / 3))
+    walked = {0.0: _solve_shapes((omega, omega), (1, 0, 0), 1e-11, 60)}
+    solutions = {}
 
     def walk(t: float):
-        # walk from the last step at or below t, tracking branches
+        # walk from the last step at or below t
         s = max(k for k in walked if k <= t + 1e-12)
         state = walked[s]
         while s < t - 1e-12:
             s = min(t, s + 1.0 / steps)
-            state = walked[s] = _solve_shapes(
-                state[0], (p, q, s * 2j * np.pi), 1e-11, 60, state[2])
+            state = walked[s] = _solve_shapes(state[0], (p, q, s * 2j * math.pi), 1e-11, 60)
         return state
 
     def solve_many(ts: Sequence[float]) -> list[GluingSolution]:
         # walk in the order asked, then build the new solutions together
-        pending = {}
-        for t in ts:
-            if t not in solutions and t not in pending:
-                pending[t] = walk(t)
+        pending = {t: walk(t) for t in dict.fromkeys(ts) if t not in solutions}
         if pending:
             solutions.update(zip(pending, _gluing_solutions(tri, list(pending.values()))))
         return [solutions[t] for t in ts]
 
     def solve_at(t: float) -> GluingSolution:
-        return solve_many([t])[0]
+        return solve_many([float(t)])[0]
 
-    def ev(t: float) -> Representation:
-        return solve_at(float(t)).representation
-
-    def ev_many(ts: list) -> list:
-        return [sol.representation for sol in solve_many(ts)]
-
-    return DeformationPath("dehn3d", base_sol.representation, ev,
-                           {"filling": (p, q), "solver": solve_at}, ev_many)
+    return DeformationPath("dehn3d", lambda t: solve_at(t).representation,
+                           {"filling": (p, q), "solver": solve_at},
+                           lambda ts: [sol.representation for sol in solve_many(ts)])

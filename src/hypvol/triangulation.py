@@ -191,8 +191,6 @@ class LabeledTriangulation:
     cusps: tuple[Cusp, ...] = ()
     pairings: Optional[tuple[FacePairing, ...]] = None
     gluing: Optional[dict] = None  # shape-parameter edge equations, if shipped
-    # solutions of those equations kept by repvol, keyed by filling
-    _gluing_solutions: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "orbit_vertices", tuple(self.orbit_vertices))

@@ -88,6 +88,26 @@ def test_tri_solve_complete(run):
         assert abs(complex(*re_im) - np.exp(1j * np.pi / 3)) < 1e-9
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--shapes", "nan+1j;0.5+0.8j", "initial shapes must be two finite numbers in the "
+                                     "upper half plane, not [(nan+1j), (0.5+0.8j)]"),
+    ("--shapes", "0.5+0.8j", "upper half plane, not [(0.5+0.8j)]"),
+    ("--filling", "nan,1", "filling must be finite and not (0, 0), not (nan, 1.0)"),
+    ("--filling", "0,0", "filling must be finite and not (0, 0), not (0.0, 0.0)"),
+    ("--filling", "5", "--filling must be 'complete' or p,q, not '5'"),
+], ids=["nan-shape", "one-shape", "nan-filling", "zero-filling", "one-number-filling"])
+def test_tri_solve_bad_input_exit_2(fixdir, monkeypatch, capsys, flag, value, message):
+    """Shapes that are not two finite numbers in the upper half plane,
+    and a filling that is not finite p,q other than (0, 0), are refused
+    before Newton runs, with a message naming them."""
+    monkeypatch.setenv("HYPVOL_FIXTURES", str(fixdir))
+    code = main(["--no-timestamp", "tri", "solve", "--tri", "fig8.json", f"{flag}={value}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err
+
+
 def test_path_scan_expect_constant(run, fixdir):
     spec = {"kind": "conjugation", "rep": "fig8_geometric.json",
             "params": {"direction":

@@ -262,6 +262,15 @@ def test_rule_selection_is_pinned():
         assert abs(rule.value - reference) <= 1e-9
 
 
+def test_rule_value_is_its_evaluation_on_its_simplex():
+    """A rule's value is what the rule evaluates to on the simplex it was
+    built on, exactly, bisected cells included: building and evaluating
+    weight a cell by the same |det mix|."""
+    for klein, ideal in _seeded_simplices():
+        rule = build_rule(klein, ideal, 1e-9)
+        assert rule.value == rule.evaluate(klein)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_build_rules_matches_build_rule(n):
     """One batched ladder over the seeded simplices of a dimension picks

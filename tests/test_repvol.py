@@ -186,23 +186,22 @@ def test_evaluate_many_matches_evaluate(fig8):
 
 
 def test_dehn_paths_solve_the_complete_structure_once(monkeypatch):
-    """Every dehn3d path of one triangulation starts from the complete
-    structure solved for the first; scans on later paths give the volumes
-    of a path built on a fresh copy of the triangulation, exactly."""
+    """A dehn3d path starts its continuation at (omega, omega) without a
+    separate solve of the complete structure, and keeps nothing on the
+    triangulation: scans on later paths give the volumes of a path built
+    on a fresh copy of the triangulation, exactly."""
     tri = figure_eight_triangulation()
-    solve = repvol_mod.solve_gluing_equations
     calls = []
     monkeypatch.setattr(repvol_mod, "solve_gluing_equations",
-                        lambda *args, **kwargs: calls.append(args[1]) or solve(*args, **kwargs))
+                        lambda *args, **kwargs: calls.append(args[1]))
     scans = [scan_path(generate_path("dehn3d", {"triangulation": tri, "filling": f}), tri, 5, seed=3)
              for f in ((5, 1), (-5, 1), (3, 2))]
-    assert calls == ["complete"]
     fresh = figure_eight_triangulation()
     assert fresh == tri
     alone = scan_path(generate_path("dehn3d", {"triangulation": fresh, "filling": (3, 2)}),
                       fresh, 5, seed=3)
     assert [v for _, v, _ in scans[-1].samples] == [v for _, v, _ in alone.samples]
-    assert calls == ["complete", "complete"]
+    assert calls == []
 
 
 # --- peripheral classification ------------------------------------------------
@@ -766,15 +765,40 @@ def test_gluing_complete_log_holonomies_vanish(fig8):
     assert max(abs(h) for h in sol.log_holonomies) <= 1e-10
 
 
+@pytest.mark.parametrize("init", [(0.5 + 0.8j, 0.5 + 0.8j), (0.4 + 1.1j, 0.6 + 0.7j),
+                                  (0.1 + 0.2j, 0.9 + 0.3j), (2 + 3j, -1 + 0.5j),
+                                  (0.5 + 2j, 0.5 + 2j)])
+def test_complete_structure_is_the_cusp_equation_u_zero(fig8, init):
+    """The complete structure is cut by u = 0 on the principal-log
+    meridian holonomy; from each start Newton reaches (omega, omega)."""
+    tri, _ = fig8
+    sol = solve_gluing_equations(tri, "complete", init)
+    assert np.max(np.abs(np.subtract(sol.shapes, np.exp(1j * np.pi / 3)))) <= 1e-9
+    assert max(abs(h) for h in sol.log_holonomies) <= 1e-10
+
+
+def test_continuation_meridian_is_a_principal_log_combination(fig8):
+    """Along a continuation the meridian holonomy u is the combination
+    of principal logarithms of its rows, with no multiple of 2 pi i."""
+    tri, _ = fig8
+    solve = generate_path("dehn3d", {"triangulation": tri, "filling": (5, 1)}).meta["solver"]
+    for t in np.linspace(0.0, 1.0, 21):
+        sol = solve(float(t))
+        z1, z2 = sol.shapes
+        u = -np.log(z1) + np.log(1 - z1) + np.log(z2) - np.log(1 - z2)
+        assert abs(sol.log_holonomies[0] - u) <= 1e-12
+
+
 def test_gluing_jacobian_matches_finite_differences(rng):
     for _ in range(5):
         z = rng.normal(size=2) + 1j * rng.uniform(0.2, 2.0, size=2)
-        _, jac = _fig8_log_equations(*z)
+        jac = np.array(_fig8_log_equations(*z)[1])
         h = 1e-6
         for k in range(2):
             dz = np.zeros(2, dtype=complex)
             dz[k] = h
-            fd = (_fig8_log_equations(*(z + dz))[0] - _fig8_log_equations(*(z - dz))[0]) / (2 * h)
+            fd = np.subtract(_fig8_log_equations(*(z + dz))[0],
+                             _fig8_log_equations(*(z - dz))[0]) / (2 * h)
             assert np.max(np.abs(fd - jac[:, k])) <= 1e-7 * max(1.0, np.max(np.abs(jac)))
 
 
@@ -815,6 +839,15 @@ def test_gluing_rejects_real_line_shapes(fig8):
     tri, _ = fig8
     with pytest.raises(GluingError):
         solve_gluing_equations(tri, "complete", (0.5, 0.5 + 0.8j))
+
+
+@pytest.mark.parametrize("filling", [(float("nan"), 1), (1, float("inf")), (0, 0)])
+def test_dehn_path_refuses_a_filling_not_finite_or_zero(fig8, filling):
+    """A NaN cusp residual would pass Newton's max-abs test and leave
+    every sample at the complete structure; (0, 0) has no cusp equation."""
+    tri, _ = fig8
+    with pytest.raises(GluingError, match=r"filling must be finite and not \(0, 0\)"):
+        generate_path("dehn3d", {"triangulation": tri, "filling": filling})
 
 
 def test_gluing_filled_volume_decreases(fig8):
