@@ -67,31 +67,24 @@ _VERTEX_KINDS = {"material": LorentzVector.material, "ideal": LorentzVector.idea
 def _parse_simplex(data, where: str) -> GeodesicSimplex:
     """The simplex of a JSON object {"vertices": [{"kind", "coords"}, ...]}
     with kind "material" or "ideal"."""
-    if not isinstance(data, dict) or not isinstance(data.get("vertices"), list):
-        raise ValueError(f"{where}: missing 'vertices' list")
+    check_schema(data, {"dim?": int, "vertices": [{"kind": str, "coords": [float]}]}, where)
     verts = []
     for i, v in enumerate(data["vertices"]):
-        if not isinstance(v, dict) or "kind" not in v or "coords" not in v:
-            raise ValueError(f"{where}: vertex {i} needs 'kind' and 'coords'")
         if v["kind"] not in _VERTEX_KINDS:
-            raise ValueError(f"{where}: vertex {i} has kind {v['kind']!r}, "
+            raise ValueError(f"{where}.vertices[{i}] has kind {v['kind']!r}, "
                              f"not 'material' or 'ideal'")
-        coords = np.asarray(v["coords"], dtype=float)
-        if coords.ndim != 1:
-            raise ValueError(f"{where}: vertex {i} coords are not a list of numbers")
-        verts.append(_VERTEX_KINDS[v["kind"]](coords))
+        verts.append(_VERTEX_KINDS[v["kind"]](np.asarray(v["coords"], dtype=float)))
     return GeodesicSimplex(verts)
 
 
 def _load_simplex(path: str) -> GeodesicSimplex:
-    return _parse_simplex(json.loads(_resolve(path).read_text()), path)
+    return _parse_simplex(json.loads(_resolve(path).read_text()), f"{path}: simplex")
 
 
 def _load_family(path: str) -> SimplexFamily:
     data = json.loads(_resolve(path).read_text())
-    if not isinstance(data, dict) or "times" not in data or "keyframes" not in data:
-        raise ValueError(f"{path}: a family needs 'times' and 'keyframes'")
-    keyframes = [_parse_simplex(frame, f"{path} keyframe {k}")
+    check_schema(data, {"times": [float], "keyframes": [dict]}, f"{path}: family")
+    keyframes = [_parse_simplex(frame, f"{path}: keyframes[{k}]")
                  for k, frame in enumerate(data["keyframes"])]
     return SimplexFamily.from_keyframes(data["times"], keyframes)
 
@@ -314,6 +307,15 @@ def _positive(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type for sample counts: a positive integer, or a usage
+    error (exit 2) naming the flag."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hypvol")
     ap.add_argument("--format", choices=["json", "csv"], default="json")
@@ -333,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.set_defaults(fn=_cmd_simplex_angle)
     s = ssub.add_parser("schlafli")
     s.add_argument("--family", required=True)
-    s.add_argument("--samples", type=int, default=5)
+    s.add_argument("--samples", type=_positive_int, default=5)
     s.add_argument("--h", type=_positive, default=1e-4)
     s.add_argument("--tol", type=_positive, default=1e-5)
     s.add_argument("--truncated", action="store_true")

@@ -39,7 +39,8 @@ __all__ = [
 ]
 
 FORM_TOL = 1e-10
-MATERIAL_TOL = 1e-12
+# from_klein lifts a point with |k|^2 within this of 1 to the light cone
+_KLEIN_BOUNDARY_TOL = 1e-12
 IDEAL_EQ_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
 
@@ -291,9 +292,9 @@ def model_convert(x: LorentzVector, target: str):
     raise LorentzError(f"unknown target model {target!r}")
 
 
-def from_klein(k: np.ndarray, boundary_tol: float = 1e-12) -> LorentzVector:
+def from_klein(k: np.ndarray) -> LorentzVector:
     """Lift a Klein-model point to the hyperboloid (or the light cone if
-    it lies on the unit sphere within boundary_tol).
+    it lies on the unit sphere within _KLEIN_BOUNDARY_TOL).
 
     The ball check is the whole validation: the lift of a finite point
     of the closed ball is a point of its kind by construction, so it is
@@ -306,9 +307,9 @@ def from_klein(k: np.ndarray, boundary_tol: float = 1e-12) -> LorentzVector:
     r2 = float(k @ k)
     if not math.isfinite(r2):
         raise LorentzError(f"Klein coordinates are not finite: {k.tolist()}")
-    if r2 > 1.0 + boundary_tol:
+    if r2 > 1.0 + _KLEIN_BOUNDARY_TOL:
         raise LorentzError(f"Klein point outside the closed ball: |k|^2={r2}")
-    if r2 >= 1.0 - boundary_tol:
+    if r2 >= 1.0 - _KLEIN_BOUNDARY_TOL:
         c = np.concatenate(([1.0], k / np.sqrt(r2)))
         c[0] = math.sqrt(c[1:] @ c[1:])
         return LorentzVector._trusted(c, Kind.IDEAL)

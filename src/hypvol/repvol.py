@@ -42,10 +42,8 @@ from .simplex import (  # noqa: F401
     tangent_angles,
 )
 from .triangulation import (
-    CycleReport,
     LabeledTriangulation,
     TriangulationError,
-    _perm_parity,
     check_cycle,
     peripheral_words,
 )
@@ -478,74 +476,42 @@ def build_developing_assignment(rho: Representation, tri: LabeledTriangulation,
 _CYCLE_TOL = 1e-6
 
 
-def _max_abs_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(..., k, l) max-abs distances between the rows of stacks a
-    (..., k, m) and b (..., l, m)."""
-    return np.abs(a[..., :, None, :] - b[..., None, :, :]).max(axis=-1)
-
-
 def _developed_cycles(stack: _VertexStack, tri: LabeledTriangulation,
-                      word_matrix: Callable[[str], np.ndarray]) -> list[CycleReport]:
+                      word_matrix: Callable[[str], np.ndarray]) -> np.ndarray:
     """Relaxed cycle check of a triangulation with face pairings, for S
     developings at once: stack (S, N) holds the N developed simplices of
     each sample, and word_matrix gives the (S, m, m) images of a pairing
-    word.  Each pairing word must carry the developed points of the
-    source face onto those of the target face with canceling
-    orientation.  Degenerate simplices (_VertexStack.degenerate) are
-    degenerate chains and drop out, matching the degenerate-tolerant
-    volume convention."""
-    rows = stack.rows
-    v = rows.shape[-2]
-    apart = (~stack.degenerate).tolist()
-    close = []  # per pairing: (S, m - 1, m - 1) lists, moved source against target points
-    for p in tri.pairings:
-        moved = np.delete(rows[:, p.src] @ np.swapaxes(word_matrix(p.word), -1, -2),
-                          p.src_face, axis=-2)
-        dst_pts = np.delete(rows[:, p.dst], p.dst_face, axis=-2)
-        close.append((_max_abs_distances(moved / moved[..., :1], dst_pts) <= _CYCLE_TOL).tolist())
-    return [_matched_pairings(tri, v, apart_k, [c[k] for c in close])
-            for k, apart_k in enumerate(apart)]
+    word.  Returns the (S,) failure counts, 0 where a sample is a cycle.
 
-
-def _matched_pairings(tri: LabeledTriangulation, v: int, apart: Sequence[bool],
-                      close: Sequence) -> CycleReport:
-    """The cycle report of one developing of simplices with v vertices,
-    from whether each simplex has distinct developed points and, per
-    pairing, which moved source point meets which target point."""
-    need = {(i, f) for i, ok in enumerate(apart) if ok for f in range(v)}
-    used = set()
-    failures = []
-    for p, hits_by_point in zip(tri.pairings, close):
-        src_key, dst_key = (p.src, p.src_face), (p.dst, p.dst_face)
-        if src_key not in need or dst_key not in need:
-            continue  # pairing on a degenerate simplex: nothing to cancel
-        if src_key in used or dst_key in used:
-            failures.append(f"face reused by pairing {p}")
-            continue
-        perm = []  # target point index of each moved source point
-        for hits in hits_by_point:
-            hit = next((j for j, ok in enumerate(hits) if ok and j not in perm), None)
-            if hit is None:
-                break
-            perm.append(hit)
-        if len(perm) < len(hits_by_point):
-            failures.append(f"pairing {p}: word does not carry the source "
-                            "face onto the target face at tolerance")
-            continue
-        c_src = tri.simplices[p.src].sign * (-1) ** p.src_face
-        c_dst = tri.simplices[p.dst].sign * (-1) ** p.dst_face
-        if c_src + c_dst * _perm_parity(perm) != 0:
-            failures.append(f"pairing {p}: orientations do not cancel")
-            continue
-        used.add(src_key)
-        used.add(dst_key)
-    unmatched = tuple(
-        {"face": tri.simplices[i].slots[:f] + tri.simplices[i].slots[f + 1:],
-         "coefficient": tri.simplices[i].sign * (-1) ** f,
-         "from_simplex": (tri.simplices[i].slots, f)}
-        for i, f in sorted(need - used)) + tuple(
-        {"face": (), "coefficient": 0, "from_simplex": msg} for msg in failures)
-    return CycleReport(is_cycle=not unmatched, unmatched=unmatched)
+    A pairing holds when its word carries each source-face point within
+    _CYCLE_TOL of its nearest target-face point, those targets are
+    distinct, and their permutation cancels the orientations.  A pairing
+    on a degenerate simplex (_VertexStack.degenerate) drops out, as in
+    the degenerate-tolerant volume convention.  The count is the
+    nondegenerate faces not covered exactly once by holding pairings,
+    plus the other pairings that fail."""
+    rows, apart = stack.rows, ~stack.degenerate  # (S, N, v, m), (S, N)
+    count, v, m = apart.shape[0], rows.shape[-2], rows.shape[-1]
+    src, src_face, dst, dst_face = np.array([(p.src, p.src_face, p.dst, p.dst_face)
+                                             for p in tri.pairings], dtype=int).reshape(-1, 4).T
+    # the (S, P, m, m) transposed word images, and the face omitting each vertex
+    images_t = np.array([word_matrix(p.word) for p in tri.pairings]).reshape(
+        -1, count, m, m).transpose(1, 0, 3, 2)
+    faces = np.array([[j for j in range(v) if j != f] for f in range(v)], dtype=int)
+    moved = rows[:, src[:, None], faces[src_face]] @ images_t  # (S, P, v - 1, m)
+    moved /= moved[..., :1]
+    target = rows[:, dst[:, None], faces[dst_face]]
+    dist = np.abs(moved[..., :, None, :] - target[..., None, :, :]).max(-1)
+    # a repeated nearest target makes the one-hot matrix singular: det 0 fails the signs
+    sgn = np.linalg.det((dist.argmin(-1)[..., None] == np.arange(v - 1)).astype(float))
+    coef = np.array([s.sign for s in tri.simplices])[:, None] * (-1) ** np.arange(v)
+    active = apart[:, src] & apart[:, dst]
+    holds = (active & (dist.min(-1) <= _CYCLE_TOL).all(-1)
+             & (coef[src, src_face] + coef[dst, dst_face] * sgn == 0))
+    cover = np.zeros(rows.shape[:-1], dtype=int)  # (S, N, v) holding pairings per face
+    np.add.at(cover, (np.arange(count)[:, None], np.concatenate([src, dst]),
+                      np.concatenate([src_face, dst_face])), np.concatenate([holds, holds], 1))
+    return ((cover != 1) & apart[..., None]).sum((1, 2)) + (active & ~holds).sum(1)
 
 
 def _validate_cycle(rho: Representation, tri: LabeledTriangulation,
@@ -566,12 +532,13 @@ def _require_cycles(tri: LabeledTriangulation, stack: _VertexStack,
     (stack and word_matrix as for _developed_cycles): through its face
     pairings on the developed simplices when it has them, by check_cycle
     otherwise."""
-    reports = ([check_cycle(tri)] if tri.pairings is None
-               else _developed_cycles(stack, tri, word_matrix))
-    for report in reports:
-        if not report.is_cycle:
+    counts = ([len(check_cycle(tri).unmatched)] if tri.pairings is None
+              else _developed_cycles(stack, tri, word_matrix).tolist())
+    for k, count in enumerate(counts):
+        if count:
+            where = f"sample {k}: " if len(counts) > 1 else ""
             raise TriangulationError(
-                f"triangulation is not a cycle: {len(report.unmatched)} unmatched faces")
+                f"{where}triangulation is not a cycle: {count} unmatched faces")
 
 
 def representation_volume(rho: Representation, tri: LabeledTriangulation,
@@ -779,13 +746,16 @@ def scan_path(path: DeformationPath, tri: LabeledTriangulation, n_samples: int,
     The representations come from one path.evaluate_many call.  Their
     cusps are classified once for all samples and they are developed
     together (_develop_samples, with the developing retries of
-    build_developing_assignment per sample), cycle-checked in one
-    _developed_cycles pass and measured in one _stack_volumes call, so
-    each sample gets the classifications and the volume that
-    classify_peripheral, build_developing_assignment and
-    representation_volume give it.  A failing check raises at its stage,
-    so when several samples fail, the error of the earliest stage is
-    raised; a cusp that fixes nothing names the first such sample.
+    build_developing_assignment per sample), cycle-checked in one array
+    pass over samples x pairings (_developed_cycles) and measured in one
+    _stack_volumes call, so each sample gets the classifications and the
+    volume that classify_peripheral, build_developing_assignment and
+    representation_volume give it.  Only the dehn3d Newton continuation
+    runs sample by sample.  A failing check raises at its stage, so when
+    several samples fail, the error of the earliest stage is raised; a
+    cusp that fixes nothing and a developing that is not a cycle
+    ("sample k: triangulation is not a cycle") name the first such
+    sample.
     """
     if n_samples < 3:
         raise RepvolError("need at least 3 samples")

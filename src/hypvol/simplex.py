@@ -190,10 +190,10 @@ def _degeneracy_scales(klein: np.ndarray) -> np.ndarray:
     return np.sqrt((centred * centred).sum(axis=-1)).max(axis=-1)
 
 
-def _is_degenerate(det, scale, dim: int, threshold: float = DEGENERACY_THRESHOLD):
-    """|det| below threshold * scale^dim, elementwise over stacks of
-    determinants and degeneracy scales."""
-    return np.abs(det) < threshold * np.maximum(scale, 1e-30) ** dim
+def _is_degenerate(det, scale, dim: int):
+    """|det| below DEGENERACY_THRESHOLD * scale^dim, elementwise over
+    stacks of determinants and degeneracy scales."""
+    return np.abs(det) < DEGENERACY_THRESHOLD * np.maximum(scale, 1e-30) ** dim
 
 
 @dataclass(frozen=True, eq=False)
@@ -926,6 +926,9 @@ class SimplexFamily:
         from scipy.interpolate import CubicSpline
 
         times = np.asarray(times, dtype=float)
+        if len(keyframes) < 2 or len(keyframes) != len(times):
+            raise SimplexError(f"a keyframe family needs one keyframe per time, at least two; "
+                               f"got {len(keyframes)} keyframes for {len(times)} times")
         kinds = keyframes[0].kinds
         for s in keyframes:
             if s.kinds != kinds:

@@ -243,6 +243,29 @@ def test_simplex_schlafli_command(run, fixdir):
     assert json.loads(out)["max_residual"] <= 1e-5
 
 
+_FRAME = {"vertices": [{"kind": "material", "coords": c}
+                      for c in [[1.0, 0.0, 0.0], [1.25, 0.75, 0.0], [1.25, 0.0, 0.75]]]}
+
+
+@pytest.mark.parametrize("frames, message", [
+    ({"times": [0.0, 1.0], "keyframes": []}, "got 0 keyframes for 2 times"),
+    ({"times": [0.0, 0.5, 1.0], "keyframes": [_FRAME] * 2}, "got 2 keyframes for 3 times"),
+    ({"times": [0.0, True], "keyframes": [_FRAME] * 2},
+     "bad_family.json: family.times[1] must be a number, not bool"),
+], ids=["no-keyframes", "count-differs-from-times", "boolean-time"])
+def test_simplex_schlafli_bad_family_exit_2(fixdir, monkeypatch, capsys, frames, message):
+    """A family needs a number per time and one keyframe per time, at
+    least two; otherwise it exits 2 with a message naming the entry or
+    both counts."""
+    monkeypatch.setenv("HYPVOL_FIXTURES", str(fixdir))
+    (fixdir / "bad_family.json").write_text(json.dumps(frames))
+    code = main(["--no-timestamp", "simplex", "schlafli", "--family", "bad_family.json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err
+
+
 def test_console_script_entrypoint(fixdir):
     # the child imports the same hypvol as this test, installed or not
     src = str(Path(hypvol.__file__).resolve().parents[1])
@@ -271,21 +294,28 @@ MATERIAL_TET = [[1.0, 0.0, 0.0, 0.0], [1.5, 1.118033988749895, 0.0, 0.0],
                 [1.5, 0.0, 1.118033988749895, 0.0], [1.5, 0.0, 0.0, 1.118033988749895]]
 
 
-@pytest.mark.parametrize("simplex, extra", [
+@pytest.mark.parametrize("simplex, extra, message", [
     ({"vertices": [{"kind": "Material", "coords": [1, 1, 0, 0]}]
-      + [{"kind": "material", "coords": c} for c in MATERIAL_TET[1:]]}, ()),
-    ({"verts": []}, ()),
+      + [{"kind": "material", "coords": c} for c in MATERIAL_TET[1:]]}, (),
+     "simplex.vertices[0] has kind 'Material'"),
+    ({"verts": []}, (), "simplex has no 'vertices'"),
     ({"vertices": [{"kind": "material", "coords": c} for c in MATERIAL_TET]},
-     ("--tol", "1e-20")),
-    ({"vertices": 5}, ()),
-    ({"vertices": [{"kind": "material", "coords": None}]}, ()),
+     ("--tol", "1e-20"), "requested tolerance 1e-20"),
+    ({"vertices": 5}, (), "simplex.vertices must be a list"),
+    ({"vertices": [{"kind": "material", "coords": None}]}, (),
+     "simplex.vertices[0].coords must be a list"),
     ({"vertices": [{"kind": "ideal", "coords": [float("nan"), 0, 1]}]
-      + [{"kind": "ideal", "coords": [1, -0.5, s * 0.8660254037844386]} for s in (1, -1)]}, ()),
+      + [{"kind": "ideal", "coords": [1, -0.5, s * 0.8660254037844386]} for s in (1, -1)]}, (),
+     "not finite"),
     ({"vertices": [{"kind": "material", "coords": [float("nan"), 0, 0]}]
-      + [{"kind": "ideal", "coords": [1, -0.5, s * 0.8660254037844386]} for s in (1, -1)]}, ()),
+      + [{"kind": "ideal", "coords": [1, -0.5, s * 0.8660254037844386]} for s in (1, -1)]}, (),
+     "not finite"),
+    ({"vertices": [{"kind": "ideal", "coords": [1, True, 0]}]
+      + [{"kind": "ideal", "coords": [1, -0.5, s * 0.8660254037844386]} for s in (1, -1)]}, (),
+     "simplex.vertices[0].coords[1] must be a number, not bool"),
 ], ids=["unknown-kind", "missing-vertices", "unreachable-tol", "vertices-not-list",
-        "coords-not-list", "ideal-nan-x0", "material-nan-x0"])
-def test_simplex_vol_bad_input_exit_2(fixdir, monkeypatch, capsys, simplex, extra):
+        "coords-not-list", "ideal-nan-x0", "material-nan-x0", "boolean-coordinate"])
+def test_simplex_vol_bad_input_exit_2(fixdir, monkeypatch, capsys, simplex, extra, message):
     monkeypatch.setenv("HYPVOL_FIXTURES", str(fixdir))
     (fixdir / "bad_simplex.json").write_text(json.dumps(simplex))
     code = main(["--no-timestamp", "simplex", "vol", "--simplex", "bad_simplex.json",
@@ -294,6 +324,7 @@ def test_simplex_vol_bad_input_exit_2(fixdir, monkeypatch, capsys, simplex, extr
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert message in captured.err
 
 
 @pytest.mark.parametrize("spec", [
@@ -376,15 +407,16 @@ _REP = ("--tri", "fig8.json", "--rep", "fig8_geometric.json")
     (("simplex", "vol", "--simplex", "tet.json"), "--tol"),
     (("simplex", "schlafli", "--family", "family.json"), "--tol"),
     (("simplex", "schlafli", "--family", "family.json"), "--h"),
+    (("simplex", "schlafli", "--family", "family.json"), "--samples"),
     (("tri", "solve", "--tri", "fig8.json"), "--tol"),
     (("rep", "classify", *_REP), "--tol"),
     (("rep", "vol", *_REP), "--tol"),
     (("path", "scan", "--path", "path.json", "--tri", "fig8.json"), "--tol"),
-], ids=["simplex-vol", "schlafli-tol", "schlafli-h", "tri-solve", "rep-classify", "rep-vol",
-        "path-scan"])
+], ids=["simplex-vol", "schlafli-tol", "schlafli-h", "schlafli-samples", "tri-solve",
+        "rep-classify", "rep-vol", "path-scan"])
 def test_tolerance_not_positive_finite_exit_2(fixdir, monkeypatch, capsys, argv, flag, value):
-    """--tol and --h are refused at parsing, before any input is read or
-    any work is done, with a usage error naming the flag."""
+    """--tol, --h and --samples are refused at parsing, before any input
+    is read or any work is done, with a usage error naming the flag."""
     monkeypatch.setenv("HYPVOL_FIXTURES", str(fixdir))
     with pytest.raises(SystemExit) as exc:
         main(["--no-timestamp", *argv, f"{flag}={value}"])

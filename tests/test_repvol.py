@@ -429,9 +429,7 @@ def test_scan_resamples_a_degenerate_sample_on_its_own(fig8, monkeypatch):
     sub, make_path = _scan_case("conjugation, material vertex", fig8, None)
     # judged degenerate below a tenth of scale^3, seed 0's first draw
     # degenerates a simplex of the first sample only
-    is_degenerate = simplex_mod._is_degenerate
-    monkeypatch.setattr(simplex_mod, "_is_degenerate",
-                        lambda det, scale, dim: is_degenerate(det, scale, dim, 0.1))
+    monkeypatch.setattr(simplex_mod, "DEGENERACY_THRESHOLD", 0.1)
     draws = []
     point_sampler = repvol_mod._point_sampler
 
@@ -469,8 +467,7 @@ import numpy as np
 from hypvol import repvol, simplex
 from hypvol.fixtures import suspension_4d
 
-is_degenerate = simplex._is_degenerate
-simplex._is_degenerate = lambda det, scale, dim: is_degenerate(det, scale, dim, 1e-3)
+simplex.DEGENERACY_THRESHOLD = 1e-3
 rounds = []
 develop_points = repvol._develop_points
 repvol._develop_points = lambda tri, points, word_matrix: (

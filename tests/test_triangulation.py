@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from hypvol.fixtures import (
     torus_boundary_2d,
     torus_boundary_3d,
 )
-from hypvol.repvol import representation_volume
+from hypvol.repvol import (_develop_samples, _developed_cycles, _require_cycles,
+                           generate_path, representation_volume, scan_path)
 from hypvol.triangulation import (
     Cusp,
     FacePairing,
@@ -246,6 +248,83 @@ def test_relaxed_check_detects_broken_pairing():
     rho, asg = _fig8_developed(bad)
     with pytest.raises(TriangulationError, match="not a cycle"):
         representation_volume(rho, bad, asg)
+
+
+def _fig8_pairings_mutated(how):
+    """The figure-eight fixture with one of its face pairings broken."""
+    tri = figure_eight_triangulation()
+    pairs = list(tri.pairings)
+    p = pairs[1]  # the face omitting vertex 0 of simplex 0 onto simplex 1's, by "a B A"
+    if how == "dropped":
+        del pairs[1]
+    elif how == "face reused":
+        pairs.append(p)
+    elif how == "face reused by a failing pairing":
+        pairs.append(FacePairing(p.src, p.src_face, p.dst, p.dst_face, "a b"))
+    elif how == "src and dst swapped":
+        pairs[1] = FacePairing(p.dst, p.dst_face, p.src, p.src_face, p.word)
+    elif how == "wrong face":
+        pairs[1] = FacePairing(p.src, p.src_face, p.dst, 2, p.word)
+    return replace(tri, pairings=tuple(pairs))
+
+
+def _dehn_stack(tri, filling=(5, 1)):
+    """The 11-sample developed stack of a dehn3d scan and its word images."""
+    path = generate_path("dehn3d", {"triangulation": tri, "filling": filling})
+    _, _, _, stack, word_matrix = _develop_samples(
+        path.evaluate_many(np.linspace(0.0, 1.0, 11)), tri, 0, "prefer_ideal")
+    return stack, word_matrix
+
+
+_PAIRING_FAULTS = ["dropped", "face reused", "face reused by a failing pairing",
+                   "src and dst swapped", "wrong face"]
+
+
+@pytest.mark.parametrize("how", _PAIRING_FAULTS)
+def test_relaxed_check_detects_a_broken_pairing_on_one_developing(how):
+    bad = _fig8_pairings_mutated(how)
+    rho, asg = _fig8_developed(bad)
+    with pytest.raises(TriangulationError, match="^triangulation is not a cycle"):
+        representation_volume(rho, bad, asg)
+
+
+@pytest.mark.parametrize("how", _PAIRING_FAULTS)
+def test_relaxed_check_detects_a_broken_pairing_on_every_scan_sample(how):
+    bad = _fig8_pairings_mutated(how)
+    stack, word_matrix = _dehn_stack(bad)
+    assert (_developed_cycles(stack, bad, word_matrix) > 0).all()
+    path = generate_path("dehn3d", {"triangulation": bad, "filling": (5, 1)})
+    with pytest.raises(TriangulationError, match="^sample 0: triangulation is not a cycle"):
+        scan_path(path, bad, 11)
+
+
+@pytest.mark.parametrize("filling", [(5, 1), (-5, 1)])
+def test_shipped_pairings_hold_on_every_scan_sample(filling):
+    tri = figure_eight_triangulation()
+    stack, word_matrix = _dehn_stack(tri, filling)
+    assert _developed_cycles(stack, tri, word_matrix).tolist() == [0] * 11
+
+
+def test_relaxed_check_names_the_one_failing_sample():
+    """A pairing word whose image at sample 7 alone is turned by 1e-3
+    carries each point to the same nearest target, with the same
+    orientation, but farther than the cycle tolerance: the check fails
+    at sample 7 alone, and the error names that sample."""
+    tri = figure_eight_triangulation()
+    stack, word_matrix = _dehn_stack(tri)
+    turn = np.eye(4)
+    turn[1:3, 1:3] = [[np.cos(1e-3), -np.sin(1e-3)], [np.sin(1e-3), np.cos(1e-3)]]
+
+    def broken_at_7(word):
+        W = np.array(word_matrix(word))
+        if word == tri.pairings[3].word:
+            W[7] = turn @ W[7]
+        return W
+
+    assert _developed_cycles(stack, tri, broken_at_7).astype(bool).tolist() == [
+        k == 7 for k in range(11)]
+    with pytest.raises(TriangulationError, match="^sample 7: triangulation is not a cycle"):
+        _require_cycles(tri, stack, broken_at_7)
 
 
 # --- coning ---------------------------------------------------------------------
