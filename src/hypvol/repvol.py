@@ -36,6 +36,8 @@ from .lorentz import (
 # perfbench/tracing.py wraps hypvol.repvol.signed_volume by name
 from .simplex import (  # noqa: F401
     GeodesicSimplex,
+    _check_keyframe_time,
+    _keyframe_times,
     _stack_volumes,
     _VertexStack,
     signed_volume,
@@ -269,7 +271,7 @@ def _classify_cusp(cusp_id: str, images: Sequence[np.ndarray],
 class DevelopingAssignment:
     """Values of the equivariant map on orbit vertices: slot (v, w)
     develops to rho(w) applied to points[v].  `stack` holds the vertex
-    rows, determinants and degeneracy scales of the triangulation's
+    rows, determinants and degeneracy flags of the triangulation's
     simplices developed once, in its order, as one _VertexStack (built
     from `slots`, each simplex's slots, and `vertices`, the developed
     point of each distinct slot)."""
@@ -548,7 +550,7 @@ def representation_volume(rho: Representation, tri: LabeledTriangulation,
     their cycle signs; degenerate developed simplices contribute zero.
 
     The volumes come from one _stack_volumes call on the assignment's
-    stack: its determinants and degeneracy scales, closed forms
+    stack: its determinants and degeneracy flags, closed forms
     evaluated together, and every simplex that needs cubature in one
     batched build_rules ladder.  The value does not depend on the seed
     or fixed-point choices of the assignment (tested, not assumed).
@@ -679,15 +681,14 @@ def _keyframes_path(presentation, times: Sequence[float],
                     keyframes: Sequence[Mapping[str, np.ndarray]]) -> DeformationPath:
     from scipy.interpolate import CubicSpline
 
-    times = np.asarray(times, dtype=float)
-    if len(keyframes) < 2 or len(keyframes) != len(times):
-        raise RepvolError("a keyframes path needs one keyframe per time, at least two")
+    times = _keyframe_times(times, len(keyframes), "a keyframes path", RepvolError)
     gens = list(keyframes[0])
     reps = [check_representation(presentation, imgs) for imgs in keyframes]
     data = {g: np.array([r.images[g].matrix for r in reps]) for g in gens}
     splines = {g: CubicSpline(times, data[g], axis=0) for g in gens}
 
     def ev(t: float) -> Representation:
+        _check_keyframe_time(t, times, RepvolError)
         images = {g: Isometry(minkowski_gram_schmidt(splines[g](t))) for g in gens}
         return check_representation(presentation, images, tol=PATH_RELATOR_TOL)
 
@@ -700,7 +701,8 @@ def generate_path(kind: str, params: Mapping) -> DeformationPath:
     kinds: "conjugation" (base, direction: so(n,1) matrix),
     "twist2d" (base, generator, direction: so(2,1) matrix or a word whose
     image's logarithm is used, boundary_words guarded non-elliptic),
-    "keyframes" (presentation, times, keyframes), and "dehn3d"
+    "keyframes" (presentation, finite and strictly increasing times,
+    keyframes; a t outside [times[0], times[-1]] is refused), and "dehn3d"
     (triangulation with gluing data, filling (p, q), samples) which pulls
     shapes along a filling-coefficient segment from the complete
     structure and reconstitutes the holonomy per sample.

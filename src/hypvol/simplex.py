@@ -3,17 +3,22 @@ dihedral angles, codimension-2 face measures, horoball-truncated edge
 lengths, and one-parameter families.
 
 Simplices are measured as stacks of their vertex rows (`_VertexStack`):
-one determinant call, one degeneracy-scale call and one `_stack_volumes`
-call serve the whole stack, and a single simplex is a stack of one,
-cached on it next to its Klein-homogeneous vertex matrix.  All facet
-normals of a stack come from one batched SVD, and all dihedral angles
-from those normals in one pass (`dihedral_angles`).  The triangular
-faces of a 4-simplex are measured together by Gauss-Bonnet from the
-angles between side tangents (`triangle_areas`).  Every 3-simplex takes
-a closed-form volume with no facet normals: an all-ideal one from the
-cross-ratio of its vertices through the Bloch-Wigner dilogarithm
-(`bloch_wigner`), any other from its signed orthoschemes through
-Lobachevsky's formula (`_orthoscheme_arguments`)."""
+one determinant call and one `_stack_volumes` call serve the whole
+stack, and degeneracy scales are reduced only for the simplices whose
+determinant alone does not settle the degeneracy test.  A single
+simplex is a stack of one, cached on it next to its Klein-homogeneous
+vertex matrix, and costs one determinant and a few array calls of glue.
+Every 2-simplex takes its area from its stacked determinant and the
+differences of its Klein vertices (`_triangle_volumes`), with no facet
+normals.  All facet normals of a stack come from one batched SVD, and
+all dihedral angles from those normals in one pass (`dihedral_angles`).
+The triangular faces of a 4-simplex are measured together by
+Gauss-Bonnet from the angles between side tangents (`triangle_areas`).
+Every 3-simplex takes a closed-form volume with no facet normals: an
+all-ideal one from the cross-ratio of its vertices through the
+Bloch-Wigner dilogarithm (`bloch_wigner`), any other from its signed
+orthoschemes through Lobachevsky's formula
+(`_orthoscheme_arguments`)."""
 
 from __future__ import annotations
 
@@ -109,7 +114,7 @@ class GeodesicSimplex:
     def _stacked(cls, vertices: Sequence[LorentzVector], stack: "_VertexStack") -> "GeodesicSimplex":
         """A simplex built through __init__ whose stack of one is the
         slice `stack` (shape (1,)) of a larger _VertexStack, so that its
-        vertex matrix, determinant and degeneracy scale are read-only
+        vertex matrix, determinant and degeneracy flag are read-only
         views of that stack."""
         simplex = cls(vertices)
         simplex.__dict__.update(_vertex_matrix=stack.rows[0], _stack=stack)
@@ -125,7 +130,8 @@ class GeodesicSimplex:
 
     @functools.cached_property
     def _vertex_matrix(self) -> np.ndarray:
-        M = np.array([v.coords / v.coords[0] for v in self.vertices])
+        coords = np.array([v.coords for v in self.vertices])
+        M = coords / coords[:, :1]
         M.setflags(write=False)
         return M
 
@@ -190,30 +196,39 @@ def _degeneracy_scales(klein: np.ndarray) -> np.ndarray:
     return np.sqrt((centred * centred).sum(axis=-1)).max(axis=-1)
 
 
-def _is_degenerate(det, scale, dim: int):
-    """|det| below DEGENERACY_THRESHOLD * scale^dim, elementwise over
-    stacks of determinants and degeneracy scales."""
-    return np.abs(det) < DEGENERACY_THRESHOLD * np.maximum(scale, 1e-30) ** dim
+def _is_degenerate(rows: np.ndarray, dets: np.ndarray) -> np.ndarray:
+    """|det| below DEGENERACY_THRESHOLD * scale^n (_degeneracy_scales),
+    elementwise over a stack (..., n+1, n+1) of x_0 = 1 vertex rows and
+    its determinants.  Every Klein vertex lies within 2 of the centroid,
+    so scale < 2 and |det| >= DEGENERACY_THRESHOLD * 2^n decides alone;
+    scales are computed only for the remaining candidates."""
+    n = rows.shape[-1] - 1
+    size = np.abs(dets)
+    degenerate = size < DEGENERACY_THRESHOLD * 2.0 ** n
+    if degenerate.any():
+        scales = _degeneracy_scales(rows[degenerate][..., 1:])
+        degenerate[degenerate] = (size[degenerate]
+                                  < DEGENERACY_THRESHOLD * np.maximum(scales, 1e-30) ** n)
+    return degenerate
 
 
 @dataclass(frozen=True, eq=False)
 class _VertexStack:
     """A stack (..., n+1, n+1) of simplices' x_0 = 1 vertex rows with their
     ideal-vertex masks (..., n+1), and the per-simplex geometry computed
-    once for the whole stack: determinants (orientation), degeneracy
-    scales and, from both, the relative degeneracy test.  Indexing over
-    the leading axes gives the stack of the selected simplices."""
+    once for the whole stack: determinants (orientation) and, from them,
+    the relative degeneracy test (_is_degenerate).  Indexing over the
+    leading axes gives the stack of the selected simplices."""
 
     rows: np.ndarray
     ideal: np.ndarray
     dets: np.ndarray
-    scales: np.ndarray
     degenerate: np.ndarray
 
     @classmethod
     def of(cls, rows: np.ndarray, ideal: np.ndarray) -> "_VertexStack":
-        dets, scales = np.linalg.det(rows), _degeneracy_scales(rows[..., 1:])
-        return cls(rows, ideal, dets, scales, _is_degenerate(dets, scales, rows.shape[-1] - 1))
+        dets = np.linalg.det(rows)
+        return cls(rows, ideal, dets, _is_degenerate(rows, dets))
 
     @classmethod
     def of_simplices(cls, simplices: Sequence[GeodesicSimplex]) -> "_VertexStack":
@@ -223,7 +238,7 @@ class _VertexStack:
 
     def __getitem__(self, index) -> "_VertexStack":
         return _VertexStack(self.rows[index], self.ideal[index], self.dets[index],
-                            self.scales[index], self.degenerate[index])
+                            self.degenerate[index])
 
 
 def _zeta_even(count: int) -> np.ndarray:
@@ -254,18 +269,15 @@ def lobachevsky(theta):
     t^{2k+1} / pi^{2k}; with |t/pi| <= 1/2 the terms decay at least as
     4^{-k}, so 40 terms leave a tail below 1e-13.  The series is one
     product of the powers (t/pi)^{2k}, k < 40, with the coefficients,
-    for any array shape at once.
+    for any array shape at once; a float gives a float.
     """
     t = np.asarray(theta, dtype=float)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    t = t - np.pi * np.round(t / np.pi)
-    nz = np.abs(t) > 1e-300
+    t = t - np.pi * np.rint(t / np.pi)
     ratio = (t / np.pi) ** 2
     series = (ratio[..., None] ** _LOB_POWERS) @ _LOB_COEFF
-    log2t = np.log(np.where(nz, np.abs(2.0 * t), 1.0))
-    out = np.where(nz, t - t * log2t + t * ratio * series, 0.0)
-    return float(out[0]) if scalar else out
+    # t log|2t| -> 0 as t -> 0: the logarithm of 1 stands in at t = 0
+    out = t - t * np.log(np.abs(2.0 * t) + (t == 0.0)) + t * ratio * series
+    return out if out.ndim else float(out)
 
 
 def bloch_wigner(z: complex) -> float:
@@ -456,17 +468,17 @@ def numeric_volume(simplex: GeodesicSimplex, tol: float = 1e-9) -> float:
     return build_rule(simplex.klein(), simplex.ideal_mask(), tol).value
 
 
-def _ideal_cross_ratio(vertex_matrix: np.ndarray) -> complex:
+def _ideal_cross_ratio(rows: list) -> complex:
     """Cross-ratio [p0 p2][p1 p3] / ([p0 p3][p1 p2]) of four ideal points
-    given as x_0 = 1 rows of R^{3,1}, [p q] = p_0 q_1 - p_1 q_0 on
-    spinors.
+    given as x_0 = 1 rows of R^{3,1} (a list of four lists), [p q] =
+    p_0 q_1 - p_1 q_0 on spinors.
 
     The spinor p of a lightlike v satisfies p p^* = [[v0 + v3, v1 + i v2],
     [v1 - i v2, v0 - v3]]; it is read off the larger diagonal entry, so
     that a point at (1, 0, 0, -1) is as well conditioned as any other.
     Phases and scales of the spinors cancel in the ratio."""
     spinors = []
-    for _, x, y, w in vertex_matrix.tolist():
+    for _, x, y, w in rows:
         if w >= 0.0:
             a = math.sqrt(1.0 + w)
             spinors.append((a, complex(x, -y) / a))
@@ -481,10 +493,30 @@ def _ideal_cross_ratio(vertex_matrix: np.ndarray) -> complex:
     return bracket(0, 2) * bracket(1, 3) / (bracket(0, 3) * bracket(1, 2))
 
 
-def _angle_defects(theta: np.ndarray) -> np.ndarray:
-    """pi minus the angles at vertices 0, 1, 2 (0 at ideal ones), from
-    dihedral angle matrices (..., 3, 3) of 2-simplices."""
-    return np.pi - theta[..., [1, 0, 0], [2, 2, 1]].sum(axis=-1)
+# The vertex pairs opposite vertices 0, 1 and 2 of a triangle.
+_TRIANGLE_SIDES = np.array([[1, 0, 0], [2, 2, 1]])
+
+
+def _triangle_volumes(rows: np.ndarray, ideal: np.ndarray, dets: np.ndarray) -> np.ndarray:
+    """Unsigned areas of a flat stack (S, 3, 3) of nondegenerate
+    2-simplices, given their x_0 = 1 rows, ideal masks (S, 3) and
+    determinants (S,):
+        2 atan2(|det V|, w0 w1 w2 + w0 m12 + w1 m02 + w2 m01),
+    the hyperbolic form of Eriksson's solid-angle formula, with
+    w_i = sqrt(u_i), u_i = 1 - |k_i|^2 (0 at an ideal vertex), and
+    m_jk = 1 - k_j.k_k for Klein vertices k, so that w_i w_j w_k det V is
+    the determinant of the unit hyperboloid points and -m_jk / (w_j w_k)
+    their Minkowski products.  m_jk is taken as (|k_j - k_k|^2 + u_j +
+    u_k) / 2, which does not cancel when k_j and k_k are close; every
+    term of the denominator is nonnegative, and it is 0 exactly on the
+    ideal triangle, whose area is then pi.  Both atan2 arguments are
+    doubled, which is exact."""
+    k = rows[..., 1:]
+    u = np.where(ideal, 0.0, 1.0 - np.einsum("...ik,...ik->...i", k, k))
+    d = k[..., _TRIANGLE_SIDES[0], :] - k[..., _TRIANGLE_SIDES[1], :]
+    m2 = np.einsum("...ik,...ik->...i", d, d) + u[..., _TRIANGLE_SIDES[0]] + u[..., _TRIANGLE_SIDES[1]]
+    w = np.sqrt(u)
+    return 2.0 * np.arctan2(2.0 * np.abs(dets), 2.0 * w.prod(axis=-1) + (w * m2).sum(axis=-1))
 
 
 # The weights of the seven Lobachevsky terms of an orthoscheme volume
@@ -494,18 +526,6 @@ def _angle_defects(theta: np.ndarray) -> np.ndarray:
 # tetrahedra and collapsing pieces included.
 _ORTHOSCHEME_WEIGHTS = np.array([1.0, -1.0, 1.0, -1.0, -1.0, 1.0, 2.0]) / 4.0
 _ORTHOSCHEME_BOUND = 1e-12
-
-
-def _sub(x, y):
-    return (x[0] - y[0], x[1] - y[1], x[2] - y[2])
-
-
-def _dot(x, y) -> float:
-    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
-
-
-def _cross(x, y):
-    return (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0])
 
 
 def _orthoscheme_arguments(rows: list, ideal: list, args: list, signs: list) -> None:
@@ -551,26 +571,36 @@ def _orthoscheme_arguments(rows: list, ideal: list, args: list, signs: list) -> 
     so E lies on P's side of Q when alpha < 0, and tanh |EP| =
     |beta| sqrt l / |<alpha P + beta Q, P>|."""
     k = [r[1:] for r in rows]
-    u = [0.0 if flag else 1.0 - _dot(x, x) for x, flag in zip(k, ideal)]
+    u = [0.0 if flag else 1.0 - (x * x + y * y + z * z) for (x, y, z), flag in zip(k, ideal)]
     apex = u.index(max(u))
     face = [i for i in range(4) if i != apex]
-    A, p0 = k[apex], k[face[0]]
-    c = _cross(_sub(k[face[1]], p0), _sub(k[face[2]], p0))
-    cp = _dot(c, p0)
-    norm = math.sqrt((_dot(c, c) - cp * cp) * u[apex])
-    sinh_a = abs(_dot(c, _sub(A, p0))) / norm
+    ax, ay, az = k[apex]
+    ox, oy, oz = k[face[0]]
+    # c = (k1 - k0) x (k2 - k0) over the face's vertices k0, k1, k2
+    fx, fy, fz = k[face[1]][0] - ox, k[face[1]][1] - oy, k[face[1]][2] - oz
+    gx, gy, gz = k[face[2]][0] - ox, k[face[2]][1] - oy, k[face[2]][2] - oz
+    cx, cy, cz = fy * gz - fz * gy, fz * gx - fx * gz, fx * gy - fy * gx
+    cp = cx * ox + cy * oy + cz * oz
+    norm = math.sqrt((cx * cx + cy * cy + cz * cz - cp * cp) * u[apex])
+    sinh_a = abs(cx * (ax - ox) + cy * (ay - oy) + cz * (az - oz)) / norm
     cosh_a = math.sqrt(1.0 + sinh_a * sinh_a)
     tanh_a = sinh_a / cosh_a
     for P, Q in ((face[0], face[1]), (face[1], face[2]), (face[2], face[0])):
-        p, q = k[P], k[Q]
-        d, ap, aq = _sub(q, p), _sub(A, p), _sub(A, q)
-        pd, pxd = _dot(p, d), _cross(p, d)
-        sqrt_l = math.sqrt(_dot(d, d) - _dot(pxd, pxd))
-        c_o = _cross(d, ap)
-        n_o = _dot(c, c_o) - cp * _dot(c_o, p)
+        px, py, pz = k[P]
+        qx, qy, qz = k[Q]
+        dx, dy, dz = qx - px, qy - py, qz - pz
+        apx, apy, apz = ax - px, ay - py, az - pz
+        aqx, aqy, aqz = ax - qx, ay - qy, az - qz
+        pd = px * dx + py * dy + pz * dz
+        # p x d, and c_O = d x (A - p)
+        sx, sy, sz = py * dz - pz * dy, pz * dx - px * dz, px * dy - py * dx
+        sqrt_l = math.sqrt(dx * dx + dy * dy + dz * dz - (sx * sx + sy * sy + sz * sz))
+        ex, ey, ez = dy * apz - dz * apy, dz * apx - dx * apz, dx * apy - dy * apx
+        n_o = cx * ex + cy * ey + cz * ez - cp * (ex * px + ey * py + ez * pz)
         sinh_b = abs(n_o) / (cosh_a * norm * sqrt_l)
-        alpha = u[Q] * _dot(aq, d) + _dot(q, aq) * _dot(q, d)
-        beta = -(u[P] * _dot(ap, d) + _dot(p, ap) * pd)
+        alpha = (u[Q] * (aqx * dx + aqy * dy + aqz * dz)
+                 + (qx * aqx + qy * aqy + qz * aqz) * (qx * dx + qy * dy + qz * dz))
+        beta = -(u[P] * (apx * dx + apy * dy + apz * dz) + (px * apx + py * apy + pz * apz) * pd)
         g_pq = pd - u[P]
         tanh_p = 1.0 if ideal[P] else abs(beta) * sqrt_l / abs(beta * g_pq - alpha * u[P])
         tanh_q = 1.0 if ideal[Q] else abs(alpha) * sqrt_l / abs(alpha * g_pq - beta * u[Q])
@@ -588,88 +618,86 @@ def _orthoscheme_arguments(rows: list, ideal: list, args: list, signs: list) -> 
             signs.append(-side if coeff > 0 else side)
 
 
-def _tetrahedron_volumes(rows: np.ndarray, ideal: np.ndarray, tol: float,
-                         index: Sequence[int]) -> list[float]:
+def _tetrahedron_volumes(rows: np.ndarray, ideal: np.ndarray, tol: float) -> np.ndarray:
     """Unsigned volumes of a flat stack (S, 4, 4) of nondegenerate
     3-simplices with their ideal masks (S, 4): the all-ideal ones take
     the Bloch-Wigner dilogarithm of their cross-ratios, every other one
     its orthoscheme decomposition (_orthoscheme_arguments), all of whose
     pieces go through one Lobachevsky evaluation.  The decomposition's
     error bound is _ORTHOSCHEME_BOUND; a tol below it raises
-    IntegrationError naming the first such simplex by its `index`."""
-    cusped = ideal.all(axis=-1).tolist()
-    out = [0.0] * len(cusped)
-    idx = [i for i, c in enumerate(cusped) if c]
-    if idx:
-        sel = slice(None) if len(idx) == len(out) else idx
-        for i, v in zip(idx, np.abs(_bloch_wigner_many(
-                [_ideal_cross_ratio(r) for r in rows[sel]])).tolist()):
+    IntegrationError naming the first such simplex by its index in the
+    stack."""
+    rows_list, ideal_list = rows.tolist(), ideal.tolist()
+    out = [0.0] * len(rows_list)
+    cusped = [i for i, flags in enumerate(ideal_list) if all(flags)]
+    if cusped:
+        for i, v in zip(cusped, np.abs(_bloch_wigner_many(
+                [_ideal_cross_ratio(rows_list[i]) for i in cusped])).tolist()):
             out[i] = v
-    idx = [i for i, c in enumerate(cusped) if not c]
+    idx = [i for i, flags in enumerate(ideal_list) if not all(flags)]
     if idx:
         args: list = []
         signs: list = []
-        rows_list, ideal_list = rows.tolist(), ideal.tolist()
         for i in idx:
             _orthoscheme_arguments(rows_list[i], ideal_list[i], args, signs)
-        pieces = lobachevsky(np.array(args).reshape(-1, 6, 7)) @ _ORTHOSCHEME_WEIGHTS
-        vols = np.abs((pieces * np.array(signs).reshape(-1, 6)).sum(axis=-1)).tolist()
+        pieces = lobachevsky(np.array(args, dtype=float).reshape(-1, 6, 7)) @ _ORTHOSCHEME_WEIGHTS
+        vols = np.abs((pieces * np.array(signs, dtype=float).reshape(-1, 6)).sum(axis=-1)).tolist()
         if tol < _ORTHOSCHEME_BOUND:
             raise IntegrationError(
                 f"requested tolerance {tol} is below what double precision reaches "
                 f"here (estimate {vols[0]}, bound {_ORTHOSCHEME_BOUND})",
-                vols[0], _ORTHOSCHEME_BOUND, index[idx[0]])
+                vols[0], _ORTHOSCHEME_BOUND, idx[0])
         for i, v in zip(idx, vols):
             out[i] = v
-    return out
+    return np.array(out)
 
 
 def _closed_form(n: int) -> bool:
     """Whether n-simplices take a closed-form volume: every 2-simplex
-    (the angle defect) and every 3-simplex (Bloch-Wigner of the
-    cross-ratio when all-ideal, signed orthoschemes otherwise), and no
-    simplex of n >= 4, which cubature integrates."""
+    (its area from the determinant, _triangle_volumes) and every
+    3-simplex (Bloch-Wigner of the cross-ratio when all-ideal, signed
+    orthoschemes otherwise), and no simplex of n >= 4, which cubature
+    integrates."""
     return n <= 3
 
 
 def _stack_volumes(stack: _VertexStack, tol: float = 1e-9,
                    rule: Optional[VolumeRule] = None) -> np.ndarray:
     """Signed volumes of a stack of same-dimension simplices, shaped like
-    its leading axes: degenerate simplices give 0, 2-simplices the angle
-    defect from one batched facet-normal pass, 3-simplices their closed
-    forms (_tetrahedron_volumes: one Lobachevsky evaluation for the
-    Bloch-Wigner dilogarithms of the all-ideal ones and one for the
-    orthoschemes of the rest), and every simplex of n >= 4 is integrated
-    in one build_rules batch, or, given a `rule` frozen on a simplex of
-    the same dimension and vertex kinds, by that rule re-applied in one
-    evaluation (so the values vary analytically along vertex paths).
-    A route that takes the whole stack reads it as it is.  Each volume v
-    is signed as v if det > 0 else -v.  An IntegrationError (a tol below
-    what the route reaches) names the failing simplex's index in the
-    flattened stack; the angle defect and Bloch-Wigner ignore tol."""
+    its leading axes: degenerate simplices give 0, 2-simplices their
+    areas from the stack's determinants (_triangle_volumes), 3-simplices
+    their closed forms (_tetrahedron_volumes: one Lobachevsky evaluation
+    for the Bloch-Wigner dilogarithms of the all-ideal ones and one for
+    the orthoschemes of the rest), and every simplex of n >= 4 is
+    integrated in one build_rules batch, or, given a `rule` frozen on a
+    simplex of the same dimension and vertex kinds, by that rule
+    re-applied in one evaluation (so the values vary analytically along
+    vertex paths).  A route that takes the whole stack reads it as it
+    is.  Every route gives v >= 0, and each volume takes the sign of its
+    simplex's det.  An IntegrationError (a tol below what the route
+    reaches) names the failing simplex's index in the flattened stack;
+    the triangle area and Bloch-Wigner ignore tol."""
     n = stack.rows.shape[-1] - 1
-    rows = stack.rows.reshape(-1, n + 1, n + 1)
-    ideal = stack.ideal.reshape(-1, n + 1)
-    dets = stack.dets.ravel().tolist()
-    idx = [i for i, degenerate in enumerate(stack.degenerate.ravel().tolist()) if not degenerate]
-    vols = [0.0] * len(dets)
-    if not idx:
-        return np.array(vols).reshape(stack.dets.shape)
-    sel = slice(None) if len(idx) == len(dets) else idx
-    if n == 2:
-        v = _angle_defects(_angles_from_normals(_stacked_face_normals(rows[sel]), ideal[sel])).tolist()
-    elif _closed_form(n):
-        v = _tetrahedron_volumes(rows[sel], ideal[sel], tol, idx)
-    elif rule is not None:
-        v = rule.evaluate(rows[sel][..., 1:]).tolist()
-    else:
+    dets = stack.dets.reshape(-1)
+    live = (~stack.degenerate.reshape(-1)).nonzero()[0]
+    vols = np.zeros(len(dets))
+    if len(live):
+        sel = slice(None) if len(live) == len(dets) else live
+        rows, ideal = stack.rows.reshape(-1, n + 1, n + 1)[sel], stack.ideal.reshape(-1, n + 1)[sel]
+        dets_live = dets[sel]
         try:
-            v = [r.value for r in build_rules(rows[sel][..., 1:], ideal[sel].tolist(), tol)]
+            if n == 2:
+                v = _triangle_volumes(rows, ideal, dets_live)
+            elif _closed_form(n):
+                v = _tetrahedron_volumes(rows, ideal, tol)
+            elif rule is not None:
+                v = rule.evaluate(rows[..., 1:])
+            else:
+                v = np.array([r.value for r in build_rules(rows[..., 1:], ideal.tolist(), tol)])
         except IntegrationError as exc:
-            raise IntegrationError(exc.reason, exc.best, exc.bound, idx[exc.simplex]) from exc
-    for i, x in zip(idx, v):
-        vols[i] = x if dets[i] > 0 else -x
-    return np.array(vols).reshape(stack.dets.shape)
+            raise IntegrationError(exc.reason, exc.best, exc.bound, int(live[exc.simplex])) from exc
+        vols[sel] = np.copysign(v, dets_live)
+    return vols.reshape(stack.dets.shape)
 
 
 def signed_volumes(simplices: Sequence[GeodesicSimplex], tol: float = 1e-9) -> list[float]:
@@ -704,11 +732,11 @@ def signed_volume(simplex: GeodesicSimplex, tol: float = 1e-9) -> float:
     """Signed hyperbolic volume; sign is the orientation of the vertex
     tuple (odd permutations flip it), degenerate simplices give 0.
 
-    Closed forms are used for n=2 (angle defect) and n=3 (Bloch-Wigner
-    of the cross-ratio when all-ideal, signed orthoschemes otherwise);
-    n >= 4 integrates numerically at tol.  A tol below what the route
-    reaches raises IntegrationError, except on the angle defect and
-    Bloch-Wigner, which ignore it.  _stack_volumes on the simplex's
+    Closed forms are used for n=2 (the area from the determinant) and
+    n=3 (Bloch-Wigner of the cross-ratio when all-ideal, signed
+    orthoschemes otherwise); n >= 4 integrates numerically at tol.  A
+    tol below what the route reaches raises IntegrationError, except on
+    triangles and Bloch-Wigner, which ignore it.  _stack_volumes on the simplex's
     stack of one.
     """
     return float(_stack_volumes(simplex._stack, tol)[0])
@@ -883,6 +911,28 @@ def truncated_edge_length(simplex: GeodesicSimplex, edge: tuple[int, int],
     return float(np.log(val))
 
 
+def _keyframe_times(times: Sequence[float], count: int, what: str, error: type) -> np.ndarray:
+    """The times of `what`, a keyframe family or path with `count`
+    keyframes, as an array; `error` unless there is one time per
+    keyframe, at least two, and the times are finite and strictly
+    increasing."""
+    times = np.asarray(times, dtype=float)
+    if count < 2 or count != len(times):
+        raise error(f"{what} needs one keyframe per time, at least two; "
+                    f"got {count} keyframes for {len(times)} times")
+    if not (np.isfinite(times).all() and (np.diff(times) > 0).all()):
+        raise error(f"{what} needs finite, strictly increasing times; got times {times.tolist()}")
+    return times
+
+
+def _check_keyframe_time(t: float, times: np.ndarray, error: type) -> None:
+    """`error` unless t lies in [times[0], times[-1]]: a keyframe spline
+    is not extrapolated."""
+    if not times[0] <= t <= times[-1]:
+        raise error(f"t = {t} lies outside the keyframe times "
+                    f"[{times[0]}, {times[-1]}]")
+
+
 class SimplexFamily:
     """A one-parameter family t in [0,1] -> GeodesicSimplex whose vertex
     kinds are constant in t (checked on every evaluation).
@@ -922,13 +972,12 @@ class SimplexFamily:
                        keyframes: Sequence[GeodesicSimplex]) -> "SimplexFamily":
         """C^1 family through keyframe simplices: cubic spline on raw
         coordinates, re-normalized to the hyperboloid / light cone per
-        slot."""
+        slot.  The times must be finite and strictly increasing, and the
+        family refuses any t outside [times[0], times[-1]] rather than
+        extrapolate."""
         from scipy.interpolate import CubicSpline
 
-        times = np.asarray(times, dtype=float)
-        if len(keyframes) < 2 or len(keyframes) != len(times):
-            raise SimplexError(f"a keyframe family needs one keyframe per time, at least two; "
-                               f"got {len(keyframes)} keyframes for {len(times)} times")
+        times = _keyframe_times(times, len(keyframes), "a keyframe family", SimplexError)
         kinds = keyframes[0].kinds
         for s in keyframes:
             if s.kinds != kinds:
@@ -937,6 +986,7 @@ class SimplexFamily:
         spline = CubicSpline(times, data, axis=0)
 
         def fn(t: float) -> GeodesicSimplex:
+            _check_keyframe_time(t, times, SimplexError)
             M = spline(t)
             verts = []
             for row, kind in zip(M, kinds):

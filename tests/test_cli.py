@@ -132,6 +132,27 @@ def test_path_scan_keyframes_over_the_triangulation_presentation(run, fixdir):
     assert json.loads(out)["verdict"] == "Constant"
 
 
+@pytest.mark.parametrize("times, message", [
+    ([0, 0], "strictly increasing times; got times [0.0, 0.0]"),
+    ([0, 0.5], "lies outside the keyframe times [0.0, 0.5]"),
+], ids=["equal-times", "samples-past-the-last-time"])
+def test_path_scan_keyframes_bad_times_exit_2(fixdir, monkeypatch, capsys, times, message):
+    """A keyframes path refuses times that are not strictly increasing,
+    and a scan over [0, 1] refuses to sample past its last keyframe."""
+    monkeypatch.setenv("HYPVOL_FIXTURES", str(fixdir))
+    rep = check_representation(figure_eight_triangulation().presentation,
+                               figure_eight_geometric_images())
+    frame = {g: im.matrix.tolist() for g, im in rep.images.items()}
+    spec = {"kind": "keyframes", "params": {"times": times, "keyframes": [frame, frame]}}
+    (fixdir / "bad_keyframes.json").write_text(json.dumps(spec))
+    code = main(["--no-timestamp", "path", "scan", "--path", "bad_keyframes.json",
+                 "--tri", "fig8.json", "--samples", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err
+
+
 def test_path_scan_dehn_expect_constant_fails(run, fixdir):
     spec = {"kind": "dehn3d", "params": {"filling": [5, 1], "steps": 12}}
     (fixdir / "dehn.json").write_text(json.dumps(spec))
@@ -252,11 +273,23 @@ _FRAME = {"vertices": [{"kind": "material", "coords": c}
     ({"times": [0.0, 0.5, 1.0], "keyframes": [_FRAME] * 2}, "got 2 keyframes for 3 times"),
     ({"times": [0.0, True], "keyframes": [_FRAME] * 2},
      "bad_family.json: family.times[1] must be a number, not bool"),
-], ids=["no-keyframes", "count-differs-from-times", "boolean-time"])
+    ({"times": [0.0, 0.0], "keyframes": [_FRAME] * 2},
+     "strictly increasing times; got times [0.0, 0.0]"),
+    ({"times": [1.0, 0.0], "keyframes": [_FRAME] * 2},
+     "strictly increasing times; got times [1.0, 0.0]"),
+    ({"times": [0.0, float("inf")], "keyframes": [_FRAME] * 2},
+     "strictly increasing times; got times [0.0, inf]"),
+    ({"times": [0.0, 0.5], "keyframes": [_FRAME] * 2},
+     "lies outside the keyframe times [0.0, 0.5]"),
+], ids=["no-keyframes", "count-differs-from-times", "boolean-time", "equal-times",
+        "decreasing-times", "time-not-finite", "samples-past-the-last-time"])
 def test_simplex_schlafli_bad_family_exit_2(fixdir, monkeypatch, capsys, frames, message):
-    """A family needs a number per time and one keyframe per time, at
-    least two; otherwise it exits 2 with a message naming the entry or
-    both counts."""
+    """A family needs a number per time, finite and strictly increasing
+    times and one keyframe per time, at least two; and `simplex schlafli`
+    samples t in [0, 1], which the keyframe times must cover, as a family
+    refuses t past its last time rather than extrapolate.  Otherwise it
+    exits 2 with a message naming the entry, both counts, the times or
+    their range."""
     monkeypatch.setenv("HYPVOL_FIXTURES", str(fixdir))
     (fixdir / "bad_family.json").write_text(json.dumps(frames))
     code = main(["--no-timestamp", "simplex", "schlafli", "--family", "bad_family.json"])

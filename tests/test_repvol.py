@@ -539,10 +539,12 @@ def test_suspension4_batched_volumes_match_per_simplex(suspension4_rho, seed):
 
 def test_stack_reproduces_per_simplex_predicates(suspension4_rho, fig8):
     """On the suspension's developing seeds 0-3 and on the subdivided
-    figure-eight of criterion 6, each stacked determinant and degeneracy
-    scale equals that of the developed simplex computed on its own, so
-    the relative is_degenerate test, which developing, the cycle check
-    and the volumes share, decides as it does per simplex."""
+    figure-eight of criterion 6, each stacked determinant equals that of
+    the developed simplex computed on its own, and each stacked
+    degeneracy flag equals the relative test |det| < threshold * scale^n
+    on that simplex's own degeneracy scale, so the is_degenerate test,
+    which developing, the cycle check and the volumes share, decides as
+    it does per simplex."""
     tri, rho = fig8
     sub = subdivide_at_material_vertex(tri, 0)
     cases = ([(suspension4_rho, suspension_4d(), seed) for seed in range(4)]
@@ -558,21 +560,22 @@ def test_stack_reproduces_per_simplex_predicates(suspension4_rho, fig8):
             scale = _degeneracy_scales(alone.klein())
             assert np.array_equal(stack.rows[k], alone.vertex_matrix())
             assert stack.dets[k] == det and dev.orientation_det() == det
-            assert stack.scales[k] == scale
+            relative = abs(det) < simplex_mod.DEGENERACY_THRESHOLD * max(scale, 1e-30) ** tri.dim
+            assert degenerate[k] == relative
             assert degenerate[k] == alone.is_degenerate() == dev.is_degenerate()
             assert stack.ideal[k].tolist() == list(alone.ideal_mask())
 
 
 def test_developed_simplices_share_the_stack(suspension4_rho):
     """Every developed simplex reads its vertex matrix, determinant and
-    degeneracy scale as read-only views of its slice of the assignment's
+    degeneracy flag as read-only views of its slice of the assignment's
     stack."""
     asg = build_developing_assignment(suspension4_rho, suspension_4d(), seed=0)
     assert not asg.stack.rows.flags.writeable
     for k, dev in enumerate(asg.simplices):
         assert np.shares_memory(dev.vertex_matrix(), asg.stack.rows[k])
         assert np.shares_memory(dev._stack.dets, asg.stack.dets[k:k + 1])
-        assert np.shares_memory(dev._stack.scales, asg.stack.scales[k:k + 1])
+        assert np.shares_memory(dev._stack.degenerate, asg.stack.degenerate[k:k + 1])
 
 
 def test_combinatorial_cycle_checked_once_per_triangulation(suspension4_rho, monkeypatch):

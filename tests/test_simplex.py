@@ -221,8 +221,8 @@ def test_stacked_ideal_tet_volumes_equal_signed_volume(rng):
 
 
 def test_stacked_angle_defects_equal_signed_volume(rng):
-    # the stacked angle defect of 2-simplices against the one-simplex
-    # route, exactly, with ideal vertices and a degenerate triangle
+    # the stacked areas of 2-simplices against the one-simplex route,
+    # exactly, with ideal vertices and a degenerate triangle
     tris = [random_simplex(rng, 2, k % 4) for k in range(40)] + [ideal_triangle()]
     flat = GeodesicSimplex([from_klein(np.array([x, 0.5 * x])) for x in (-0.4, 0.1, 0.6)])
     assert flat.is_degenerate()
@@ -232,6 +232,120 @@ def test_stacked_angle_defects_equal_signed_volume(rng):
     stacked = simplex_mod._stack_volumes(stack)
     assert stacked.tolist() == [signed_volume(t) for t in tris]
     assert stacked[-1] == 0.0
+
+
+def _mp_triangle_area(rows, ideal):
+    """pi minus the angles at the material vertices of the triangle with
+    x_0 = 1 rows `rows`, at 40 digits: the angle at x between the sides
+    toward u and w is that between the tangents u - (<x,u>/<x,x>) x."""
+    def mink(a, b):
+        return -a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+    with mpmath.workdps(40):
+        V = [[mpmath.mpf(float(c)) for c in row] for row in rows]
+        area = mpmath.pi
+        for i in range(3):
+            if ideal[i]:
+                continue
+            x = V[i]
+            t = [[u[c] - mink(x, u) / mink(x, x) * x[c] for c in range(3)]
+                 for u in (V[(i + 1) % 3], V[(i + 2) % 3])]
+            area -= mpmath.acos(mink(t[0], t[1]) / mpmath.sqrt(mink(t[0], t[0]) * mink(t[1], t[1])))
+        return float(area)
+
+
+def test_triangle_area_against_mpmath_angle_sum(rng):
+    """The determinant route for n=2 against a 40-digit angle sum, on
+    triangles with 0-3 ideal vertices and material vertices out to Klein
+    radius 0.999, on small triangles, and on triangles with two ideal
+    vertices 1e-4 to 1e-2 apart, where 1 - k_j.k_k would cancel."""
+    tris = [random_simplex(rng, 2, k % 4, radius=rng.uniform(0.5, 0.999)) for k in range(200)]
+    for k in range(40):
+        center = 0.95 * rng.uniform(-1, 1, size=2) / np.sqrt(2)
+        tris.append(random_simplex(rng, 2, 0, center=center, diameter=10.0 ** rng.uniform(-4, -1)))
+    for k in range(40):
+        a = rng.uniform(0, 2 * np.pi) + np.array([0.0, 10.0 ** rng.uniform(-4, -2)])
+        third = rng.normal(size=2)
+        third *= (1.0 if k % 2 else rng.uniform(0.5, 0.999)) / np.linalg.norm(third)
+        tris.append(GeodesicSimplex([from_klein(p) for p in
+                                     (*np.column_stack([np.cos(a), np.sin(a)]), third)]))
+    tris.append(ideal_triangle())
+    checked = 0
+    for tri in tris:
+        if tri.is_degenerate():
+            continue
+        ref = _mp_triangle_area(tri.vertex_matrix(), tri.ideal_mask())
+        v = signed_volume(tri)
+        assert np.sign(v) == np.sign(tri.orientation_det())
+        assert abs(abs(v) - ref) <= 1e-13, (tri.ideal_mask(), abs(v), ref)
+        checked += 1
+    assert checked >= 270
+    assert abs(signed_volume(ideal_triangle())) == np.pi
+
+
+def test_triangle_volumes_take_no_facet_normals(rng, monkeypatch):
+    """Triangle areas come from the stack's determinants, through
+    signed_volume and signed_volumes alike; only dihedral angles take
+    facet normals."""
+    tris = [random_simplex(rng, 2, k % 4) for k in range(12)] + [ideal_triangle()]
+    stacked = simplex_mod._stacked_face_normals
+    calls = []
+
+    def no_normals(M):
+        raise AssertionError("a triangle volume used facet normals")
+
+    monkeypatch.setattr(simplex_mod, "_stacked_face_normals", no_normals)
+    vols = simplex_mod.signed_volumes(tris)
+    assert vols == [signed_volume(t) for t in tris]
+    monkeypatch.setattr(simplex_mod, "_stacked_face_normals",
+                        lambda M: calls.append(M.shape) or stacked(M))
+    dihedral_angles(tris[0])
+    assert calls == [(1, 3, 3)]
+
+
+def _thin_simplices(T):
+    """Simplices whose |det| lies 5 % below and 5 % above
+    T * scale^n, T the degeneracy threshold: one vertex at height h over
+    a flat base, with h set from the flat base's degeneracy scale (which
+    h moves by O(h^2)).  Every scale here is below 2, so each |det| is
+    below T * 2^n.  The bases: a short-based triangle (scale 0.5), a
+    triangle on two ideal vertices (scale 7/6) and a tetrahedron."""
+    bases = [np.array([[-0.5, 0.0], [0.5, 0.0], [0.0, 0.0]]),
+             np.array([[1.0, 0.0], [-1.0, 0.0], [-0.5, 0.0]]),
+             np.array([[-0.5, -0.3, 0.0], [0.5, -0.3, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]])]
+    out = []
+    for base in bases:
+        n = base.shape[1]
+        scale = np.max(np.linalg.norm(base - base.mean(axis=0), axis=1))
+        lifted = base.copy()
+        lifted[-1, -1] = 1.0
+        per_height = abs(np.linalg.det(np.column_stack([np.ones(n + 1), lifted])))
+        for factor, degenerate in ((0.95, True), (1.05, False)):
+            pts = base.copy()
+            pts[-1, -1] = factor * T * scale ** n / per_height
+            out.append((GeodesicSimplex([from_klein(k) for k in pts]), degenerate, scale))
+    return out
+
+
+def test_degeneracy_below_the_det_shortcut_reads_the_scale():
+    """|det| >= threshold * 2^n decides nondegeneracy from the
+    determinant alone; below it the degeneracy scale decides.  Simplices
+    just on each side of threshold * scale^n, with scale < 2, are judged
+    by their scale, alike alone and stacked, and their volumes agree."""
+    T = simplex_mod.DEGENERACY_THRESHOLD
+    cases = _thin_simplices(T)
+    for s, degenerate, scale in cases:
+        assert scale < 2 and abs(s.orientation_det()) < T * 2.0 ** s.dim
+        assert s.is_degenerate() == degenerate
+        assert (signed_volume(s) == 0.0) == degenerate
+    for dim in (2, 3):
+        group = [s for s, _, _ in cases if s.dim == dim]
+        # an ordinary simplex in the stack, which the shortcut decides
+        group.append(random_simplex(np.random.default_rng(dim), dim, 1))
+        stack = simplex_mod._VertexStack.of_simplices(group)
+        assert stack.degenerate.tolist() == [s.is_degenerate() for s in group]
+        assert simplex_mod.signed_volumes(group) == [signed_volume(s) for s in group]
+        assert simplex_mod._stack_volumes(stack).tolist() == [signed_volume(s) for s in group]
 
 
 # --- tetrahedra with a material vertex: signed orthoschemes ----------------
@@ -372,8 +486,8 @@ def test_no_tetrahedron_reaches_cubature(rng, monkeypatch):
 
 def test_tetrahedron_tol_below_the_closed_form_bound(rng):
     """A tol below the orthoscheme route's stated bound is refused in
-    cubature's wording, naming the simplex; Bloch-Wigner and the angle
-    defect ignore tol."""
+    cubature's wording, naming the simplex; Bloch-Wigner and the
+    triangle area ignore tol."""
     tet = _mixed_tets(rng, 2, radius=0.9)[1]
     bound = simplex_mod._ORTHOSCHEME_BOUND
     assert signed_volume(tet, bound) == signed_volume(tet)
