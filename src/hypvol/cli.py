@@ -144,9 +144,8 @@ def _cmd_simplex_vol(args) -> int:
 
 def _cmd_simplex_angle(args) -> int:
     s = _load_simplex(args.simplex)
-    i, j = (int(x) for x in args.face.split(","))
-    theta = dihedral_angle(s, (i, j))
-    _emit({"command": "simplex angle", "face": [i, j], "dihedral_angle": theta,
+    theta = dihedral_angle(s, args.face)
+    _emit({"command": "simplex angle", "face": list(args.face), "dihedral_angle": theta,
            "tol": 1e-10}, args)
     return 0
 
@@ -316,6 +315,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _vertex_pair(text: str) -> tuple[int, int]:
+    """An argparse type for --face: two comma-separated integers, or a
+    usage error (exit 2) naming the flag.  Whether they are two distinct
+    vertex indices of the simplex is checked once it is read."""
+    try:
+        i, j = (int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be two comma-separated vertex indices, e.g. 0,1, got {text!r}") from None
+    return i, j
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hypvol")
     ap.add_argument("--format", choices=["json", "csv"], default="json")
@@ -331,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(fn=_cmd_simplex_vol)
     a = ssub.add_parser("angle")
     a.add_argument("--simplex", required=True)
-    a.add_argument("--face", required=True, help="omitted vertex pair, e.g. 0,1")
+    a.add_argument("--face", type=_vertex_pair, required=True, help="omitted vertex pair, e.g. 0,1")
     a.set_defaults(fn=_cmd_simplex_angle)
     s = ssub.add_parser("schlafli")
     s.add_argument("--family", required=True)

@@ -38,10 +38,10 @@ from .simplex import (  # noqa: F401
     GeodesicSimplex,
     _check_keyframe_time,
     _keyframe_times,
+    _stack_dihedral_angles,
     _stack_volumes,
     _VertexStack,
     signed_volume,
-    tangent_angles,
 )
 from .triangulation import (
     LabeledTriangulation,
@@ -571,23 +571,20 @@ def _signed_sum(tri: LabeledTriangulation, vols: Sequence[float]) -> float:
 def toledo_number(rho: Representation, tri: LabeledTriangulation,
                   assignment: DevelopingAssignment) -> float:
     """The 2-dimensional volume of a representation, computed through
-    the angle-sum area formula (pi minus the interior angles, measured
-    between side tangents by tangent_angles) rather than through
-    signed_volume, whose angles come from facet normals; both formulas
-    give one number."""
+    the angle-sum area formula (pi minus the interior angles, all from
+    one _stack_dihedral_angles call on the nondegenerate developed
+    triangles) rather than through signed_volume, whose areas come from
+    Eriksson's determinant formula; both formulas give one number."""
     if tri.dim != 2:
         raise RepvolError("Toledo numbers are 2-dimensional")
     _validate_cycle(rho, tri, assignment)
     stack = assignment.stack
-    total = 0.0
-    for s, dev, degenerate, det in zip(tri.simplices, assignment.simplices,
-                                       stack.degenerate.tolist(), stack.dets.tolist()):
-        if degenerate:
-            continue
-        eps = 1.0 if det > 0 else -1.0
-        angle_sum = float(tangent_angles(dev, [0, 1, 2], [1, 0, 0], [2, 2, 1]).sum())
-        total += s.sign * eps * (np.pi - angle_sum)
-    return total
+    live = ~stack.degenerate
+    angles = _stack_dihedral_angles(stack[live])
+    areas = np.zeros(len(live))
+    areas[live] = np.copysign(np.pi - (angles[:, 1, 2] + angles[:, 0, 2] + angles[:, 0, 1]),
+                              stack.dets[live])
+    return _signed_sum(tri, areas.tolist())
 
 
 def milnor_wood_margin(vol: float, reference_vol: float) -> float:

@@ -8,12 +8,13 @@ stack, and degeneracy scales are reduced only for the simplices whose
 determinant alone does not settle the degeneracy test.  A single
 simplex is a stack of one, cached on it next to its Klein-homogeneous
 vertex matrix, and costs one determinant and a few array calls of glue.
-Every 2-simplex takes its area from its stacked determinant and the
-differences of its Klein vertices (`_triangle_volumes`), with no facet
-normals.  All facet normals of a stack come from one batched SVD, and
-all dihedral angles from those normals in one pass (`dihedral_angles`).
-The triangular faces of a 4-simplex are measured together by
-Gauss-Bonnet from the angles between side tangents (`triangle_areas`).
+Every triangle is measured by one formula, Eriksson's, from the
+differences of its Klein vertices and a numerator (`_triangle_volumes`):
+a 2-simplex passes its stacked determinant, and the ten triangular
+faces of a 4-simplex pass their Gram determinants together
+(`triangle_areas`), with no facet normals.  All facet normals of a
+stack come from one batched inverse of its vertex matrices, and all
+dihedral angles from those normals in one pass (`dihedral_angles`).
 Every 3-simplex takes a closed-form volume with no facet normals: an
 all-ideal one from the cross-ratio of its vertices through the
 Bloch-Wigner dilogarithm (`bloch_wigner`), any other from its signed
@@ -57,7 +58,6 @@ __all__ = [
     "ideal_tet_volume",
     "dihedral_angle",
     "dihedral_angles",
-    "tangent_angles",
     "triangle_areas",
     "face_measure",
     "default_horoballs",
@@ -161,9 +161,15 @@ class GeodesicSimplex:
         sorted pair of omitted vertices; see triangle_areas."""
         faces = list(itertools.combinations(range(5), 2))
         tri = np.array([[k for k in range(5) if k not in face] for face in faces])
-        corners = [tri[:, [0, 1, 2]], tri[:, [1, 0, 0]], tri[:, [2, 2, 1]]]
-        angles = tangent_angles(self, *(c.ravel() for c in corners))
-        return dict(zip(faces, np.pi - angles.reshape(-1, 3).sum(axis=1)))
+        rows, ideal = self._vertex_matrix[tri], np.array(self.ideal_mask())[tri]
+        k0 = rows[:, 0, 1:]
+        e1, e2 = rows[:, 1, 1:] - k0, rows[:, 2, 1:] - k0
+        u0 = np.where(ideal[:, 0], 0.0, 1.0 - (k0 * k0).sum(axis=-1))
+        e11, e22, e12 = (e1 * e1).sum(axis=-1), (e2 * e2).sum(axis=-1), (e1 * e2).sum(axis=-1)
+        c = (e1 * k0).sum(axis=-1)[:, None] * e2 - (e2 * k0).sum(axis=-1)[:, None] * e1
+        # sqrt(det(1 - K K^T)) over the face's Klein rows K
+        sizes = np.sqrt((e11 * e22 - e12 * e12) * u0 + (c * c).sum(axis=-1))
+        return dict(zip(faces, _triangle_volumes(rows, ideal, sizes).tolist()))
 
     def vertex_matrix(self) -> np.ndarray:
         """Rows are x_0 = 1 representatives (Klein-homogeneous); built
@@ -331,34 +337,22 @@ def _half_angle_atan2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                             np.sqrt(np.maximum(_minkowski(s, s), 0.0)))
 
 
-@functools.lru_cache(maxsize=None)
-def _facet_rows(n: int) -> np.ndarray:
-    """(n+1, n) indices, shared read-only: row k lists the vertices of
-    the facet omitting k."""
-    rows = np.array([[j for j in range(n + 1) if j != k] for k in range(n + 1)])
-    rows.setflags(write=False)
-    return rows
-
-
 def _stacked_face_normals(M: np.ndarray) -> np.ndarray:
     """Outward spacelike unit Minkowski normals of all facets of each
     simplex in a stack M (..., n+1, n+1) of x_0 = 1 vertex rows: row k of
     a simplex's normals is the normal of the hyperplane spanned by every
     vertex except k, which sits on its negative side.
 
-    One batched SVD over the stacked (..., n+1, n, n+1) facet rows; the
-    normal is the null vector of each stack entry.  A facet of a
-    nondegenerate simplex always spans a hyperplane, so the caller
-    checks degeneracy first."""
+    One batched inverse: row k of -(M^-1)^T J pairs to -1 with vertex k
+    and to 0 with every other vertex, so it is that normal before
+    scaling, already outward.  A facet of a nondegenerate simplex always
+    spans a hyperplane, so the caller checks degeneracy first."""
     n = M.shape[-1] - 1
-    _, _, vt = np.linalg.svd(M[..., _facet_rows(n), :] * _minkowski_diagonal(n))
-    m = vt[..., -1, :]
+    m = -np.swapaxes(np.linalg.inv(M), -1, -2) * _minkowski_diagonal(n)
     q = _minkowski(m, m)
     if np.any(q <= 0):
         raise DegenerateSimplexError("face normal is not spacelike")
-    m = m / np.sqrt(q)[..., None]
-    m[_minkowski(m, M) > 0] *= -1.0
-    return m
+    return m / np.sqrt(q)[..., None]
 
 
 def _angles_from_normals(m: np.ndarray, ideal: np.ndarray) -> np.ndarray:
@@ -391,10 +385,26 @@ def dihedral_angles(simplex: GeodesicSimplex) -> np.ndarray:
     vertices other than i and j; the diagonal is 0.
 
     The angle is arccos(-<m_i, m_j>) for the outward unit normals of the
-    two facets, all taken from one batched SVD and evaluated together in
-    the stable atan2 form.  For n = 2 the face is a vertex, and the angle
-    at an ideal vertex (tangent sides) is exactly 0."""
+    two facets, all read off the inverse of the vertex matrix
+    (_stacked_face_normals) and evaluated together in the stable atan2
+    form.  For n = 2 the face is a vertex, and the angle at an ideal
+    vertex (tangent sides) is exactly 0."""
     return _stack_dihedral_angles(simplex._stack)[0]
+
+
+def _omitted_pair(simplex: GeodesicSimplex, face) -> tuple[int, int]:
+    """The codimension-2 face `face` of a simplex as its pair (i, j) of
+    omitted vertex indices; SimplexError unless they are two distinct
+    indices in 0..n."""
+    try:
+        i, j = face
+    except (TypeError, ValueError):
+        raise SimplexError(f"face must be a pair of vertex indices, got {face!r}") from None
+    if i == j:
+        raise SimplexError("face must omit two distinct vertices")
+    if not (0 <= i <= simplex.dim and 0 <= j <= simplex.dim):
+        raise SimplexError(f"face indices must lie in 0..{simplex.dim}, got {face}")
+    return i, j
 
 
 def dihedral_angle(simplex: GeodesicSimplex, face: tuple[int, int]) -> float:
@@ -402,59 +412,19 @@ def dihedral_angle(simplex: GeodesicSimplex, face: tuple[int, int]) -> float:
     vertices other than the pair `face` = (i, j) of omitted indices; one
     entry of dihedral_angles.  Exactly 0 at an ideal vertex of a
     2-simplex (tangent sides)."""
-    i, j = face
-    if i == j:
-        raise SimplexError("face must omit two distinct vertices")
-    if not (0 <= i <= simplex.dim and 0 <= j <= simplex.dim):
-        raise SimplexError(f"face indices must lie in 0..{simplex.dim}, got {face}")
-    return float(dihedral_angles(simplex)[i, j])
-
-
-def tangent_angles(simplex: GeodesicSimplex, at, toward_u, toward_w) -> np.ndarray:
-    """Angles at vertices `at` between the geodesic sides toward vertices
-    `toward_u` and `toward_w` (equal-length index sequences); 0 at an
-    ideal vertex.
-
-    The side from x toward u leaves x along the unit tangent
-    t_u = P_x(u - x), P_x the Minkowski projection orthogonal to x, on
-    Klein-homogeneous rows.  Tangents are formed as vectors from the
-    small difference u - x: on a simplex of diameter d, projecting u
-    itself cancels terms of size 1 (errors near eps/d), and taking the
-    tangent inner products from the Gram matrix V J V^T cancels in
-    them (near eps/d^2).  The angle between t_u and t_w uses the stable
-    atan2 form."""
-    at = np.asarray(at)
-    material = ~np.asarray(simplex.ideal_mask())[at]
-    V = simplex.vertex_matrix()
-    x = V[at[material]]
-    xx = _minkowski(x, x)
-
-    def unit_tangent(toward) -> np.ndarray:
-        a = V[np.asarray(toward)[material]] - x
-        t = a - (_minkowski(x, a) / xx)[:, None] * x
-        q = _minkowski(t, t)
-        if np.any(q <= 0):
-            raise DegenerateSimplexError("side of zero length in angle computation")
-        return t / np.sqrt(q)[:, None]
-
-    out = np.zeros(len(at))
-    out[material] = _half_angle_atan2(unit_tangent(toward_u), unit_tangent(toward_w))
-    return out
+    return float(dihedral_angles(simplex)[_omitted_pair(simplex, face)])
 
 
 def triangle_areas(simplex: GeodesicSimplex, faces: Sequence[tuple[int, int]]) -> np.ndarray:
     """Areas of the triangular codimension-2 faces of a 4-simplex, one
-    per omitted vertex pair in `faces`: pi minus the angles at the
-    triangle's material vertices (Gauss-Bonnet).  The areas of all ten
-    faces come from one tangent_angles call, made once per simplex and
-    kept on it."""
+    per omitted vertex pair in `faces`.  All ten come from one
+    _triangle_volumes call on the faces' rows, made once per simplex and
+    kept on it; a face's numerator sqrt(det(1 - K K^T)), K its Klein
+    rows, takes the place of a 2-simplex's |det V|."""
     if simplex.dim != 4:
         raise SimplexError("triangle faces are codimension 2 only in a 4-simplex")
     areas = simplex._triangle_areas
-    try:
-        return np.array([areas[tuple(sorted(face))] for face in faces])
-    except KeyError as exc:
-        raise SimplexError(f"not a pair of distinct vertex indices in 0..4: {exc}") from None
+    return np.array([areas[tuple(sorted(_omitted_pair(simplex, face)))] for face in faces])
 
 
 def numeric_volume(simplex: GeodesicSimplex, tol: float = 1e-9) -> float:
@@ -497,15 +467,17 @@ def _ideal_cross_ratio(rows: list) -> complex:
 _TRIANGLE_SIDES = np.array([[1, 0, 0], [2, 2, 1]])
 
 
-def _triangle_volumes(rows: np.ndarray, ideal: np.ndarray, dets: np.ndarray) -> np.ndarray:
-    """Unsigned areas of a flat stack (S, 3, 3) of nondegenerate
-    2-simplices, given their x_0 = 1 rows, ideal masks (S, 3) and
-    determinants (S,):
-        2 atan2(|det V|, w0 w1 w2 + w0 m12 + w1 m02 + w2 m01),
+def _triangle_volumes(rows: np.ndarray, ideal: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Unsigned areas of a flat stack (S, 3, n+1) of nondegenerate
+    triangles in H^n, given their x_0 = 1 rows, ideal masks (S, 3) and
+    sizes (S,), size^2 = det(1 - K K^T) over a triangle's Klein rows K
+    (1 the all-ones matrix), which is minus the determinant of its
+    Minkowski Gram matrix V J V^T; for n = 2 it is |det V|:
+        2 atan2(size, w0 w1 w2 + w0 m12 + w1 m02 + w2 m01),
     the hyperbolic form of Eriksson's solid-angle formula, with
     w_i = sqrt(u_i), u_i = 1 - |k_i|^2 (0 at an ideal vertex), and
-    m_jk = 1 - k_j.k_k for Klein vertices k, so that w_i w_j w_k det V is
-    the determinant of the unit hyperboloid points and -m_jk / (w_j w_k)
+    m_jk = 1 - k_j.k_k for Klein vertices k, so that w_i w_j w_k size is
+    the Gram volume of the unit hyperboloid points and -m_jk / (w_j w_k)
     their Minkowski products.  m_jk is taken as (|k_j - k_k|^2 + u_j +
     u_k) / 2, which does not cancel when k_j and k_k are close; every
     term of the denominator is nonnegative, and it is 0 exactly on the
@@ -516,7 +488,7 @@ def _triangle_volumes(rows: np.ndarray, ideal: np.ndarray, dets: np.ndarray) -> 
     d = k[..., _TRIANGLE_SIDES[0], :] - k[..., _TRIANGLE_SIDES[1], :]
     m2 = np.einsum("...ik,...ik->...i", d, d) + u[..., _TRIANGLE_SIDES[0]] + u[..., _TRIANGLE_SIDES[1]]
     w = np.sqrt(u)
-    return 2.0 * np.arctan2(2.0 * np.abs(dets), 2.0 * w.prod(axis=-1) + (w * m2).sum(axis=-1))
+    return 2.0 * np.arctan2(2.0 * np.abs(sizes), 2.0 * w.prod(axis=-1) + (w * m2).sum(axis=-1))
 
 
 # The weights of the seven Lobachevsky terms of an orthoscheme volume
@@ -815,7 +787,7 @@ def face_measure(simplex: GeodesicSimplex, face: tuple[int, int], tol: float = 1
     n >= 4 have finite measure.
     """
     n = simplex.dim
-    i, j = face
+    i, j = _omitted_pair(simplex, face)
     keep = [k for k in range(n + 1) if k not in (i, j)]
     verts = simplex.subsimplex(keep)
     if n == 2:

@@ -229,6 +229,19 @@ def test_simplex_angle_at_ideal_vertex_prints_zero(run, fixdir):
     assert code == 2
 
 
+@pytest.mark.parametrize("face", ["0", "0,1,2", "a,b", "0.5,1", "", "0;1"])
+def test_simplex_angle_bad_face_exit_2(fixdir, monkeypatch, capsys, face):
+    """--face is refused at parsing unless it is two comma-separated
+    integers, with a usage error naming the flag."""
+    monkeypatch.setenv("HYPVOL_FIXTURES", str(fixdir))
+    with pytest.raises(SystemExit) as exc:
+        main(["--no-timestamp", "simplex", "angle", "--simplex", "tet.json", f"--face={face}"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "argument --face:" in captured.err and "Traceback" not in captured.err
+
+
 def test_rep_check_command(run):
     code, out = run("--no-timestamp", "rep", "check", "--tri", "fig8.json",
                     "--rep", "fig8_geometric.json")

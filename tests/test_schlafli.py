@@ -141,7 +141,7 @@ def test_schlafli_residual_n4_one_ideal(rng):
 def test_family_derivatives_batches_angles_and_areas(rng, monkeypatch):
     """An n=4 family's derivatives take the dihedral angles of both
     stencil sides (t -+ h) from one batched normal computation, and all
-    face areas from side tangents, never from a span basis."""
+    face areas from Eriksson's formula, never from a span basis."""
     fam = trig_family(rng, 4, n_ideal=1)
     normals, spans = [], []
     stacked, span_basis = simplex_mod._stacked_face_normals, simplex_mod._span_basis
