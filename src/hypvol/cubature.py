@@ -33,7 +33,12 @@ A cell that exhausts the ladder bisects into the next generation with
 half its budget.  Retired cells stay in arrays, and one sort on (owning
 simplex, split path) puts each simplex's cells in depth-first split
 order, so its rule is what building it alone gives; `build_rule` is
-`build_rules` on one simplex.  A frozen
+`build_rules` on one simplex.  The set-up is kept per kind of simplex
+(ideal mask): kinds are numbered from the masks packed into ints, and
+each simplex's base cells are gathered by index from its kind's.  One
+core (`_converge`) runs the ladder for two readers: `build_rules`,
+which builds the VolumeRule objects, and `_rule_values`, which reads
+only their values.  A frozen
 rule re-evaluates its cells grouped by degree through the same kernel,
 on one simplex or on a stack of simplices (one kernel call per degree
 for the whole stack).
@@ -55,8 +60,12 @@ whose entries off the ideal diagonal are positive exactly when no
 material vertex leaves the open ball and no two vertices meet on the
 sphere.  Checking that once per
 simplex keeps every node inside the open ball, and no node value
-cancels.  Cells run in chunks of at most 2^14 cell x node values, so
-peak memory stays flat for large batches.  Every BLAS call the kernel
+cancels.  At an ideal corner a = 0: in a chunk of cells whose corners
+are all ideal, n = 2 and n = 4 form F without the p = sqrt(a e)
+terms, which would add exact zeros, so the values keep their bits in
+fewer passes (cells are not sorted by corner kind).  Cells run in
+chunks of at most 2^14 cell x node values, so peak memory stays flat
+for large batches.  Every BLAS call the kernel
 makes is one cell's product, so a cell's value does not depend on its
 batch, and each is kept below the size at which OpenBLAS starts a
 second thread, so cubature runs on one core.
@@ -394,6 +403,10 @@ def _face_sums(frames, n: int, degrees: tuple) -> np.ndarray:
 
         F_2 = 1 / (h sqrt(e)),   F_4 = (h + p) / (3 h^2 e sqrt(e)).
 
+    At an ideal corner p = 0, and a chunk whose corners are all ideal
+    forms them from c alone (5 elementwise passes for F_4 instead of 8),
+    which gives the same bits, since c + 0.0 is c.
+
     c and e come from the split rule.  Per cell, the matrix product
     (_ROWS, L) @ (L, g^{n-2}) gives the sub-face values, and (g, 2) @
     (2, g^{n-2}) and (g, 3) @ (3, g^{n-2}) carry them along the top
@@ -424,15 +437,21 @@ def _face_sums(frames, n: int, degrees: tuple) -> np.ndarray:
                 np.matmul(top_e, sub[:, 2:], out=grid_e[..., a:a + cols])
             start = stop
         r = np.sqrt(e)
-        p = r * alpha[lo:hi]
+        # p = r alpha is 0 at an ideal corner, so in a chunk of ideal
+        # corners F_2 and F_4 skip it: adding it would add exact zeros
+        p = r * alpha[lo:hi] if n not in (2, 4) or alpha[lo:hi].any() else None
         if n == 2:
-            c += p
+            if p is not None:
+                c += p
             c *= r
             F = np.reciprocal(c, out=c)
         elif n == 4:
-            c += p
-            F = np.add(c, p, out=p)
-            c *= c
+            if p is None:
+                F, c = c, c * c
+            else:
+                c += p
+                F = np.add(c, p, out=p)
+                c *= c
             c *= e
             c *= r
             F /= c
@@ -529,35 +548,39 @@ def _split_cells(mixes, material, kleins):
     return children
 
 
-def build_rules(kleins: Sequence[np.ndarray], ideals: Sequence[Sequence[bool]],
-                tol: float) -> list[VolumeRule]:
-    """Build the rule of every simplex in a list of same-dimension Klein
-    simplices (with their ideal-vertex masks) at once: per cell, raise
-    the Gauss degree along the ladder until two successive estimates
-    agree to within the cell's budget (or _REL_FLOOR of its value), and
-    bisect cells that exhaust the ladder into the next generation with
-    half the budget.  All pending cells of a generation are set up
-    together and all active cells of a rung evaluated in one kernel
-    call.  Retired cells are kept as arrays and sorted once on (owning
-    simplex, split path), so each simplex's cells keep the depth-first
-    order of building it alone and each rule equals that of build_rule.
-    Its value is the sum of the converged cell values in that order.
-    An IntegrationError names the simplex's index and carries its
-    summed estimate and bound; when a cell still stalls after the last
-    bisection, the message names that cell too."""
+def _check_tol(tol: float) -> None:
+    """Refuse a tolerance that is not a positive finite number: at NaN
+    no cell converges and every one bisects to the last depth, at
+    infinity the unchecked first estimate is accepted, and at zero or
+    below no estimate is ever within it."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
+
+
+def _converge(kleins: Sequence[np.ndarray], ideals: Sequence[Sequence[bool]], tol: float):
+    """The batched ladder of build_rules, or None for no simplices.
+
+    Returns the simplices' kinds (ideal masks, numbered in order of
+    first appearance), each simplex's kind number, its retired cells
+    sorted on (owning simplex, split path) as owner, mixes,
+    material-corner column and degree, and each simplex's value and
+    error estimate, the sums of its cells' in that order."""
+    _check_tol(tol)
     if len(kleins) != len(ideals):
         raise ValueError(f"{len(kleins)} simplices but {len(ideals)} ideal masks")
     if not len(ideals):
-        return []
+        return None
     stacked = np.array(kleins, dtype=float)
-    ideal = np.array(ideals, dtype=bool)
+    ideal = np.asarray(ideals, dtype=bool)
     if (stacked.ndim != 3 or ideal.ndim != 2
             or stacked.shape[1:] != (ideal.shape[1], ideal.shape[1] - 1)):
         raise ValueError("build_rules needs Klein simplices of one dimension")
-    # the simplices' kinds (ideal masks), numbered in order of appearance
+    # the simplices' kinds, numbered from their ideal masks packed into ints
+    n1 = ideal.shape[1]
     number: dict = {}
-    kind = [number.setdefault(tuple(mask), len(number)) for mask in ideal.tolist()]
-    kinds = list(number)
+    kind = np.array([number.setdefault(bits, len(number))
+                     for bits in (ideal @ (1 << np.arange(n1))).tolist()])
+    kinds = [tuple(bool(bits >> i & 1) for i in range(n1)) for bits in number]
     ms, dets = _simplex_matrices(stacked, np.array([_diagonal_skip(mask) for mask in kinds])[kind])
     n = stacked.shape[2]
     ladder = _ladder(n)
@@ -565,11 +588,14 @@ def build_rules(kleins: Sequence[np.ndarray], ideals: Sequence[Sequence[bool]],
     # base rank, then one bit per bisection; a stack-order depth-first
     # walk visits the half that replaces the longest edge's second end
     # first, and it takes 0), stacked mixes, material-corner column
-    # and budgets
+    # and budgets.  The first generation gathers each simplex's base
+    # cells by index from its kind's.
     bases = [_decompose_cells(mask) for mask in kinds]
-    parts = [bases[k] for k in kind]
-    owner = np.repeat(np.arange(len(parts)), [len(part[0]) for part in parts])
-    mixes, material, counts, path = (np.concatenate(col) for col in zip(*parts))
+    sizes = np.array([len(base[0]) for base in bases])
+    per = sizes[kind]
+    owner = np.repeat(np.arange(len(kind)), per)
+    cell = np.arange(len(owner)) + np.repeat(np.cumsum(sizes)[kind] - np.cumsum(per), per)
+    mixes, material, counts, path = (np.concatenate(col)[cell] for col in zip(*bases))
     budget = tol / counts
     # per generation, its retired cells (and at the last one its stalled
     # cells too): owner, split path aligned to the full depth, mix,
@@ -614,7 +640,8 @@ def build_rules(kleins: Sequence[np.ndarray], ideals: Sequence[Sequence[bool]],
         generations[0] if len(generations) == 1 else
         [np.concatenate(col) for col in zip(*generations)])
     order = np.lexsort((path, owner))
-    owner, path, degree, value, bound = (col[order] for col in (owner, path, degree, value, bound))
+    owner, path, mixes, material, degree, value, bound = (
+        col[order] for col in (owner, path, mixes, material, degree, value, bound))
     # bincount adds in index order, so each simplex's sums run in its
     # cells' order, as VolumeRule.evaluate sums them
     totals, total_bounds = (np.bincount(owner, part, len(kind)) for part in (value, bound))
@@ -635,11 +662,43 @@ def build_rules(kleins: Sequence[np.ndarray], ideals: Sequence[Sequence[bool]],
             f"requested tolerance {tol} is below what double precision "
             f"reaches here (estimate {totals[i]}, bound {total_bounds[i]})",
             float(totals[i]), float(total_bounds[i]), i)
-    cells = list(zip(mixes[order], (material[order, 0] == 0.0).tolist(), degree.tolist()))
+    return kinds, kind, owner, mixes, material, degree, totals, total_bounds
+
+
+def build_rules(kleins: Sequence[np.ndarray], ideals: Sequence[Sequence[bool]],
+                tol: float) -> list[VolumeRule]:
+    """Build the rule of every simplex in a list of same-dimension Klein
+    simplices (with their ideal-vertex masks) at once: per cell, raise
+    the Gauss degree along the ladder until two successive estimates
+    agree to within the cell's budget (or _REL_FLOOR of its value), and
+    bisect cells that exhaust the ladder into the next generation with
+    half the budget.  All pending cells of a generation are set up
+    together and all active cells of a rung evaluated in one kernel
+    call.  Retired cells are kept as arrays and sorted once on (owning
+    simplex, split path), so each simplex's cells keep the depth-first
+    order of building it alone and each rule equals that of build_rule.
+    Its value is the sum of the converged cell values in that order.
+    An IntegrationError names the simplex's index and carries its
+    summed estimate and bound; when a cell still stalls after the last
+    bisection, the message names that cell too.  A tol that is not a
+    positive finite number raises ValueError."""
+    built = _converge(kleins, ideals, tol)
+    if built is None:
+        return []
+    kinds, kind, owner, mixes, material, degree, totals, total_bounds = built
+    cells = list(zip(mixes, (material[:, 0] == 0.0).tolist(), degree.tolist()))
     ends = np.cumsum(np.bincount(owner, minlength=len(kind))).tolist()
     return [VolumeRule(tuple(cells[lo:hi]), b, v, kinds[k])
             for lo, hi, v, b, k in zip([0] + ends[:-1], ends, totals.tolist(),
-                                       total_bounds.tolist(), kind)]
+                                       total_bounds.tolist(), kind.tolist())]
+
+
+def _rule_values(kleins: Sequence[np.ndarray], ideals: Sequence[Sequence[bool]],
+                 tol: float) -> np.ndarray:
+    """The values of the rules build_rules builds, as an array, without
+    building them."""
+    built = _converge(kleins, ideals, tol)
+    return np.zeros(0) if built is None else built[-2]
 
 
 def build_rule(klein: np.ndarray, ideal: Sequence[bool], tol: float) -> VolumeRule:

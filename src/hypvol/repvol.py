@@ -26,8 +26,8 @@ from .lorentz import (
     _project_ideal,
     _project_material,
     _reproject_drifted,
+    _rowdot,
     classify_isometry,
-    from_klein,
     lift_moebius,
     minkowski_gram_schmidt,
     minkowski_matrix,
@@ -306,33 +306,39 @@ def _develop_points(tri: LabeledTriangulation, points: Mapping[str, Sequence[Lor
     distinct slot (v, w) of the triangulation, and the (S, N) _VertexStack
     of its N labeled simplices: points[v] holds the S values of orbit
     vertex v, word_matrix(w) the (S, m, m) images of w.  Each slot is
-    developed once, as Isometry.apply would develop it: its S points are
-    projected in one validated stacked projection per kind (onto the
-    light cone or the hyperboloid), and scaled to x_0 = 1 once; each
-    simplex gathers its rows by slot index."""
-    values = {v: (np.stack([x.coords for x in xs]), np.array([x.kind is Kind.IDEAL for x in xs]))
-              for v, xs in points.items()}
-    developed = {}
-    for s in tri.simplices:
-        for slot in s.slots:
-            if slot not in developed:
-                v, w = slot
-                X, ideal = values[v]
-                developed[slot] = _project_points((word_matrix(w) @ X[:, :, None])[:, :, 0], ideal)
-    slots = list(developed)
-    index = {slot: k for k, slot in enumerate(slots)}
-    gather = [[index[slot] for slot in s.slots] for s in tri.simplices]
-    points_x0 = np.stack([developed[slot] / developed[slot][:, :1] for slot in slots], axis=1)
-    ideal = np.array([values[v][1] for v, _ in slots]).T
-    rows = points_x0[:, gather]
+    developed once, as Isometry.apply would develop it: the slots of one
+    word take its images in one stacked product of (m, m) by (m, 1)
+    matrices, all developed points are projected in one validated
+    stacked projection per kind (onto the light cone or the hyperboloid)
+    and scaled to x_0 = 1 together, and each simplex gathers its rows by
+    slot index."""
+    vids = {v: i for i, v in enumerate(points)}
+    values = np.array([[x.coords for x in xs] for xs in points.values()])  # (V, S, m)
+    kinds = np.array([[x.kind is Kind.IDEAL for x in xs] for xs in points.values()])
+    # the distinct slots, numbered in order of first appearance
+    index: dict = {}
+    gather = np.array([index.setdefault(slot, len(index))
+                       for s in tri.simplices for slot in s.slots]).reshape(len(tri.simplices), -1)
+    by_word: dict = {}
+    for k, (_, w) in enumerate(index):
+        by_word.setdefault(w, []).append(k)
+    vertex = [vids[v] for v, _ in index]
+    X = values[vertex].swapaxes(0, 1)[..., None]  # (S, P, m, 1)
+    Y = np.empty(X.shape[:-1])
+    for w, ks in by_word.items():
+        Y[:, ks] = (word_matrix(w)[:, None] @ X[:, ks])[..., 0]
+    ideal = kinds[vertex].T  # (S, P)
+    Y = _project_points(Y, ideal)
+    rows = (Y / Y[..., :1])[:, gather]
     rows.setflags(write=False)
-    return developed, _VertexStack.of(rows, ideal[:, gather])
+    return {slot: Y[:, k] for slot, k in index.items()}, _VertexStack.of(rows, ideal[:, gather])
 
 
 def _project_points(Y: np.ndarray, ideal: np.ndarray) -> np.ndarray:
-    """The rows of Y (S, m) projected onto the light cone where `ideal`
-    and onto the hyperboloid elsewhere, as Isometry.apply projects a
-    developed point, in one validated stacked projection per kind."""
+    """The points Y (..., m) projected onto the light cone where `ideal`
+    (shaped like Y's leading axes) and onto the hyperboloid elsewhere,
+    as Isometry.apply projects a developed point, in one validated
+    stacked projection per kind."""
     if ideal.all():
         return _project_ideal(Y)
     if not ideal.any():
@@ -362,20 +368,31 @@ def _develop(rho: Representation, tri: LabeledTriangulation, points, seed: int,
     return _assignment(tri, points, seed, classes, developed, stack)
 
 
-def _point_sampler(seed: int, n: int) -> Callable[[], LorentzVector]:
+def _point_sampler(seed: int, n: int) -> Callable[[int], list[LorentzVector]]:
     """Draws of material developing values from a generator seeded with
     `seed`: uniform in Klein coordinates within unit hyperbolic radius of
-    the origin."""
+    the origin.  A draw of `count` points runs rejection rounds, each of
+    one stacked uniform draw of a candidate per point still missing, so
+    the generator is consumed as drawing the points one at a time
+    consumes it, and lifts the accepted points to the hyperboloid
+    together, each as from_klein lifts it."""
     rng = np.random.default_rng(seed)
     klein_radius = np.tanh(1.0)
 
-    def sample_point():
-        while True:
-            k = rng.uniform(-klein_radius, klein_radius, size=n)
-            if np.linalg.norm(k) < klein_radius:
-                return from_klein(k)
+    def sample_points(count: int) -> list[LorentzVector]:
+        K, r2 = np.empty((count, n)), np.empty(count)
+        done = 0
+        while done < count:
+            k = rng.uniform(-klein_radius, klein_radius, size=(count - done, n))
+            s = _rowdot(k, k)  # rounds as np.linalg.norm's k @ k does
+            inside = np.sqrt(s) < klein_radius
+            got = done + int(inside.sum())
+            K[done:got], r2[done:got] = k[inside], s[inside]
+            done = got
+        X = np.concatenate((np.ones((count, 1)), K), axis=1) / np.sqrt(1.0 - r2)[:, None]
+        return [LorentzVector._trusted(x, Kind.MATERIAL) for x in X]
 
-    return sample_point
+    return sample_points
 
 
 def _develop_samples(reps: Sequence[Representation], tri: LabeledTriangulation, seed: int,
@@ -421,8 +438,9 @@ def _develop_samples(reps: Sequence[Representation], tri: LabeledTriangulation, 
               for v in tri.orbit_vertices if v.kind == "ideal"}
     material = [v.id for v in tri.orbit_vertices if v.kind != "ideal"]
     draws = [_point_sampler(seed, n) for _ in reps] if material else []
-    for vid in material:
-        points[vid] = [draw() for draw in draws]
+    drawn = [draw(len(material)) for draw in draws]
+    for i, vid in enumerate(material):
+        points[vid] = [xs[i] for xs in drawn]
     retries, restarts = [0] * count, [0] * count
 
     def resample(samples: Sequence[int], stack: _VertexStack) -> list[int]:
@@ -442,8 +460,8 @@ def _develop_samples(reps: Sequence[Representation], tri: LabeledTriangulation, 
                     "could not reach a nondegenerate developing assignment within the "
                     "retry budget; the representation may collapse every simplex "
                     "(its volume is then 0 in tolerant mode)")
-            for vid in redraw:
-                points[vid][k] = draws[k]()
+            for vid, x in zip(redraw, draws[k](len(redraw))):
+                points[vid][k] = x
             again.append(k)
         return again
 

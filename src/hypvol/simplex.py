@@ -33,7 +33,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .cubature import IntegrationError, VolumeRule, build_rule, build_rules
+from .cubature import IntegrationError, VolumeRule, _check_tol, _rule_values, build_rule
 from .lorentz import (
     Kind,
     LorentzVector,
@@ -641,14 +641,17 @@ def _stack_volumes(stack: _VertexStack, tol: float = 1e-9,
     their closed forms (_tetrahedron_volumes: one Lobachevsky evaluation
     for the Bloch-Wigner dilogarithms of the all-ideal ones and one for
     the orthoschemes of the rest), and every simplex of n >= 4 is
-    integrated in one build_rules batch, or, given a `rule` frozen on a
-    simplex of the same dimension and vertex kinds, by that rule
-    re-applied in one evaluation (so the values vary analytically along
-    vertex paths).  A route that takes the whole stack reads it as it
-    is.  Every route gives v >= 0, and each volume takes the sign of its
-    simplex's det.  An IntegrationError (a tol below what the route
+    integrated in one build_rules batch (whose values are read without
+    building the rules), or, given a `rule` frozen on a simplex of the
+    same dimension and vertex kinds, by that rule re-applied in one
+    evaluation (so the values vary analytically along vertex paths).  A
+    route that takes the whole stack reads it as it is.  Every route
+    gives v >= 0, and each volume takes the sign of its simplex's det.
+    A tol that is not a positive finite number raises ValueError on
+    every route; an IntegrationError (a tol below what the route
     reaches) names the failing simplex's index in the flattened stack;
-    the triangle area and Bloch-Wigner ignore tol."""
+    the triangle area and Bloch-Wigner ignore tol otherwise."""
+    _check_tol(tol)
     n = stack.rows.shape[-1] - 1
     dets = stack.dets.reshape(-1)
     live = (~stack.degenerate.reshape(-1)).nonzero()[0]
@@ -665,7 +668,7 @@ def _stack_volumes(stack: _VertexStack, tol: float = 1e-9,
             elif rule is not None:
                 v = rule.evaluate(rows[..., 1:])
             else:
-                v = np.array([r.value for r in build_rules(rows[..., 1:], ideal.tolist(), tol)])
+                v = _rule_values(rows[..., 1:], ideal, tol)
         except IntegrationError as exc:
             raise IntegrationError(exc.reason, exc.best, exc.bound, int(live[exc.simplex])) from exc
         vols[sel] = np.copysign(v, dets_live)

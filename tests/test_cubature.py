@@ -328,6 +328,27 @@ def test_kernel_batches_match_cells_alone():
             assert together[k, c] == pytest.approx(alone, rel=1e-14, abs=0.0)
 
 
+def test_build_rules_interleaving_corner_kinds_matches_alone(monkeypatch):
+    """A batch of n = 4 simplices that runs ideal-corner ones, then
+    ideal-corner and material-corner ones interleaved, then
+    material-corner ones, puts kernel chunks of only ideal corners (where
+    the kernel skips the p terms), mixed chunks and chunks of only
+    material corners side by side; every simplex's rule value and bound
+    equal (==) those of building it alone, and the values that
+    _stack_volumes reads without building the rules are those values."""
+    monkeypatch.setattr(cubature, "_CHUNK", 1 << 12)
+    rng = np.random.default_rng(25)
+    nideal = [1] * 40 + [k % 3 for k in range(30)] + [0] * 40
+    kleins = [_klein_simplex(rng, 4, k, 0.2, 0.8) for k in nideal]
+    ideals = [[i < k for i in range(5)] for k in nideal]
+    batch = build_rules(kleins, ideals, 1e-9)
+    for klein, ideal, rule in zip(kleins, ideals, batch, strict=True):
+        alone = build_rule(klein, ideal, 1e-9)
+        assert rule.value == alone.value and rule.error_estimate == alone.error_estimate
+    values = cubature._rule_values(kleins, ideals, 1e-9)
+    assert values.tolist() == [rule.value for rule in batch]
+
+
 def _developed_suspension4():
     """Klein vertices and ideal masks of the non-degenerate simplices of
     the 4-D suspension developed at seed 0, x mapped to a parabolic."""

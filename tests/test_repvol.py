@@ -20,7 +20,7 @@ from hypvol.fixtures import (
     subdivide_at_material_vertex,
     suspension_4d,
 )
-from hypvol.lorentz import Isometry, Kind, lift_moebius
+from hypvol.lorentz import Isometry, Kind, from_klein, lift_moebius
 from hypvol.repvol import (
     DegenerateDevelopingError,
     GluingError,
@@ -340,6 +340,18 @@ def test_volume_seed_independence_with_material_vertices(fig8):
     assert abs(vols[0] - FIG8_VOL) < 1e-6
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0],
+                         ids=["nan", "inf", "zero", "negative"])
+def test_representation_volume_refuses_a_bad_tol(fig8, suspension4_rho, tol):
+    """representation_volume refuses a tol that is not a positive finite
+    number, naming tol, on the figure-eight (closed forms) and on the
+    4-D suspension (cubature)."""
+    for tri, rho in ((fig8[0], fig8[1]), (suspension_4d(), suspension4_rho)):
+        asg = build_developing_assignment(rho, tri, seed=0)
+        with pytest.raises(ValueError, match="^tol must be a positive finite number"):
+            representation_volume(rho, tri, asg, tol)
+
+
 def test_trivial_rep_tolerant_volume_zero(ptorus):
     tri, _ = ptorus
     rep = check_representation(
@@ -358,21 +370,39 @@ def test_volume_rejects_assignment_of_another_triangulation(fig8):
         representation_volume(rho, tri, asg)
 
 
+def _count_projections(monkeypatch) -> list:
+    """Record every projection developing makes, as (kind, points)."""
+    projected = []
+    for name in ("_project_ideal", "_project_material"):
+        project = getattr(repvol_mod, name)
+        monkeypatch.setattr(repvol_mod, name, lambda y, name=name, project=project:
+                            projected.append((name, y)) or project(y))
+    return projected
+
+
+def _assert_each_slot_projected_once(projected, slots: int, samples: int) -> None:
+    """At most one projection call per kind, and together they project
+    every distinct slot's developed point once per sample: slots x
+    samples rows, no two of them the same point."""
+    names = [name for name, _ in projected]
+    assert len(set(names)) == len(names)
+    rows = np.concatenate([y.reshape(-1, y.shape[-1]) for _, y in projected])
+    assert len(rows) == slots * samples
+    assert len({tuple(row) for row in (rows / rows[:, :1]).tolist()}) == len(rows)
+
+
 def test_scan_sample_develops_each_slot_once(fig8, monkeypatch):
     """Developing, the cycle check and Vol(rho) share one developed
     simplex stack, and a slot (v, w) shared by simplices is developed
-    once: a scan makes one stacked light-cone projection per distinct
-    slot, of one developed point per sample."""
+    once: a scan projects each distinct slot's developed point once per
+    sample, in one stacked projection per kind."""
     tri, _ = fig8
     path = generate_path("dehn3d", {"triangulation": tri, "filling": (5, 1), "steps": 8})
-    projected = []
-    project = repvol_mod._project_ideal
-    monkeypatch.setattr(repvol_mod, "_project_ideal", lambda y: projected.append(y) or project(y))
+    projected = _count_projections(monkeypatch)
     scan_path(path, tri, 3)
     distinct = {slot for s in tri.simplices for slot in s.slots}
     assert len(distinct) == 5
-    assert len(projected) == len(distinct)
-    assert all(y.shape == (3, 4) for y in projected)
+    _assert_each_slot_projected_once(projected, len(distinct), 3)
 
 
 def test_slot_of_mixed_kinds_projects_row_by_row():
@@ -430,6 +460,7 @@ def test_scan_resamples_a_degenerate_sample_on_its_own(fig8, monkeypatch):
     # judged degenerate below a tenth of scale^3, seed 0's first draw
     # degenerates a simplex of the first sample only
     monkeypatch.setattr(simplex_mod, "DEGENERACY_THRESHOLD", 0.1)
+    # the points each sample's sampler has drawn, over all its draws
     draws = []
     point_sampler = repvol_mod._point_sampler
 
@@ -438,9 +469,9 @@ def test_scan_resamples_a_degenerate_sample_on_its_own(fig8, monkeypatch):
         draws.append(0)
         k = len(draws) - 1
 
-        def counted():
-            draws[k] += 1
-            return draw()
+        def counted(count):
+            draws[k] += count
+            return draw(count)
 
         return counted
 
@@ -460,6 +491,68 @@ def test_scan_resamples_a_degenerate_sample_on_its_own(fig8, monkeypatch):
     direction[0, 1] = direction[1, 0] = 0.3
     with pytest.raises(DegenerateDevelopingError):
         scan_path(generate_path("conjugation", {"base": trivial, "direction": direction}), tri, 3)
+
+
+def _one_point_sampler(seed, n, counts=None):
+    """A reference for repvol's sampler: each of its draws takes one
+    rng.uniform vector at a time until the point falls within unit
+    hyperbolic radius, then lifts it alone.  `counts`, when given,
+    collects the number of points of every draw."""
+    rng = np.random.default_rng(seed)
+    radius = np.tanh(1.0)
+
+    def draw(count):
+        if counts is not None:
+            counts.append(count)
+        points = []
+        for _ in range(count):
+            while True:
+                k = rng.uniform(-radius, radius, size=n)
+                if np.linalg.norm(k) < radius:
+                    points.append(from_klein(k))
+                    break
+        return points
+
+    return draw
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("seed", range(5))
+def test_point_sampler_draws_as_one_point_at_a_time(seed, n):
+    """The sampler's batched rejection rounds give, draw after draw, the
+    points that drawing one uniform vector at a time gives, so the
+    generator is consumed exactly as before."""
+    counts = (28, 3, 1, 7)
+    batched, reference = repvol_mod._point_sampler(seed, n), _one_point_sampler(seed, n)
+    for count in counts:
+        got, want = batched(count), reference(count)
+        assert len(got) == len(want) == count
+        for x, y in zip(got, want):
+            assert x.kind is y.kind is Kind.MATERIAL
+            assert np.array_equal(x.coords, y.coords)
+
+
+@pytest.mark.parametrize("case", ["suspension4", "subdivided fig8"])
+def test_developing_retries_draw_as_one_point_at_a_time(case, fig8, suspension4_rho,
+                                                        monkeypatch):
+    """With the degeneracy threshold raised so that developing retries,
+    the batched sampler reaches the developing values, and the developed
+    stack, that a sampler drawing one point at a time reaches."""
+    if case == "suspension4":
+        tri, rho, threshold = suspension_4d(), suspension4_rho, 1e-3
+    else:
+        tri, rho, threshold = subdivide_at_material_vertex(fig8[0], 0), fig8[1], 0.1
+    monkeypatch.setattr(simplex_mod, "DEGENERACY_THRESHOLD", threshold)
+    batched = build_developing_assignment(rho, tri, seed=0)
+    counts = []
+    monkeypatch.setattr(repvol_mod, "_point_sampler",
+                        lambda seed, n: _one_point_sampler(seed, n, counts))
+    reference = build_developing_assignment(rho, tri, seed=0)
+    assert len(counts) > 1  # a retry redrew some material vertices
+    assert batched.points.keys() == reference.points.keys()
+    for v, x in batched.points.items():
+        assert np.array_equal(x.coords, reference.points[v].coords)
+    assert np.array_equal(batched.stack.rows, reference.stack.rows)
 
 
 _HASH_SEED_SCRIPT = """
@@ -504,19 +597,16 @@ def test_resampling_does_not_depend_on_string_hashing():
 
 def test_suspension4_develops_each_slot_once(suspension4_rho, monkeypatch):
     """The 324 simplices of the 4-D suspension hold 1620 slots but only
-    29 distinct ones; developing projects 29 developed points, and every
-    developed vertex equals its slot developed on its own."""
+    29 distinct ones; developing projects 29 developed points, in one
+    stacked projection per kind, and every developed vertex equals its
+    slot developed on its own."""
     tri = suspension_4d()
     asg = build_developing_assignment(suspension4_rho, tri, seed=0)
     distinct = {slot for s in tri.simplices for slot in s.slots}
     assert len(distinct) == 29
-    projected = []
-    for name in ("_project_ideal", "_project_material"):
-        project = getattr(repvol_mod, name)
-        monkeypatch.setattr(repvol_mod, name,
-                            lambda y, project=project: projected.append(y) or project(y))
+    projected = _count_projections(monkeypatch)
     again = _develop(suspension4_rho, tri, asg.points, 0, asg.classifications)
-    assert len(projected) == len(distinct)
+    _assert_each_slot_projected_once(projected, len(distinct), 1)
     monkeypatch.undo()
     for s, dev in zip(tri.simplices, again.simplices, strict=True):
         for (v, w), vertex in zip(s.slots, dev.vertices):

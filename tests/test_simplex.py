@@ -477,14 +477,32 @@ def test_no_tetrahedron_reaches_cubature(rng, monkeypatch):
     batch of 3-simplices (0 to 4 ideal vertices) without building a
     cubature rule."""
     calls = []
-    for module in (simplex_mod, cubature_mod):
-        for name in ("build_rule", "build_rules"):
+    for module, names in ((simplex_mod, ("build_rule", "_rule_values")),
+                          (cubature_mod, ("build_rule", "build_rules", "_rule_values",
+                                          "_converge"))):
+        for name in names:
             monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(args))
     batch = _mixed_tets(rng, 8, radius=0.9) + [regular_ideal_tet()]
     vols = simplex_mod.signed_volumes(batch)
     assert [signed_volume(t) for t in batch] == vols
     assert [volume_evaluator(t)(t) for t in batch] == vols
     assert calls == []
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0],
+                         ids=["nan", "inf", "zero", "negative"])
+def test_tol_not_positive_finite_is_refused(rng, tol):
+    """signed_volume at n = 2, 3 and 4, and build_rule, refuse a tol that
+    is not a positive finite number with an error naming tol, before any
+    work: at NaN the ladder would bisect every cell to the last depth,
+    at infinity accept its unchecked first estimate, and at zero or
+    below report a tolerance below double precision."""
+    for n in (2, 3, 4):
+        s = random_simplex(rng, n, 1, radius=0.8)
+        with pytest.raises(ValueError, match="^tol must be a positive finite number"):
+            signed_volume(s, tol)
+    with pytest.raises(ValueError, match="^tol must be a positive finite number"):
+        build_rule(s.klein(), s.ideal_mask(), tol)
 
 
 def test_tetrahedron_tol_below_the_closed_form_bound(rng):
