@@ -126,18 +126,11 @@ def _gauss01(g: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-_FACE_CACHE: dict = {}
-
-
 def _face_rule(n: int, g: int):
     """Collapsed Gauss rule with g^{n-1} nodes on the standard
     (n-1)-simplex: barycentrics beta ((n, g^{n-1}), one row per vertex)
     and weights wf (collapse jacobian prod_k (1-u_k)^{n-2-k}, summing to
     1/(n-1)!)."""
-    key = (n, g)
-    hit = _FACE_CACHE.get(key)
-    if hit is not None:
-        return hit
     x, w = _gauss01(g)
     grid = zip(np.meshgrid(*([x] * (n - 1)), indexing="ij"),
                np.meshgrid(*([w] * (n - 1)), indexing="ij"))
@@ -149,10 +142,7 @@ def _face_rule(n: int, g: int):
         beta[k] = u * rem
         rem *= 1.0 - u
     beta[n - 1] = rem
-    for arr in (beta, wf):
-        arr.setflags(write=False)
-    _FACE_CACHE[key] = hit = (beta, wf)
-    return hit
+    return beta, wf
 
 
 @functools.lru_cache(maxsize=None)
@@ -171,9 +161,7 @@ def _pairs(m: int):
 _ROWS = 5
 
 
-_SPLIT_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _split_rule(n: int, g: int):
     """The face rule on n vertices as a top axis u (toward the first
     vertex) times the rule on the other n - 1, as the kernel uses it:
@@ -186,21 +174,16 @@ def _split_rule(n: int, g: int):
       top_e  (g, 3): (1-u)^2, 2u(1-u), u^2, which carry e', f', M11 to e;
       weights (g G2,): the top-axis weights w (1-u)^{n-2} times the
              sub-face weights, top axis slowest."""
-    key = (n, g)
-    hit = _SPLIT_CACHE.get(key)
-    if hit is not None:
-        return hit
     u, w = _gauss01(g)
     v = 1.0 - u
     beta, wf = _face_rule(n - 1, g)
     k, l, factor = _pairs(n - 1)
-    hit = (np.vstack([beta, np.ones((1, beta.shape[1])), factor[:, None] * beta[k] * beta[l]]),
-           np.stack([v, u], axis=1), np.stack([v * v, 2.0 * u * v, u * u], axis=1),
-           np.outer(w * v ** (n - 2), wf).ravel())
-    for arr in hit:
+    rule = (np.vstack([beta, np.ones((1, beta.shape[1])), factor[:, None] * beta[k] * beta[l]]),
+            np.stack([v, u], axis=1), np.stack([v * v, 2.0 * u * v, u * u], axis=1),
+            np.outer(w * v ** (n - 2), wf).ravel())
+    for arr in rule:
         arr.setflags(write=False)
-    _SPLIT_CACHE[key] = hit
-    return hit
+    return rule
 
 
 @functools.lru_cache(maxsize=None)

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import cmath
 import enum
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
@@ -35,7 +34,6 @@ from .lorentz import (
 )
 # perfbench/tracing.py wraps hypvol.repvol.signed_volume by name
 from .simplex import (  # noqa: F401
-    GeodesicSimplex,
     _check_keyframe_time,
     _keyframe_times,
     _stack_dihedral_angles,
@@ -110,13 +108,11 @@ def _coerce_image(M) -> Isometry:
 @dataclass(frozen=True)
 class Representation:
     """Generator-indexed images in SO(n,1) with the worst relator
-    residual recorded; construct through check_representation.  Word
-    images are memoized per representation."""
+    residual recorded; construct through check_representation."""
 
     presentation: object
     images: Mapping[str, Isometry]
     relator_residual: float
-    _word_images: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -138,56 +134,45 @@ def _word_matrix(mats: Mapping[str, np.ndarray], tokens, n: int) -> np.ndarray:
 
 def evaluate_word(rep: Representation, word) -> Isometry:
     """Image of a word (a string or a sequence of (generator, +-1)
-    tokens), computed once per representation; the product is
-    re-projected onto the form-preserving manifold when its drift
-    approaches the validation tolerance, checked once per word."""
-    key = word if isinstance(word, str) else tuple((g, e) for g, e in word)
-    out = rep._word_images.get(key)
-    if out is not None:
-        return out
-    tokens = rep.presentation.parse(word) if isinstance(word, str) else key
+    tokens); the product is re-projected onto the form-preserving
+    manifold when its drift approaches the validation tolerance, checked
+    once per word."""
+    tokens = (rep.presentation.parse(word) if isinstance(word, str)
+              else tuple((g, e) for g, e in word))
     if not tokens:
-        out = Isometry.identity(rep.n)
-    elif len(tokens) == 1 and tokens[0][1] > 0:
-        out = rep.images[tokens[0][0]]
-    else:
-        mats = {g: rep.images[g].matrix for g, _ in tokens}
-        out = Isometry._trusted(_word_matrix(mats, tokens, rep.n))
-    rep._word_images[key] = out
-    return out
+        return Isometry.identity(rep.n)
+    if len(tokens) == 1 and tokens[0][1] > 0:
+        return rep.images[tokens[0][0]]
+    mats = {g: rep.images[g].matrix for g, _ in tokens}
+    return Isometry._trusted(_word_matrix(mats, tokens, rep.n))
 
 
 def _check_stack(presentation, images: Sequence[Mapping[str, Isometry]],
                  tol: float) -> list[Representation]:
     """check_representation for several generator-image maps of one
     dimension at once: each relator image is one product of (S, m, m)
-    stacks, each sample's worst residual is checked in sample order, and
-    each representation keeps its relator images memoized."""
+    stacks and each sample's worst residual is checked in sample order."""
     n = next(iter(images[0].values())).n
     mats = {g: np.stack([imgs[g].matrix for imgs in images]) for g in presentation.generators}
-    relators = [(r, _word_matrix(mats, presentation.parse(r), n)) for r in presentation.relators]
     eye = np.eye(n + 1)
-    resids = [np.abs(R - eye).max(axis=(-2, -1)).tolist() for _, R in relators]
+    resids = [np.abs(_word_matrix(mats, presentation.parse(r), n) - eye)
+              .max(axis=(-2, -1)).tolist() for r in presentation.relators]
     reps = []
     for k, imgs in enumerate(images):
         worst, worst_r = 0.0, None
-        for (r, _), resid in zip(relators, resids):
+        for r, resid in zip(presentation.relators, resids):
             if resid[k] > worst:
                 worst, worst_r = resid[k], r
         if worst > tol:
             raise RelatorResidualError(
                 f"relator {worst_r!r} has residual {worst:.3e} > {tol}", worst_r, worst)
-        rep = Representation(presentation, imgs, worst)
-        for r, R in relators:
-            rep._word_images[r] = Isometry._trusted(R[k])
-        reps.append(rep)
+        reps.append(Representation(presentation, imgs, worst))
     return reps
 
 
 def check_representation(presentation, images, tol: float = RELATOR_TOL) -> Representation:
     """Validate generator images against the relators; accepts iff the
-    worst relator residual (max-abs of rho(r) - I) is at most tol.  The
-    relator images stay memoized on the representation returned.
+    worst relator residual (max-abs of rho(r) - I) is at most tol.
 
     2x2 matrices are auto-lifted (complex ones act on H^3, real on H^2).
     """
@@ -272,27 +257,15 @@ class DevelopingAssignment:
     """Values of the equivariant map on orbit vertices: slot (v, w)
     develops to rho(w) applied to points[v].  `stack` holds the vertex
     rows, determinants and degeneracy flags of the triangulation's
-    simplices developed once, in its order, as one _VertexStack (built
-    from `slots`, each simplex's slots, and `vertices`, the developed
-    point of each distinct slot)."""
+    simplices developed once, in its order, as one _VertexStack."""
 
     points: Mapping[str, LorentzVector]
     seed: int
     classifications: Mapping[str, PeripheralClassification]
     stack: _VertexStack = field(compare=False, repr=False)
-    slots: tuple = field(compare=False, repr=False)
-    vertices: Mapping[tuple, LorentzVector] = field(compare=False, repr=False)
 
     def develop(self, rho: Representation, vid: str, word) -> LorentzVector:
         return evaluate_word(rho, word).apply(self.points[vid])
-
-    @functools.cached_property
-    def simplices(self) -> tuple[GeodesicSimplex, ...]:
-        """The developed simplices, built on first use; each one's stack
-        of one is its slice of the assignment's stack."""
-        return tuple(GeodesicSimplex._stacked([self.vertices[slot] for slot in slots],
-                                              self.stack[i:i + 1])
-                     for i, slots in enumerate(self.slots))
 
 
 def _check_preference(boundary_preference: str) -> None:
@@ -301,17 +274,16 @@ def _check_preference(boundary_preference: str) -> None:
 
 
 def _develop_points(tri: LabeledTriangulation, points: Mapping[str, Sequence[LorentzVector]],
-                    word_matrix: Callable[[str], np.ndarray]) -> tuple[dict, _VertexStack]:
-    """The developed points of S samples at once, an (S, m) array per
-    distinct slot (v, w) of the triangulation, and the (S, N) _VertexStack
-    of its N labeled simplices: points[v] holds the S values of orbit
-    vertex v, word_matrix(w) the (S, m, m) images of w.  Each slot is
-    developed once, as Isometry.apply would develop it: the slots of one
-    word take its images in one stacked product of (m, m) by (m, 1)
-    matrices, all developed points are projected in one validated
-    stacked projection per kind (onto the light cone or the hyperboloid)
-    and scaled to x_0 = 1 together, and each simplex gathers its rows by
-    slot index."""
+                    word_matrix: Callable[[str], np.ndarray]) -> _VertexStack:
+    """The (S, N) _VertexStack of the N labeled simplices of the
+    triangulation developed for S samples at once: points[v] holds the S
+    values of orbit vertex v, word_matrix(w) the (S, m, m) images of w.
+    Each distinct slot (v, w) is developed once, as Isometry.apply would
+    develop it: the slots of one word take its images in one stacked
+    product of (m, m) by (m, 1) matrices, all developed points are
+    projected in one validated stacked projection per kind (onto the
+    light cone or the hyperboloid) and scaled to x_0 = 1 together, and
+    each simplex gathers its rows by slot index."""
     vids = {v: i for i, v in enumerate(points)}
     values = np.array([[x.coords for x in xs] for xs in points.values()])  # (V, S, m)
     kinds = np.array([[x.kind is Kind.IDEAL for x in xs] for xs in points.values()])
@@ -331,7 +303,7 @@ def _develop_points(tri: LabeledTriangulation, points: Mapping[str, Sequence[Lor
     Y = _project_points(Y, ideal)
     rows = (Y / Y[..., :1])[:, gather]
     rows.setflags(write=False)
-    return {slot: Y[:, k] for slot, k in index.items()}, _VertexStack.of(rows, ideal[:, gather])
+    return _VertexStack.of(rows, ideal[:, gather])
 
 
 def _project_points(Y: np.ndarray, ideal: np.ndarray) -> np.ndarray:
@@ -349,23 +321,13 @@ def _project_points(Y: np.ndarray, ideal: np.ndarray) -> np.ndarray:
     return out
 
 
-def _assignment(tri: LabeledTriangulation, points, seed: int, classes, developed: Mapping,
-                stack: _VertexStack) -> DevelopingAssignment:
-    """The DevelopingAssignment of the developing values `points` from
-    their one-sample developing (`developed`, `stack`)."""
-    vertices = {(v, w): LorentzVector._trusted(y[0], points[v].kind)
-                for (v, w), y in developed.items()}
-    return DevelopingAssignment(points, seed, classes, stack[0],
-                                tuple(s.slots for s in tri.simplices), vertices)
-
-
 def _develop(rho: Representation, tri: LabeledTriangulation, points, seed: int,
              classes) -> DevelopingAssignment:
     """The assignment of the given developing values `points`, as they
     are, with every simplex of `tri` developed."""
-    developed, stack = _develop_points(tri, {v: [x] for v, x in points.items()},
-                                       lambda w: evaluate_word(rho, w).matrix[None])
-    return _assignment(tri, points, seed, classes, developed, stack)
+    stack = _develop_points(tri, {v: [x] for v, x in points.items()},
+                            lambda w: evaluate_word(rho, w).matrix[None])
+    return DevelopingAssignment(points, seed, classes, stack[0])
 
 
 def _point_sampler(seed: int, n: int) -> Callable[[int], list[LorentzVector]]:
@@ -413,10 +375,10 @@ def _develop_samples(reps: Sequence[Representation], tri: LabeledTriangulation, 
     simplices in orbit-vertex order, and after max_retries retries a
     restart redraws them all.
 
-    Returns (classes, points, developed, stack, word_matrix): per sample
-    {cusp id: PeripheralClassification}, the S values of each orbit
-    vertex, the (S, m) developed points of each slot, their (S, N)
-    _VertexStack, and the function giving a word's (S, m, m) images."""
+    Returns (classes, points, stack, word_matrix): per sample {cusp id:
+    PeripheralClassification}, the S values of each orbit vertex, the
+    (S, N) _VertexStack of the developed simplices, and the function
+    giving a word's (S, m, m) images."""
     _check_preference(boundary_preference)
     pres, n, count = reps[0].presentation, reps[0].n, len(reps)
     mats = {g: np.stack([rep.images[g].matrix for rep in reps]) for g in pres.generators}
@@ -456,24 +418,24 @@ def _develop_samples(reps: Sequence[Representation], tri: LabeledTriangulation, 
                 retries[k], restarts[k], redraw = 0, restarts[k] + 1, material
             # with nothing to redraw, the degeneracy is intrinsic
             if not redraw or restarts[k] >= max_restarts:
+                why = ("its degenerate simplices have no material vertex to redraw"
+                       if not redraw else f"the retry budget ({max_restarts} restarts of "
+                       f"{max_retries} retries) ran out")
                 raise DegenerateDevelopingError(
-                    "could not reach a nondegenerate developing assignment within the "
-                    "retry budget; the representation may collapse every simplex "
-                    "(its volume is then 0 in tolerant mode)")
+                    f"could not reach a nondegenerate developing assignment: {why}")
             for vid, x in zip(redraw, draws[k](len(redraw))):
                 points[vid][k] = x
             again.append(k)
         return again
 
-    developed, stack = _develop_points(tri, points, word_matrix)
+    stack = _develop_points(tri, points, word_matrix)
     todo = resample(range(count), stack)
     if todo:
         while todo:
             part = {v: [xs[k] for k in todo] for v, xs in points.items()}
-            todo = resample(todo, _develop_points(
-                tri, part, lambda w: word_matrix(w)[todo])[1])
-        developed, stack = _develop_points(tri, points, word_matrix)
-    return classes, points, developed, stack, word_matrix
+            todo = resample(todo, _develop_points(tri, part, lambda w: word_matrix(w)[todo]))
+        stack = _develop_points(tri, points, word_matrix)
+    return classes, points, stack, word_matrix
 
 
 def build_developing_assignment(rho: Representation, tri: LabeledTriangulation,
@@ -486,10 +448,10 @@ def build_developing_assignment(rho: Representation, tri: LabeledTriangulation,
     unit-radius ball around the origin (uniform in Klein coordinates)
     and rejection-resampled until no developed simplex is degenerate;
     _develop_samples with one sample."""
-    classes, points, developed, stack, _ = _develop_samples(
+    classes, points, stack, _ = _develop_samples(
         [rho], tri, seed, boundary_preference, max_retries, max_restarts)
-    return _assignment(tri, {v: xs[0] for v, xs in points.items()}, seed, classes[0],
-                       developed, stack)
+    return DevelopingAssignment({v: xs[0] for v, xs in points.items()}, seed, classes[0],
+                                stack[0])
 
 
 # max-abs distance between x_0 = 1 rows at which a paired point meets its target
@@ -538,9 +500,9 @@ def _validate_cycle(rho: Representation, tri: LabeledTriangulation,
                     assignment: DevelopingAssignment):
     """Raise unless the triangulation is a cycle on the assignment's
     developed simplices (_require_cycles)."""
-    if len(assignment.slots) != len(tri.simplices):
+    if len(assignment.stack.rows) != len(tri.simplices):
         raise RepvolError(
-            f"the assignment develops {len(assignment.slots)} simplices, "
+            f"the assignment develops {len(assignment.stack.rows)} simplices, "
             f"the triangulation has {len(tri.simplices)}")
     _require_cycles(tri, assignment.stack[None],
                     lambda w: evaluate_word(rho, w).matrix[None])
@@ -570,7 +532,7 @@ def representation_volume(rho: Representation, tri: LabeledTriangulation,
     The volumes come from one _stack_volumes call on the assignment's
     stack: its determinants and degeneracy flags, closed forms
     evaluated together, and every simplex that needs cubature in one
-    batched build_rules ladder.  The value does not depend on the seed
+    cubature._rule_values pass.  The value does not depend on the seed
     or fixed-point choices of the assignment (tested, not assumed).
     """
     _validate_cycle(rho, tri, assignment)
@@ -780,7 +742,7 @@ def scan_path(path: DeformationPath, tri: LabeledTriangulation, n_samples: int,
         boundary_preference = ("prefer_ideal" if path.kind in ("twist2d", "dehn3d")
                                else "prefer_interior")
     ts = np.linspace(0.0, 1.0, n_samples)
-    classes, _, _, stack, word_matrix = _develop_samples(
+    classes, _, stack, word_matrix = _develop_samples(
         path.evaluate_many(ts), tri, seed, boundary_preference)
     _require_cycles(tri, stack, word_matrix)
     samples = []

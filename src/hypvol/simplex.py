@@ -110,16 +110,6 @@ class GeodesicSimplex:
                 raise SimplexError("vertices of mixed ambient dimension")
         object.__setattr__(self, "vertices", vs)
 
-    @classmethod
-    def _stacked(cls, vertices: Sequence[LorentzVector], stack: "_VertexStack") -> "GeodesicSimplex":
-        """A simplex built through __init__ whose stack of one is the
-        slice `stack` (shape (1,)) of a larger _VertexStack, so that its
-        vertex matrix, determinant and degeneracy flag are read-only
-        views of that stack."""
-        simplex = cls(vertices)
-        simplex.__dict__.update(_vertex_matrix=stack.rows[0], _stack=stack)
-        return simplex
-
     @property
     def dim(self) -> int:
         return len(self.vertices) - 1
@@ -679,7 +669,7 @@ def signed_volumes(simplices: Sequence[GeodesicSimplex], tol: float = 1e-9) -> l
     """Signed volumes of a list of simplices, each as signed_volume gives
     it: the simplices of each dimension are stacked and go through one
     _stack_volumes call, so closed forms are evaluated together and every
-    simplex of n >= 4 is integrated in one build_rules batch per
+    simplex of n >= 4 is integrated in one cubature._rule_values pass per
     dimension rather than one rule at a time.  An IntegrationError names the
     failing simplex's index in `simplices`, the lowest one when
     simplices of several dimensions fail."""

@@ -108,6 +108,15 @@ def test_tri_solve_bad_input_exit_2(fixdir, monkeypatch, capsys, flag, value, me
     assert captured.err.startswith("error:") and message in captured.err
 
 
+def test_tri_solve_without_gluing_data_exit_2(fixdir, monkeypatch, capsys):
+    monkeypatch.setenv("HYPVOL_FIXTURES", str(fixdir))
+    code = main(["--no-timestamp", "tri", "solve", "--tri", "punctured_torus.json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: triangulation carries no supported gluing data\n"
+
+
 def test_path_scan_expect_constant(run, fixdir):
     spec = {"kind": "conjugation", "rep": "fig8_geometric.json",
             "params": {"direction":
@@ -359,8 +368,11 @@ MATERIAL_TET = [[1.0, 0.0, 0.0, 0.0], [1.5, 1.118033988749895, 0.0, 0.0],
     ({"vertices": [{"kind": "ideal", "coords": [1, True, 0]}]
       + [{"kind": "ideal", "coords": [1, -0.5, s * 0.8660254037844386]} for s in (1, -1)]}, (),
      "simplex.vertices[0].coords[1] must be a number, not bool"),
+    ({"vertices": [{"kind": "material", "coords": c} for c in MATERIAL_TET[:3]]}, (),
+     "3 vertices but ambient dimension 3"),
 ], ids=["unknown-kind", "missing-vertices", "unreachable-tol", "vertices-not-list",
-        "coords-not-list", "ideal-nan-x0", "material-nan-x0", "boolean-coordinate"])
+        "coords-not-list", "ideal-nan-x0", "material-nan-x0", "boolean-coordinate",
+        "too-few-vertices"])
 def test_simplex_vol_bad_input_exit_2(fixdir, monkeypatch, capsys, simplex, extra, message):
     monkeypatch.setenv("HYPVOL_FIXTURES", str(fixdir))
     (fixdir / "bad_simplex.json").write_text(json.dumps(simplex))
@@ -443,6 +455,23 @@ def test_rep_vol_bad_representation_exit_2(fixdir, monkeypatch, capsys, rep, key
     assert captured.out == ""
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
     assert rep in captured.err and key in captured.err
+
+
+def test_rep_vol_trivial_representation_exit_2(fixdir, monkeypatch, capsys):
+    """The trivial representation of the figure-eight develops every
+    simplex onto one ideal point, with no material vertex to redraw:
+    exit 2 with a message saying so."""
+    monkeypatch.setenv("HYPVOL_FIXTURES", str(fixdir))
+    identity = np.eye(4).tolist()
+    (fixdir / "trivial_rep.json").write_text(json.dumps({"images": {"a": identity,
+                                                                    "b": identity}}))
+    code = main(["--no-timestamp", "rep", "vol", "--tri", "fig8.json",
+                 "--rep", "trivial_rep.json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: could not reach a nondegenerate developing assignment: "
+                            "its degenerate simplices have no material vertex to redraw\n")
 
 
 _REP = ("--tri", "fig8.json", "--rep", "fig8_geometric.json")

@@ -163,7 +163,7 @@ def _kernel_reference(n, x):
 _KERNEL_XS = (1e-8, 1e-4, 1e-2, 0.29, 0.31, 0.5, 0.99, 1.0 - 1e-12)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_radial_kernel_matches_mpmath(n):
     x = np.array(_KERNEL_XS)
     m = np.sqrt((1.0 - x) * (1.0 + x))

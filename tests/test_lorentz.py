@@ -468,6 +468,25 @@ def test_gram_schmidt_reprojects():
     assert np.max(np.abs(fixed - g.matrix)) < 1e-5
 
 
+def test_stacked_products_reproject_only_the_drifted():
+    """_reproject_drifted on a stack of products reprojects exactly the
+    matrices whose form residual is above half the validation tolerance,
+    each to the bits minkowski_gram_schmidt gives it alone, and returns
+    the others untouched, leaving its input as it was."""
+    rng = np.random.default_rng(31)
+    P = np.array([random_so_element(rng, 3).matrix @ random_so_element(rng, 3).matrix
+                  for _ in range(6)])
+    drift = np.array([False, True, False, True, True, False])
+    P[drift] += rng.normal(size=(drift.sum(), 4, 4)) * 1e-8
+    resid, scale = lorentz_mod._form_residuals(P)
+    assert np.array_equal(resid > 0.5 * lorentz_mod.FORM_TOL * scale, drift)
+    before = P.copy()
+    out = lorentz_mod._reproject_drifted(P)
+    assert np.array_equal(P, before)
+    for i, (p, q) in enumerate(zip(P, out, strict=True)):
+        assert np.array_equal(q, minkowski_gram_schmidt(p) if drift[i] else p)
+
+
 def test_so_algebra_residual():
     rng = np.random.default_rng(29)
     X = rng.normal(size=(4, 4))

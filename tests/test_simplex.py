@@ -135,6 +135,19 @@ def test_bloch_wigner_symmetries():
 
 # --- volumes ---------------------------------------------------------------
 
+@pytest.mark.parametrize("vertices, message", [
+    (lambda: [LorentzVector.basis_point(3)] * 2, r"need n\+1 >= 3 vertices"),
+    (lambda: [LorentzVector.basis_point(3)] * 3, "3 vertices but ambient dimension 3"),
+    (lambda: [LorentzVector.basis_point(2), LorentzVector.raw([0.0, 1.0, 0.0]),
+              LorentzVector.basis_point(2)], "raw vectors cannot be simplex vertices"),
+    (lambda: [LorentzVector.basis_point(2)] * 2 + [LorentzVector.basis_point(3)],
+     "vertices of mixed ambient dimension"),
+], ids=["two-vertices", "too-few-for-dimension", "raw-vertex", "mixed-dimension"])
+def test_simplex_refuses_bad_vertices(vertices, message):
+    with pytest.raises(SimplexError, match=message):
+        GeodesicSimplex(vertices())
+
+
 def test_degenerate_repeated_vertex_zero():
     p = from_klein([0.1, 0.2])
     q = from_klein([0.4, -0.1])
@@ -546,16 +559,27 @@ def test_numeric_volume_flat_limit_matches_euclidean(rng):
     assert abs(v / euclid - 1.0) < 0.01
 
 
-def test_numeric_volume_dimension_five(rng):
-    pts = rng.uniform(-0.35, 0.35, size=(6, 5))
+def _assert_barycentric_subdivision_adds_up(rng, n):
+    """numeric_volume of a material n-simplex equals the sum over its
+    n + 1 cones from the barycenter."""
+    pts = rng.uniform(-0.35, 0.35, size=(n + 1, n))
     s = GeodesicSimplex([from_klein(p) for p in pts])
     whole = numeric_volume(s, 1e-9)
     bary = from_klein(s.klein().mean(axis=0))
     parts = sum(
         numeric_volume(GeodesicSimplex(
             [bary if k == i else v for k, v in enumerate(s.vertices)]), 1e-9)
-        for i in range(6))
+        for i in range(n + 1))
     assert abs(parts - whole) < 1e-8
+
+
+def test_numeric_volume_dimension_five(rng):
+    _assert_barycentric_subdivision_adds_up(rng, 5)
+
+
+def test_numeric_volume_dimension_six(rng):
+    """The even n >= 6 branches of the radial kernel and the face sums."""
+    _assert_barycentric_subdivision_adds_up(rng, 6)
 
 
 def test_ideal_tet_volume_formula():

@@ -271,7 +271,7 @@ def _fig8_pairings_mutated(how):
 def _dehn_stack(tri, filling=(5, 1)):
     """The 11-sample developed stack of a dehn3d scan and its word images."""
     path = generate_path("dehn3d", {"triangulation": tri, "filling": filling})
-    _, _, _, stack, word_matrix = _develop_samples(
+    _, _, stack, word_matrix = _develop_samples(
         path.evaluate_many(np.linspace(0.0, 1.0, 11)), tri, 0, "prefer_ideal")
     return stack, word_matrix
 
