@@ -693,13 +693,16 @@ def _fixed_sets(images: Sequence[np.ndarray], tol: float) -> list[FixedSet]:
     holds each generator's (S, m, m) images, and the result is each
     sample's FixedSet.
 
-    One SVD of each sample's stacked (A_i - I) gives the interior part
-    and the eigenvalue-1 rays; each round of classification is one
-    _classify_stack over the samples still looking for a loxodromic or
-    parabolic generator (usually one round); the candidate rays of every
-    sample are normalized and checked against its generators in one
-    array pass.  EmptyFixedSetError names the first sample that fixes
-    nothing (its ``sample``)."""
+    Generators are classified first: each round is one _classify_stack
+    over the samples still looking for a loxodromic or parabolic
+    generator (usually one round).  Such a generator's finite, fully
+    enumerated ideal fixed set holds every common fixed ray, and it
+    fixes no interior point, so its sample needs nothing more.  One SVD
+    of the stacked (A_i - I) of each remaining sample that is not the
+    identity gives its interior part and eigenvalue-1 rays.  The
+    candidate rays of every sample are normalized and checked against
+    its generators in one array pass.  EmptyFixedSetError names the
+    first sample that fixes nothing (its ``sample``)."""
     if not len(images):
         raise LorentzError("need at least one generator")
     m = images[0].shape[-1]
@@ -708,10 +711,9 @@ def _fixed_sets(images: Sequence[np.ndarray], tol: float) -> list[FixedSet]:
     mats = np.stack(images, axis=1)
     S, k = mats.shape[:2]
     D = mats - np.eye(m)
-    interior, candidates, sphere = _ball_points(
-        *_fixed_subspaces(D.reshape(S, k * m, m), tol), tol)
     nontrivial = np.abs(D).max(axis=(-2, -1)) > tol
     verify = nontrivial.any(axis=1)
+    interior, candidates, sphere = [None] * S, [[] for _ in range(S)], [False] * S
     for i in np.flatnonzero(~verify):
         sphere[i], interior[i] = True, LorentzVector.basis_point(m - 1).coords
     searching = verify.copy()
@@ -724,9 +726,12 @@ def _fixed_sets(images: Sequence[np.ndarray], tol: float) -> list[FixedSet]:
                 continue
             candidates[i] += list(cls[2])
             if cls[0] in (IsometryClass.LOXODROMIC, IsometryClass.PARABOLIC):
-                # its ideal fixed set is finite and fully enumerated, so
-                # it holds every common fixed ray
                 searching[i] = False
+    rest = np.flatnonzero(searching)
+    if rest.size:
+        points = _ball_points(*_fixed_subspaces(D[rest].reshape(rest.size, k * m, m), tol), tol)
+        for i, x, rays, sph in zip(rest.tolist(), *points):
+            interior[i], candidates[i], sphere[i] = x, rays + candidates[i], sph
     owner = [i for i in np.flatnonzero(verify).tolist() for _ in candidates[i]]
     if owner:
         # every candidate, at x_0 = 1, as a fixed ray of each generator
@@ -764,15 +769,16 @@ def _fixed_sets(images: Sequence[np.ndarray], tol: float) -> list[FixedSet]:
 def common_fixed_set(gens: Sequence[Isometry], tol: float = 1e-8) -> FixedSet:
     """Common fixed locus of a family of isometries in the closed ball.
 
-    The interior part and eigenvalue-1 ideal rays come from a singular
-    value analysis of the stacked (A_i - I).  Ideal rays fixed with
-    eigenvalue != 1 (shared loxodromic endpoints) are recovered from
-    per-generator candidates and verified against every generator.
     Generators are classified in order up to the first loxodromic or
     parabolic one, whose finite list of ideal fixed rays contains every
-    common fixed ray; no commutativity is assumed.  This is the stack of
-    one of _fixed_sets, which peripheral classification runs over all
-    samples of a scan at once.
+    common fixed ray and which fixes no interior point; no
+    commutativity is assumed.  Without such a generator, the interior
+    part and eigenvalue-1 ideal rays come from a singular value analysis
+    of the stacked (A_i - I).  Ideal rays fixed with eigenvalue != 1
+    (shared loxodromic endpoints) are recovered from per-generator
+    candidates; every candidate is verified against every generator.
+    This is the stack of one of _fixed_sets, which peripheral
+    classification runs over all samples of a scan at once.
     """
     return _fixed_sets([g.matrix[None] for g in gens], tol)[0]
 

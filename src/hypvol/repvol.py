@@ -680,8 +680,9 @@ def generate_path(kind: str, params: Mapping) -> DeformationPath:
     image's logarithm is used, boundary_words guarded non-elliptic),
     "keyframes" (presentation, finite and strictly increasing times,
     keyframes; a t outside [times[0], times[-1]] is refused), and "dehn3d"
-    (triangulation with gluing data, filling (p, q), samples) which pulls
-    shapes along a filling-coefficient segment from the complete
+    (triangulation with gluing data, filling (p, q), steps: continuation
+    steps over [0, 1], default 24; a t outside [0, 1] is refused) which
+    pulls shapes along a filling-coefficient segment from the complete
     structure and reconstitutes the holonomy per sample.
     """
     if kind == "conjugation":
@@ -839,27 +840,38 @@ def _solve_shapes(x0: Sequence[complex], target, tol: float, max_iter: int):
     """Damped Newton on the edge equation plus the cusp equation
     p*u + q*v = w, target = (p, q, w), on the log holonomies, with the
     analytic Jacobian of the logarithmic equations, in scalar complex
-    arithmetic: the 2x2 step is solved by Cramer's rule, and a zero
+    arithmetic.  The cusp row p*u + q*v - w is folded into the
+    _FIG8_LOG_ROWS coefficients once per solve, so a residual
+    evaluation is four logarithms, four reciprocals and two four-term
+    sums; the 2x2 step is solved by Cramer's rule, and a zero
     determinant is a singular system.  A step is taken only if it keeps
     both shapes in the upper half plane and strictly decreases the
     max-abs residual, halving it down to 1e-4.  Returns (shapes,
-    residual, (u, v)) at the first iterate with max-abs residual at most
-    tol."""
+    residual, jac) at the first iterate with max-abs residual at most
+    tol, with jac the 2x2 Jacobian of the folded system there, from
+    which a continuation takes its tangent; u and v are evaluated only
+    for the solutions kept (_gluing_solutions)."""
     p, q, w = target
+    (edge, k_edge), (mer, k_mer), (lon, k_lon) = _FIG8_LOG_ROWS
+    e1, e2, e3, e4 = edge
+    c1, c2, c3, c4 = (p * a + q * b for a, b in zip(mer, lon))
+    k_cusp = p * k_mer + q * k_lon - w
 
     def system(z1, z2):
-        (e, u, v), ((e1, e2), (u1, u2), (v1, v2)) = _fig8_log_equations(z1, z2)
-        return (e, p * u + q * v - w), ((e1, e2), (p * u1 + q * v1, p * u2 + q * v2)), (u, v)
-
-    def size(res) -> float:
-        return max(abs(res[0]), abs(res[1]))
+        # the folded residuals, their max-abs size and the 2x2 Jacobian
+        y1, y2 = 1.0 - z1, 1.0 - z2
+        l1, l2, l3, l4 = cmath.log(z1), cmath.log(y1), cmath.log(z2), cmath.log(y2)
+        d1, d2, d3, d4 = 1.0 / z1, -1.0 / y1, 1.0 / z2, -1.0 / y2
+        r1 = e1 * l1 + e2 * l2 + e3 * l3 + e4 * l4 + k_edge
+        r2 = c1 * l1 + c2 * l2 + c3 * l3 + c4 * l4 + k_cusp
+        return (r1, r2, max(abs(r1), abs(r2)), e1 * d1 + e2 * d2, e3 * d3 + e4 * d4,
+                c1 * d1 + c2 * d2, c3 * d3 + c4 * d4)
 
     z1, z2 = (complex(z) for z in x0)
-    res, jac, hol = system(z1, z2)
+    r1, r2, size, a, b, c, d = system(z1, z2)
     for _ in range(max_iter):
-        if size(res) <= tol:
+        if size <= tol:
             break
-        ((a, b), (c, d)), (r1, r2) = jac, res
         det = a * d - b * c
         if det == 0:
             raise GluingError("singular Newton system")
@@ -868,31 +880,32 @@ def _solve_shapes(x0: Sequence[complex], target, tol: float, max_iter: int):
         while damp > 1e-4:
             n1, n2 = z1 + damp * s1, z2 + damp * s2
             if n1.imag > 0 and n2.imag > 0:
-                rn, jn, hol_n = system(n1, n2)
-                if size(rn) < size(res):
-                    z1, z2, res, jac, hol = n1, n2, rn, jn, hol_n
+                trial = system(n1, n2)
+                if trial[2] < size:
+                    z1, z2 = n1, n2
+                    r1, r2, size, a, b, c, d = trial
                     break
             damp *= 0.5
         else:
             raise GluingError(
-                f"Newton stalled at shapes {np.array([z1, z2])}: residual {size(res):.3e}")
-    if size(res) > tol:
-        raise GluingError(
-            f"Newton did not reach tol {tol}: residual {size(res):.3e}")
-    return (z1, z2), size(res), hol
+                f"Newton stalled at shapes {np.array([z1, z2])}: residual {size:.3e}")
+    if size > tol:
+        raise GluingError(f"Newton did not reach tol {tol}: residual {size:.3e}")
+    return (z1, z2), size, ((a, b), (c, d))
 
 
 def _gluing_solutions(tri: LabeledTriangulation, solved) -> list[GluingSolution]:
     """Reconstruct the generators from each solved (shapes, residual,
-    log holonomies) and relator-check the representations, with the
-    generators, their lifts and the relator products stacked over the
+    jac) of _solve_shapes, take its log holonomies, and relator-check
+    the representations, with the generators, one lift of both
+    generator stacks and the relator products stacked over the
     solutions."""
     z1, z2 = np.array([shapes for shapes, _, _ in solved]).T
-    a, b = (_lift_stack(g) for g in _fig8_generators(z1, z2))
+    a, b = np.split(_lift_stack(np.concatenate(_fig8_generators(z1, z2))), 2)
     images = [{"a": Isometry._trusted(x), "b": Isometry._trusted(y)} for x, y in zip(a, b)]
     reps = _check_stack(tri.presentation, images, RELATOR_TOL)
-    return [GluingSolution(shapes, rep, residual, logs)
-            for (shapes, residual, logs), rep in zip(solved, reps)]
+    return [GluingSolution(shapes, rep, residual, tuple(_fig8_log_equations(*shapes)[0][1:]))
+            for (shapes, residual, _), rep in zip(solved, reps)]
 
 
 def _check_recipe(tri: LabeledTriangulation) -> None:
@@ -951,26 +964,52 @@ def _dehn3d_path(tri: LabeledTriangulation, filling, steps: int) -> DeformationP
     filling: at parameter t the cusp equation is p*u + q*v = t * 2 pi i,
     and at t = 0 it is u = 0, which (omega, omega) solves.
 
-    Every continuation step's (shapes, residual, log holonomies) is
-    kept; a relator-checked GluingSolution is built only for the
-    parameters asked for.  evaluate_many walks the continuation through
-    its parameters in order once and builds their solutions in one
-    stacked lift and relator check."""
+    Each step of at most 1/steps starts Newton from the tangent
+    prediction z + ds J^-1 (0, 2 pi i), with J the Jacobian of the edge
+    row and the path's cusp row p*u + q*v at the previous solution, or
+    from the previous shapes when a predicted shape leaves the upper
+    half plane.  A step that fails raises a GluingError naming the
+    filling and the parameter s it was solving for.
+
+    Every continuation step's (shapes, residual, Jacobian) is kept; a
+    relator-checked GluingSolution with its log holonomies is built only
+    for the parameters asked for.  evaluate_many walks the continuation
+    through its parameters in order once and builds their solutions in
+    one stacked lift and relator check."""
     _check_recipe(tri)
     if steps < 1:
         raise RepvolError(f"a dehn3d path needs at least one step, not {steps}")
     p, q = _filling(filling)
     omega = complex(math.cos(math.pi / 3), math.sin(math.pi / 3))
-    walked = {0.0: _solve_shapes((omega, omega), (1, 0, 0), 1e-11, 60)}
+    shapes, residual, _ = _solve_shapes((omega, omega), (1, 0, 0), 1e-11, 60)
+    # that solve's Jacobian has the row of u; the path's has p*u + q*v
+    _, (edge, (u1, u2), (v1, v2)) = _fig8_log_equations(*shapes)
+    walked = {0.0: (shapes, residual, (edge, (p * u1 + q * v1, p * u2 + q * v2)))}
     solutions = {}
 
     def walk(t: float):
+        if not 0.0 <= t <= 1.0:
+            raise RepvolError(f"a dehn3d path is defined for t in [0, 1], not t = {t}")
         # walk from the last step at or below t
         s = max(k for k in walked if k <= t + 1e-12)
         state = walked[s]
         while s < t - 1e-12:
-            s = min(t, s + 1.0 / steps)
-            state = walked[s] = _solve_shapes(state[0], (p, q, s * 2j * math.pi), 1e-11, 60)
+            step = min(t, s + 1.0 / steps)
+            (z1, z2), _, ((a, b), (c, d)) = state
+            # predictor: z + ds J^-1 (0, 2 pi i), with J = [edge; p*u + q*v]
+            det = a * d - b * c
+            start = (z1, z2)
+            if det != 0:
+                k = (step - s) * 2j * math.pi / det
+                predicted = (z1 - b * k, z2 + a * k)
+                if predicted[0].imag > 0 and predicted[1].imag > 0:
+                    start = predicted
+            try:
+                state = _solve_shapes(start, (p, q, step * 2j * math.pi), 1e-11, 60)
+            except GluingError as exc:
+                raise GluingError(f"dehn3d continuation toward the ({p:g}, {q:g}) filling "
+                                  f"failed at s = {step}: {exc}") from exc
+            s, walked[step] = step, state
         return state
 
     def solve_many(ts: Sequence[float]) -> list[GluingSolution]:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -169,6 +170,28 @@ def test_path_scan_dehn_expect_constant_fails(run, fixdir):
                     "--tri", "fig8.json", "--samples", "5", "--expect-constant")
     assert code == 1
     assert json.loads(out)["verdict"] == "NonConstant"
+
+
+@pytest.mark.parametrize("filling, message", [
+    ((4, 1), r"continuation toward the \(4, 1\) filling failed at s = 1\.0: Newton"),
+    ((1, 0), r"continuation toward the \(1, 0\) filling failed at s = 0\.24\d*: Newton stalled"),
+    ((0, 1), r"nondegenerate developing assignment"),
+], ids=["4,1", "1,0", "0,1"])
+def test_path_scan_dehn_exceptional_filling_exit_2(fixdir, monkeypatch, capsys,
+                                                    filling, message):
+    """The continuation toward (4, 1) or (1, 0) fails, and its message
+    names the filling and the parameter s; (0, 1) is walked, but its
+    developing degenerates."""
+    monkeypatch.setenv("HYPVOL_FIXTURES", str(fixdir))
+    spec = {"kind": "dehn3d", "params": {"filling": list(filling)}}
+    (fixdir / "dehn_exceptional.json").write_text(json.dumps(spec))
+    code = main(["--no-timestamp", "path", "scan", "--path", "dehn_exceptional.json",
+                 "--tri", "fig8.json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert re.search(message, captured.err), captured.err
 
 
 def test_determinism_byte_identical(run):

@@ -352,6 +352,24 @@ def test_stacked_fixed_sets_equal_their_stacks_of_one():
         assert np.allclose(fs.ideal[0].unit().coords, INFINITY, atol=1e-9), name
 
 
+def test_stacked_fixed_sets_take_the_svd_only_where_no_generator_decides(monkeypatch):
+    """Generators are classified first: a loxodromic or parabolic one
+    decides its sample, and the identity needs nothing, so of the mixed
+    stack only the two rotations about one axis reach the SVD; that
+    sample keeps its interior point."""
+    shapes = []
+    fixed_subspaces = lorentz_mod._fixed_subspaces
+    monkeypatch.setattr(lorentz_mod, "_fixed_subspaces",
+                        lambda D, tol: shapes.append(D.shape) or fixed_subspaces(D, tol))
+    stacked = lorentz_mod._fixed_sets(lifted_stack(list(MIXED_PERIPHERAL.values())), 1e-8)
+    # classification takes its own SVD of one generator's (A - I), (S, 4, 4)
+    assert [shape for shape in shapes if shape[1] != 4] == [(1, 8, 4)]
+    rotations = stacked[list(MIXED_PERIPHERAL).index("rotation-axis")]
+    assert rotations.interior is not None and not rotations.sphere
+    assert np.allclose(rotations.interior.coords, [1, 0, 0, 0], atol=1e-12)
+    assert _unit_rays(rotations) == sorted([tuple(map(float, ZERO)), tuple(map(float, INFINITY))])
+
+
 def test_stacked_fixed_sets_name_the_first_sample_fixing_nothing():
     pairs = list(MIXED_PERIPHERAL.values())
     pairs[3:3] = [NO_FIXED_POINT]

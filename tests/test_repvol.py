@@ -1,6 +1,8 @@
+import cmath
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -935,6 +937,80 @@ def test_dehn_path_refuses_a_filling_not_finite_or_zero(fig8, filling):
     tri, _ = fig8
     with pytest.raises(GluingError, match=r"filling must be finite and not \(0, 0\)"):
         generate_path("dehn3d", {"triangulation": tri, "filling": filling})
+
+
+@pytest.mark.parametrize("t", [-0.1, float("nan"), 1.5, float("inf")])
+def test_dehn_path_refuses_a_parameter_outside_0_1(fig8, t):
+    """Below 0 (and at NaN) no continuation step lies at or below t;
+    above 1 the walk would run past the filling until Newton stalls."""
+    tri, _ = fig8
+    path = generate_path("dehn3d", {"triangulation": tri, "filling": (5, 1)})
+    with pytest.raises(RepvolError, match=rf"for t in \[0, 1\], not t = {t}$"):
+        path.evaluate(t)
+    with pytest.raises(RepvolError, match=rf"not t = {t}$"):
+        path.evaluate_many([0.0, t])
+
+
+# (5, 1) and (3, 2) continuation shapes at t = 0.5 and then 1 (24 steps),
+# as walked when each step started Newton from the previous step's shapes
+_WALKED_SHAPES = {
+    ((5, 1), 0.5): (0.076561352177017 + 0.727430200265009j,
+                    0.020653267825879874 + 1.5966972409517368j),
+    ((5, 1), 1.0): (0.029435358066899675 + 0.41592639156274575j,
+                    -3.6374476446382853 + 1.6871823157824508j),
+    ((3, 2), 0.5): (0.07783780816497332 + 1.0110032043479775j,
+                    0.6842158712976413 + 1.4087666577490108j),
+    ((3, 2), 1.0): (-0.41740892525593376 + 0.894590676029158j,
+                    1.5306334840481042 + 2.018887702761515j),
+}
+
+
+@pytest.mark.parametrize("filling", [(5, 1), (3, 2)])
+def test_dehn_continuation_is_pinned(fig8, filling):
+    """The tangent predictor changes where Newton starts, not where it
+    ends: every sample of an 11-sample walk meets tol 1e-11, and the
+    shapes equal those of the walk without a predictor to 1e-12."""
+    tri, _ = fig8
+    solve = generate_path("dehn3d", {"triangulation": tri, "filling": filling}).meta["solver"]
+    for t in (0.5, 1.0):
+        shapes = solve(t).shapes
+        assert np.max(np.abs(np.subtract(shapes, _WALKED_SHAPES[filling, t]))) <= 1e-12
+    path = generate_path("dehn3d", {"triangulation": tri, "filling": filling})
+    path.evaluate_many(np.linspace(0.0, 1.0, 11))
+    assert all(path.meta["solver"](t).residual <= 1e-11 for t in np.linspace(0.0, 1.0, 11))
+
+
+def test_dehn_continuation_steps_along_the_tangent(fig8, monkeypatch):
+    """Each continuation step starts from the tangent prediction, which
+    saves about one Newton step per step.  A residual evaluation takes
+    four logarithms; the rows' own evaluations (one per path and one per
+    solution kept) are counted apart.  Over the twelve fillings of the
+    fig8_dehn benchmark an 11-sample walk averages 103.3 evaluations
+    (133.3 from the previous shapes), and the (5, 1) walk makes 113
+    (143)."""
+    tri, _ = fig8
+    logs, rows = [0], [0]
+
+    def log(z):
+        logs[0] += 1
+        return cmath.log(z)
+
+    def fig8_rows(z1, z2):
+        rows[0] += 1
+        return _fig8_log_equations(z1, z2)
+
+    monkeypatch.setattr(repvol_mod, "cmath", types.SimpleNamespace(log=log))
+    monkeypatch.setattr(repvol_mod, "_fig8_log_equations", fig8_rows)
+    counts = {}
+    for p, q in ((5, 1), (6, 1), (7, 1), (5, 2), (3, 2), (4, 3)):
+        for filling in ((p, q), (-p, q)):
+            logs[0] = rows[0] = 0
+            path = generate_path("dehn3d", {"triangulation": tri, "filling": filling})
+            path.evaluate_many(np.linspace(0.0, 1.0, 11))
+            assert rows[0] == 1 + 11
+            counts[filling] = logs[0] / 4 - rows[0]
+    assert counts[5, 1] <= 116
+    assert sum(counts.values()) / len(counts) <= 110
 
 
 def test_gluing_filled_volume_decreases(fig8):
